@@ -11,10 +11,11 @@
 #                      build-asan), exercising the concurrent serving caches
 #                      under the sanitizers
 #                      thread    -> TSan build (default build dir
-#                      build-tsan) running the concurrency-heavy suites
-#                      (serve_test, parallel_test, net_test, drift_test,
-#                      sim_test, blas_kernel_dispatch_test — the row-block
-#                      GEMM split and kernel dispatch), keeping the
+#                      build-tsan) running the nine concurrency-heavy
+#                      suites (serve_test, parallel_test, net_test,
+#                      drift_test, sim_test, blas_kernel_dispatch_test and
+#                      blas_gemm_test — the row-block GEMM split and kernel
+#                      dispatch — obs_test and fault_test), keeping the
 #                      lock-free snapshot path, the drift-refresh swap and
 #                      the HTTP event loop / completion-hub handoff
 #                      race-clean

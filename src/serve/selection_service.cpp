@@ -95,15 +95,6 @@ SelectionService::SliceId SelectionService::slice_id(const Query& q) {
   return id;
 }
 
-SelectionService::SliceId SelectionService::slice_id(
-    const store::AtlasKey& key) {
-  SliceId id{key.family, key.dim, key.base};
-  // Store keys may carry any value at the scanned coordinate (canonical()
-  // zeroes it only when printing); normalise here.
-  id.base[static_cast<std::size_t>(key.dim)] = 0;
-  return id;
-}
-
 std::size_t QueryHash::operator()(const Query& q) const {
   std::uint64_t h = support::fnv1a64(q.family);
   h = support::fnv1a64(q.dims.data(), q.dims.size() * sizeof(int), h);
@@ -154,8 +145,8 @@ SelectionService::~SelectionService() {
   }
   // Fail anything that was still queued, instead of the anonymous
   // broken-promise error the promise destructor would produce.
-  for (auto& [bucket_key, bucket] : async_pending_) {
-    for (AsyncWaiter& waiter : bucket.waiters) {
+  for (auto& [id, waiters] : async_pending_) {
+    for (AsyncWaiter& waiter : waiters) {
       waiter.promise.set_exception(std::make_exception_ptr(support::CheckError(
           "SelectionService destroyed with pending async queries")));
     }
@@ -178,25 +169,18 @@ const expr::ExpressionFamily& SelectionService::family_for(const Query& q) {
   return family;
 }
 
-store::AtlasKey SelectionService::atlas_key(const Query& q) const {
-  store::AtlasKey key;
-  key.family = q.family;
-  key.machine = machine_.name();
-  key.dim = q.dim;
-  key.base = q.dims;
-  key.base[static_cast<std::size_t>(q.dim)] = 0;
-  key.config = config_.atlas;
-  return key;
+std::unique_lock<std::mutex> SelectionService::timing_guard() {
+  return concurrent_timing_ ? std::unique_lock<std::mutex>()
+                            : std::unique_lock<std::mutex>(timing_mutex_);
 }
 
 SelectionService::AtlasPtr SelectionService::find_slice(const Snapshot& snap,
                                                         const SliceId& id) {
-  const auto it = snap.slices.find(id);
-  return it == snap.slices.end() ? nullptr : it->second.atlas;
+  const auto it = snap.find(id);
+  return it == snap.end() ? nullptr : it->second;
 }
 
-SelectionService::AtlasPtr SelectionService::build_slice(
-    const store::AtlasKey& key) {
+SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
   const obs::SpanScope build_span(obs::Stage::kBuild);
   if (const std::uint64_t ms =
           support::fault_value(support::FaultSite::kBuildDelayMs)) {
@@ -206,40 +190,32 @@ SelectionService::AtlasPtr SelectionService::build_slice(
     throw std::bad_alloc();
   }
   if (support::fault_fire(support::FaultSite::kBuildSlice)) {
-    throw std::runtime_error("fault injected: build.slice for " + key.family);
+    throw std::runtime_error("fault injected: build.slice for " + id.family);
   }
   // The canonicalised base carries a 0 at the scanned coordinate, which
-  // the scan overrides at every sample; only the family name is needed.
-  const expr::ExpressionFamily& family = resolve_family(key.family);
-  AtlasPtr built;
-  if (concurrent_timing_) {
-    built = std::make_shared<const anomaly::RegionAtlas>(
-        family, machine_, key.base, key.dim, config_.atlas);
-  } else {
-    const std::lock_guard<std::mutex> timing_lock(timing_mutex_);
-    built = std::make_shared<const anomaly::RegionAtlas>(
-        family, machine_, key.base, key.dim, config_.atlas);
-  }
+  // the scan overrides at every sample.
+  const expr::ExpressionFamily& family = resolve_family(id.family);
+  const auto timing_lock = timing_guard();
+  const AtlasPtr built = std::make_shared<const anomaly::RegionAtlas>(
+      family, machine_, id.base, id.dim, config_.atlas);
   atlas_samples_.fetch_add(built->samples_used());
   atlases_built_.fetch_add(1);
   return built;
 }
 
-SelectionService::AtlasPtr SelectionService::publish(
-    const store::AtlasKey& key, const SliceId& id, AtlasPtr atlas) {
+SelectionService::AtlasPtr SelectionService::publish(const SliceId& id,
+                                                     AtlasPtr atlas) {
   const std::lock_guard<std::mutex> lock(publish_mutex_);
   auto next = std::make_shared<Snapshot>(*snapshot_.load());
-  const auto [it, inserted] =
-      next->slices.try_emplace(id, Slice{key, std::move(atlas)});
-  const AtlasPtr result = it->second.atlas;
+  const auto [it, inserted] = next->try_emplace(id, std::move(atlas));
+  const AtlasPtr result = it->second;
   if (inserted) {
     snapshot_.store(std::move(next));
   }
   return result;
 }
 
-SelectionService::AtlasPtr SelectionService::obtain_atlas(
-    const store::AtlasKey& key, const SliceId& id) {
+SelectionService::AtlasPtr SelectionService::obtain_atlas(const SliceId& id) {
   if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
     return atlas;
   }
@@ -293,7 +269,7 @@ SelectionService::AtlasPtr SelectionService::obtain_atlas(
     }
   }
   try {
-    AtlasPtr result = publish(key, id, build_slice(key));
+    AtlasPtr result = publish(id, build_slice(id));
     promise.set_value(result);
     {
       const std::lock_guard<std::mutex> lock(builds_mutex_);
@@ -414,15 +390,9 @@ std::size_t SelectionService::async_queue_depth() const {
 Recommendation SelectionService::classify_exact(const Query& q) {
   const obs::SpanScope build_span(obs::Stage::kBuild);
   const expr::ExpressionFamily& family = family_for(q);
-  anomaly::InstanceResult result = [&] {
-    if (concurrent_timing_) {
-      return anomaly::classify_instance(family, machine_, q.dims,
-                                        config_.atlas.time_score_threshold);
-    }
-    const std::lock_guard<std::mutex> timing_lock(timing_mutex_);
-    return anomaly::classify_instance(family, machine_, q.dims,
-                                      config_.atlas.time_score_threshold);
-  }();
+  const auto timing_lock = timing_guard();
+  const anomaly::InstanceResult result = anomaly::classify_instance(
+      family, machine_, q.dims, config_.atlas.time_score_threshold);
   measured_queries_.fetch_add(1);
   Recommendation rec;
   rec.algorithm = result.fastest.front();
@@ -455,49 +425,41 @@ Recommendation SelectionService::fallback_answer(const Query& q) {
   return rec;
 }
 
-Recommendation SelectionService::query(const Query& q) {
-  {
-    const obs::SpanScope lru_span(obs::Stage::kLru);
-    if (auto hit = cache_.get(q)) {
-      hit->source = Source::kCache;
-      cache_answers_.fetch_add(1);
-      return *hit;
-    }
-  }
-  family_for(q);  // validate family, arity and dimension before working
-
+Recommendation SelectionService::answer(const Query& q,
+                                        std::optional<AtlasPtr> atlas) {
   Recommendation rec;
   if (q.exact) {
     rec = classify_exact(q);
   } else {
     const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-    const SliceId id = slice_id(q);
-    AtlasPtr atlas = find_slice(*snapshot(), id);
-    if (atlas == nullptr && config_.auto_build) {
-      atlas = obtain_atlas(atlas_key(q), id);
-      if (atlas == nullptr) {
-        // degrade_on_failure: the build failed, timed out or is breakered.
-        // Never cached, so the next miss retries (or the breaker gates it).
-        return fallback_answer(q);
-      }
+    if (!atlas) {
+      atlas = obtain_atlas(slice_id(q));
     }
-    if (atlas != nullptr) {
-      rec = recommendation_from(
-          atlas->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
-      atlas_answers_.fetch_add(1);
-    } else {
-      rec = classify_exact(q);
+    if (*atlas == nullptr) {
+      // degrade_on_failure: the build failed, timed out or is breakered.
+      // Never cached, so the next miss retries (or the breaker gates it).
+      return fallback_answer(q);
     }
+    rec = recommendation_from(
+        (*atlas)->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
+    atlas_answers_.fetch_add(1);
   }
   cache_.put(q, rec);
   return rec;
 }
 
+Recommendation SelectionService::query(const Query& q) {
+  Recommendation rec;
+  if (try_cached(q, rec)) {
+    return rec;
+  }
+  family_for(q);  // validate family, arity and dimension before working
+  return answer(q);
+}
+
 bool SelectionService::try_cached(const Query& q, Recommendation& out) {
-  // Mirrors query()'s hit block exactly (same span, same counters) so a
-  // caller probing here first observes identical payloads and metrics; the
-  // Recommendation is a POD and ShardedLruCache::get allocates nothing, so
-  // the whole probe is allocation-free.
+  // The Recommendation is a POD and ShardedLruCache::get allocates nothing,
+  // so the whole probe is allocation-free.
   const obs::SpanScope lru_span(obs::Stage::kLru);
   if (auto hit = cache_.get(q)) {
     hit->source = Source::kCache;
@@ -519,66 +481,34 @@ std::vector<Recommendation> SelectionService::query_batch(
   batch_calls_.fetch_add(1);
   batch_queries_.fetch_add(batch.size());
 
-  // With on-demand building off, a single query() may cache a measured
-  // (classified) answer that a later atlas lookup would not reproduce;
-  // strict bit-identity with sequential query() calls then requires the
-  // cache to stay in the loop. Builds are disabled anyway, so there is
-  // nothing for the batch path to group or amortise — delegate wholesale.
-  if (!config_.auto_build) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out[i] = query(batch[i]);
-    }
-    return out;
-  }
-
   // One atlas span covers the whole grouped answering (slice resolution,
-  // deferred builds nest inside it as build spans, interval sweeps).
+  // deferred builds nest inside it as build spans, lookups).
   const obs::SpanScope atlas_span(obs::Stage::kAtlas);
 
   struct Group {
     std::size_t rep;  ///< index of the group's first query
     AtlasPtr atlas;
-    // Hoisted for the answer path: the interval partition, its range, and a
-    // memo of the last interval hit — a sweep's next step (or a random
-    // coordinate in a wide interval) is a two-comparison answer.
-    const anomaly::AtlasInterval* intervals = nullptr;
+    /// The interval answered last: a sweep's next step (or a random
+    /// coordinate in a wide interval) answers without a lookup.
     const anomaly::AtlasInterval* memo = nullptr;
-    int lo = 0;
-    int hi = 0;
   };
   std::vector<Group> groups;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deferred;  // (query, group)
   std::vector<std::uint32_t> exact_queries;  // -> query() path, input order
   const SnapshotPtr snap = snapshot();  // one atomic load for the whole batch
 
-  // Answer a query from its group's partition: clamp + scan of the ascending
-  // contiguous intervals, bit-identical to RegionAtlas::lookup() (the same
-  // clamp + partition point), but with no locks, hashing or function calls.
-  const auto answer = [&](std::size_t i, Group& group) {
-    const Query& q = batch[i];
-    int c = q.dims[static_cast<std::size_t>(q.dim)];
-    c = c < group.lo ? group.lo : (c > group.hi ? group.hi : c);
-    const anomaly::AtlasInterval* interval = group.memo;
-    if (interval == nullptr || c < interval->lo || c > interval->hi) {
-      interval = group.intervals;
-      while (interval->hi < c) {
-        ++interval;
-      }
-      group.memo = interval;
+  const auto answer_grouped = [&](std::size_t i, Group& group) {
+    const int c = batch[i].dims[static_cast<std::size_t>(batch[i].dim)];
+    if (group.memo == nullptr || c < group.memo->lo || c > group.memo->hi) {
+      group.memo = &group.atlas->lookup(c);
     }
-    out[i] = recommendation_from(*interval);
-  };
-  const auto adopt = [](Group& group, AtlasPtr atlas) {
-    group.intervals = atlas->intervals().data();
-    group.lo = atlas->config().lo;
-    group.hi = atlas->config().hi;
-    group.atlas = std::move(atlas);
+    out[i] = recommendation_from(*group.memo);
   };
 
-  // Pass 1 — validate, group by slice, and answer everything already
-  // servable, in one sweep. Consecutive queries usually share a slice
-  // (batches are sweeps), so the hot case is one slice comparison plus one
-  // positivity check — the other coordinates were validated on the group's
+  // Validate, group by slice, and answer everything already servable, in
+  // one sweep. Consecutive queries usually share a slice (batches are
+  // sweeps), so the hot case is one slice comparison plus one positivity
+  // check — the other coordinates were validated on the group's
   // representative, and same_slice pins them equal. Distinct slices per
   // batch are few, so the cold case is a linear group scan; brand-new
   // groups resolve their slice against the snapshot once. Queries whose
@@ -612,64 +542,36 @@ std::vector<Recommendation> SelectionService::query_batch(
         }
       }
       if (g == kNoGroup) {
-        Group group{i, nullptr, nullptr, nullptr, 0, 0};
-        if (AtlasPtr atlas = find_slice(*snap, slice_id(q))) {
-          adopt(group, std::move(atlas));
-        }
-        groups.push_back(std::move(group));
+        groups.push_back(Group{i, find_slice(*snap, slice_id(q))});
         g = static_cast<std::uint32_t>(groups.size() - 1);
       }
       last_group = g;
     }
-    if (groups[g].intervals != nullptr) {
-      answer(i, groups[g]);
+    if (groups[g].atlas != nullptr) {
+      answer_grouped(i, groups[g]);
     } else {
       deferred.emplace_back(static_cast<std::uint32_t>(i), g);
     }
   }
 
-  // Pass 2 — build every missing slice exactly once (in parallel on the
-  // pool when the machine's timing is thread-safe; a build failure
-  // propagates, first error wins — or, with degrade_on_failure, degrades
-  // just that group's queries to the fallback), then answer the deferred
-  // queries.
+  // Build every missing slice exactly once (a build failure propagates,
+  // first error wins — or, with degrade_on_failure, degrades just that
+  // group's queries to the fallback), then answer the deferred queries.
   std::size_t degraded = 0;
   if (!deferred.empty()) {
-    std::vector<std::pair<std::size_t, store::AtlasKey>> missing;
+    std::vector<std::size_t> missing;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (groups[g].atlas == nullptr) {
-        missing.emplace_back(g, atlas_key(batch[groups[g].rep]));
+        missing.push_back(g);
       }
     }
-    std::vector<AtlasPtr> built(missing.size());
-    const auto build_one = [&](std::size_t m) {
-      const store::AtlasKey& key = missing[m].second;
-      built[m] = obtain_atlas(key, slice_id(key));
-    };
-    if (pool_ != nullptr && pool_->size() > 1 && missing.size() > 1) {
-      // Pool workers have no trace context of their own; hand them ours so
-      // their build spans land in this request's tree.
-      const obs::TraceContext ctx = obs::current_context();
-      pool_->parallel_for(static_cast<std::ptrdiff_t>(missing.size()),
-                          [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                            const obs::ContextGuard guard(ctx);
-                            for (std::ptrdiff_t m = begin; m < end; ++m) {
-                              build_one(static_cast<std::size_t>(m));
-                            }
-                          });
-    } else {
-      for (std::size_t m = 0; m < missing.size(); ++m) {
-        build_one(m);
-      }
-    }
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-      if (built[m] != nullptr) {
-        adopt(groups[missing[m].first], std::move(built[m]));
-      }
-    }
+    for_each_parallel(missing.size(), [&](std::size_t m) {
+      Group& group = groups[missing[m]];
+      group.atlas = obtain_atlas(slice_id(batch[group.rep]));
+    });
     for (const auto& [i, g] : deferred) {
-      if (groups[g].intervals != nullptr) {
-        answer(i, groups[g]);
+      if (groups[g].atlas != nullptr) {
+        answer_grouped(i, groups[g]);
       } else {
         // degrade_on_failure: the group's build degraded; its queries
         // answer from the analytical fallback instead of failing the batch.
@@ -679,7 +581,7 @@ std::vector<Recommendation> SelectionService::query_batch(
     }
   }
 
-  // Pass 3 — exact queries take the ordinary query() path, in input order.
+  // Exact queries take the ordinary query() path, in input order.
   for (const std::uint32_t i : exact_queries) {
     out[i] = query(batch[i]);
   }
@@ -693,45 +595,20 @@ std::future<Recommendation> SelectionService::query_async(Query q) {
   family_for(q);  // invalid queries throw here, synchronously, like query()
   async_calls_.fetch_add(1);
   std::promise<Recommendation> ready;
-  {
-    const obs::SpanScope lru_span(obs::Stage::kLru);
-    if (auto hit = cache_.get(q)) {
-      hit->source = Source::kCache;
-      cache_answers_.fetch_add(1);
-      ready.set_value(*hit);
+  Recommendation cached;
+  if (try_cached(q, cached)) {
+    ready.set_value(cached);
+    return ready.get_future();
+  }
+  // Exact queries queue under their own instance (dim -1 marks the bucket
+  // as exact-shaped).
+  SliceId id = q.exact ? SliceId{q.family, -1, q.dims} : slice_id(q);
+  if (!q.exact) {
+    if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
+      ready.set_value(answer(q, std::move(atlas)));
       return ready.get_future();
     }
   }
-  if (!q.exact) {
-    SliceId id = slice_id(q);
-    {
-      // The span covers the synchronous lookup only. The enqueue below must
-      // happen OUTSIDE it so the waiter's captured context stays parented
-      // at the request root: the worker answers long after this scope's
-      // interval closed, and spans must nest inside their parent's.
-      const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-      if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
-        const Recommendation rec = recommendation_from(
-            atlas->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
-        atlas_answers_.fetch_add(1);
-        cache_.put(q, rec);
-        ready.set_value(rec);
-        return ready.get_future();
-      }
-    }
-    store::AtlasKey key = atlas_key(q);  // before q is moved from
-    return enqueue_async(std::move(id), std::move(key), false, std::move(q));
-  }
-  // Exact queries dedup by their own identity (dim -1 marks the bucket as
-  // exact-shaped); the bucket only batches waiters, the worker still
-  // answers each waiter individually.
-  SliceId bucket_id{q.family, -1, q.dims};
-  return enqueue_async(std::move(bucket_id), store::AtlasKey{}, true,
-                       std::move(q));
-}
-
-std::future<Recommendation> SelectionService::enqueue_async(
-    SliceId bucket_id, store::AtlasKey key, bool exact, Query q) {
   std::future<Recommendation> fut;
   {
     const std::lock_guard<std::mutex> lock(async_mutex_);
@@ -745,22 +622,17 @@ std::future<Recommendation> SelectionService::enqueue_async(
     // build work.
     if (config_.degrade_on_failure && config_.max_build_queue > 0 &&
         async_order_.size() >= config_.max_build_queue &&
-        async_pending_.find(bucket_id) == async_pending_.end()) {
+        !async_pending_.contains(id)) {
       builds_shed_.fetch_add(1);
-      std::promise<Recommendation> shed;
-      fut = shed.get_future();
-      shed.set_value(fallback_answer(q));
-      return fut;
+      ready.set_value(fallback_answer(q));
+      return ready.get_future();
     }
-    const auto [it, inserted] = async_pending_.try_emplace(bucket_id);
+    const auto [it, inserted] = async_pending_.try_emplace(id);
     if (inserted) {
-      it->second.key = std::move(key);
-      it->second.exact = exact;
-      async_order_.push_back(std::move(bucket_id));
+      async_order_.push_back(std::move(id));
     }
-    it->second.waiters.push_back(
-        AsyncWaiter{std::move(q), {}, obs::current_context()});
-    fut = it->second.waiters.back().promise.get_future();
+    it->second.push_back(AsyncWaiter{std::move(q), {}, obs::current_context()});
+    fut = it->second.back().promise.get_future();
   }
   async_cv_.notify_one();
   return fut;
@@ -768,7 +640,7 @@ std::future<Recommendation> SelectionService::enqueue_async(
 
 void SelectionService::async_worker_loop() {
   for (;;) {
-    AsyncBucket bucket;
+    decltype(async_pending_)::node_type bucket;
     {
       std::unique_lock<std::mutex> lock(async_mutex_);
       async_cv_.wait(lock,
@@ -776,31 +648,35 @@ void SelectionService::async_worker_loop() {
       if (async_stop_) {
         return;  // the destructor fails whatever is still queued
       }
-      const SliceId bucket_id = std::move(async_order_.front());
+      bucket = async_pending_.extract(async_order_.front());
       async_order_.pop_front();
-      const auto it = async_pending_.find(bucket_id);
-      bucket = std::move(it->second);
-      async_pending_.erase(it);
     }
-    if (!bucket.exact && config_.auto_build) {
-      // One deduplicated build for every waiter on this slice; its spans
-      // attach to the first waiter's request (the one that caused it).
+    std::vector<AsyncWaiter>& waiters = bucket.mapped();
+    // One resolution per slice bucket: every waiter answers from this one
+    // obtain_atlas() result, a degraded (null) one included. Its spans
+    // attach to the first waiter's request (the one that caused it).
+    AtlasPtr atlas;
+    if (bucket.key().dim >= 0) {
       try {
-        const obs::ContextGuard guard(bucket.waiters.front().ctx);
+        const obs::ContextGuard guard(waiters.front().ctx);
         const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-        obtain_atlas(bucket.key, slice_id(bucket.key));
+        atlas = obtain_atlas(bucket.key());
       } catch (...) {
         const std::exception_ptr error = std::current_exception();
-        for (AsyncWaiter& waiter : bucket.waiters) {
+        for (AsyncWaiter& waiter : waiters) {
           waiter.promise.set_exception(error);
         }
         continue;
       }
     }
-    for (AsyncWaiter& waiter : bucket.waiters) {
+    for (AsyncWaiter& waiter : waiters) {
       try {
         const obs::ContextGuard guard(waiter.ctx);
-        waiter.promise.set_value(query(waiter.query));
+        Recommendation rec;
+        if (!try_cached(waiter.query, rec)) {
+          rec = answer(waiter.query, atlas);
+        }
+        waiter.promise.set_value(rec);
       } catch (...) {
         waiter.promise.set_exception(std::current_exception());
       }
@@ -808,11 +684,31 @@ void SelectionService::async_worker_loop() {
   }
 }
 
+void SelectionService::for_each_parallel(
+    std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (pool_ == nullptr || pool_->size() <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  // Pool workers have no trace context of their own; hand them ours so
+  // their build spans land in the caller's tree.
+  const obs::TraceContext ctx = obs::current_context();
+  pool_->parallel_for(static_cast<std::ptrdiff_t>(n),
+                      [&](std::ptrdiff_t begin, std::ptrdiff_t end) {
+                        const obs::ContextGuard guard(ctx);
+                        for (std::ptrdiff_t i = begin; i < end; ++i) {
+                          fn(static_cast<std::size_t>(i));
+                        }
+                      });
+}
+
 std::size_t SelectionService::warm(std::span<const Query> batch) {
   // Distinct slices missing from the current snapshot, in first-appearance
   // order. obtain_atlas() rechecks and deduplicates against concurrent
   // builders, so a stale snapshot only costs a redundant queue entry.
-  std::vector<std::pair<store::AtlasKey, SliceId>> to_build;
+  std::vector<SliceId> to_build;
   const SnapshotPtr snap = snapshot();
   for (const Query& q : batch) {
     if (q.exact) {
@@ -820,41 +716,19 @@ std::size_t SelectionService::warm(std::span<const Query> batch) {
     }
     family_for(q);
     SliceId id = slice_id(q);
-    if (find_slice(*snap, id) != nullptr) {
-      continue;
-    }
-    const auto dup = std::find_if(
-        to_build.begin(), to_build.end(),
-        [&](const auto& entry) { return entry.second == id; });
-    if (dup == to_build.end()) {
-      to_build.emplace_back(atlas_key(q), std::move(id));
+    if (find_slice(*snap, id) == nullptr &&
+        std::find(to_build.begin(), to_build.end(), id) == to_build.end()) {
+      to_build.push_back(std::move(id));
     }
   }
-  if (to_build.empty()) {
-    return 0;
-  }
-  if (pool_ != nullptr && pool_->size() > 1 && to_build.size() > 1) {
-    const obs::TraceContext ctx = obs::current_context();
-    pool_->parallel_for(static_cast<std::ptrdiff_t>(to_build.size()),
-                        [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                          const obs::ContextGuard guard(ctx);
-                          for (std::ptrdiff_t i = begin; i < end; ++i) {
-                            const auto& [key, id] =
-                                to_build[static_cast<std::size_t>(i)];
-                            obtain_atlas(key, id);
-                          }
-                        });
-  } else {
-    for (const auto& [key, id] : to_build) {
-      obtain_atlas(key, id);
-    }
-  }
+  for_each_parallel(to_build.size(),
+                    [&](std::size_t i) { obtain_atlas(to_build[i]); });
   return to_build.size();
 }
 
 std::size_t SelectionService::warm_from_store(
     const store::AtlasStore& atlas_store) {
-  std::vector<std::pair<store::AtlasKey, AtlasPtr>> fresh;
+  std::vector<std::pair<SliceId, AtlasPtr>> fresh;
   for (const std::string& path : atlas_store.list()) {
     std::optional<store::AtlasRecord> record;
     try {
@@ -876,12 +750,16 @@ std::size_t SelectionService::warm_from_store(
       }
       continue;
     }
-    if (record->machine != machine_.name() ||
-        !same_config(record->atlas.config(), config_.atlas)) {
+    const store::AtlasKey key = store::AtlasKey::of(*record);
+    if (key.machine != machine_.name() ||
+        !same_config(key.config, config_.atlas)) {
       continue;  // built for another machine model or another scan geometry
     }
-    store::AtlasKey key = store::AtlasKey::of(*record);  // before the move
-    fresh.emplace_back(std::move(key),
+    // Store keys may carry any value at the scanned coordinate (canonical()
+    // zeroes it only when printing); normalise here.
+    SliceId id{key.family, key.dim, key.base};
+    id.base[static_cast<std::size_t>(key.dim)] = 0;
+    fresh.emplace_back(std::move(id),
                        std::make_shared<const anomaly::RegionAtlas>(
                            std::move(record->atlas)));
   }
@@ -893,10 +771,8 @@ std::size_t SelectionService::warm_from_store(
   std::size_t adopted = 0;
   const std::lock_guard<std::mutex> lock(publish_mutex_);
   auto next = std::make_shared<Snapshot>(*snapshot_.load());
-  for (auto& [key, atlas] : fresh) {
-    const auto [it, inserted] =
-        next->slices.try_emplace(slice_id(key), Slice{key, std::move(atlas)});
-    if (inserted) {
+  for (auto& [id, atlas] : fresh) {
+    if (next->try_emplace(std::move(id), std::move(atlas)).second) {
       atlases_loaded_.fetch_add(1);
       ++adopted;
     }
@@ -909,10 +785,13 @@ std::size_t SelectionService::warm_from_store(
 
 std::size_t SelectionService::checkpoint(store::AtlasStore& atlas_store) const {
   const SnapshotPtr snap = snapshot_.load();
-  for (const auto& [id, slice] : snap->slices) {
-    atlas_store.save(slice.key, *slice.atlas);
+  const std::string machine = machine_.name();
+  for (const auto& [id, atlas] : *snap) {
+    atlas_store.save(
+        store::AtlasKey{id.family, machine, id.dim, id.base, config_.atlas},
+        *atlas);
   }
-  return snap->slices.size();
+  return snap->size();
 }
 
 std::size_t SelectionService::refresh_slices() {
@@ -923,12 +802,12 @@ std::size_t SelectionService::refresh_slices() {
   // appear concurrently (on-demand builds) were scanned against the
   // machine's current timings and are not stale.
   const SnapshotPtr stale = snapshot_.load();
-  std::vector<const Slice*> slices;
-  slices.reserve(stale->slices.size());
-  for (const auto& [id, slice] : stale->slices) {
-    slices.push_back(&slice);
+  std::vector<const SliceId*> ids;
+  ids.reserve(stale->size());
+  for (const auto& [id, atlas] : *stale) {
+    ids.push_back(&id);
   }
-  if (slices.empty()) {
+  if (ids.empty()) {
     refresh_rounds_.fetch_add(1);
     return 0;
   }
@@ -936,24 +815,9 @@ std::size_t SelectionService::refresh_slices() {
   // Rebuild every stale slice off to the side; queries keep answering from
   // the old generation the whole time. A build failure throws out of here
   // with the old generation fully intact.
-  std::vector<AtlasPtr> rebuilt(slices.size());
-  const auto build_one = [&](std::size_t i) {
-    rebuilt[i] = build_slice(slices[i]->key);
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && slices.size() > 1) {
-    const obs::TraceContext ctx = obs::current_context();
-    pool_->parallel_for(static_cast<std::ptrdiff_t>(slices.size()),
-                        [&, ctx](std::ptrdiff_t begin, std::ptrdiff_t end) {
-                          const obs::ContextGuard guard(ctx);
-                          for (std::ptrdiff_t i = begin; i < end; ++i) {
-                            build_one(static_cast<std::size_t>(i));
-                          }
-                        });
-  } else {
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      build_one(i);
-    }
-  }
+  std::vector<AtlasPtr> rebuilt(ids.size());
+  for_each_parallel(ids.size(),
+                    [&](std::size_t i) { rebuilt[i] = build_slice(*ids[i]); });
 
   // One copy-on-write swap replaces the whole stale set. The copy is taken
   // from the *current* snapshot, so slices published since the stale load
@@ -962,10 +826,10 @@ std::size_t SelectionService::refresh_slices() {
   {
     const std::lock_guard<std::mutex> lock(publish_mutex_);
     auto next = std::make_shared<Snapshot>(*snapshot_.load());
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const auto it = next->slices.find(slice_id(slices[i]->key));
-      retired_.push_back(std::move(it->second.atlas));
-      it->second.atlas = std::move(rebuilt[i]);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      AtlasPtr& slot = next->at(*ids[i]);
+      retired_.push_back(std::move(slot));
+      slot = std::move(rebuilt[i]);
     }
     snapshot_.store(std::move(next));
   }
@@ -974,9 +838,9 @@ std::size_t SelectionService::refresh_slices() {
   // the LRU hit/miss pair; the monotonic per-source counters are
   // unaffected.)
   cache_.clear();
-  slices_refreshed_.fetch_add(slices.size());
+  slices_refreshed_.fetch_add(ids.size());
   refresh_rounds_.fetch_add(1);
-  return slices.size();
+  return ids.size();
 }
 
 const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
@@ -987,7 +851,7 @@ const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
 }
 
 std::size_t SelectionService::atlas_count() const {
-  return snapshot_.load()->slices.size();
+  return snapshot_.load()->size();
 }
 
 ServiceStats SelectionService::stats() const {

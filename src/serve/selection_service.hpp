@@ -9,41 +9,43 @@
 // count can be trusted there, and where the answer came from.
 //
 // The service generalises the one-dimensional RegionAtlas to N symbolic
-// dimensions by slicing: an atlas is keyed by (family, machine, dim, base
-// instance with the scanned coordinate canonicalised away), so every query
-// along the same axis-aligned line shares one atlas, and any dimension of
-// any instance can be served. Layers, fastest first:
+// dimensions by slicing: a slice is (family, dim, base instance with the
+// scanned coordinate canonicalised away), so every query along the same
+// axis-aligned line shares one atlas, and any dimension of any instance can
+// be served.
 //
-//   1. a sharded LRU cache of final recommendations (mutex-striped,
-//      capacity-bounded, safe for concurrent callers),
-//   2. atlas slices — immutable once built, published through atomically
-//      swapped snapshots (see below), built on demand, batch-built on the
-//      ThreadPool when the machine's timing is thread-safe, warmable from /
-//      checkpointable to a store::AtlasStore directory,
-//   3. direct classification ("measured") for exact queries and for misses
-//      when on-demand building is disabled.
+// One private answer core serves every entry point. It resolves the query's
+// slice atlas — already published, being built by another thread (builds
+// are deduplicated per slice), or built here — and answers with
+// RegionAtlas::lookup. Exact queries are classified directly; with
+// degrade_on_failure a failed build answers from the analytical flop-minimal
+// ranking. query() and query_async() probe the LRU through try_cached()
+// and then call the core; query_batch() resolves each slice group once and
+// answers it through lookup() without the LRU; warm() and refresh_slices()
+// build slices on the ThreadPool when the machine's timing is thread-safe.
 //
 // Snapshot semantics: the slice map is an immutable std::shared_ptr-held
 // value, replaced copy-on-write under a writer mutex and read with a single
 // atomic shared_ptr load. A warm query therefore takes no lock other than
 // its LRU shard; a reader may observe a snapshot one swap behind (and then
-// simply builds or waits for the slice it needs — builds are deduplicated
-// per slice), but never a torn or partially built one. Published atlases are
-// never replaced or dropped while the service lives, so raw pointers
-// returned by atlas_for() stay valid.
+// simply builds or waits for the slice it needs), but never a torn or
+// partially built one. Published atlases are never freed while the
+// service lives, so raw pointers returned by atlas_for() stay valid.
 //
 // Answers are bit-identical to what the underlying RegionAtlas / classifier
-// would produce directly, from every entry point — query(), query_batch(),
-// query_async() — (tests/serve_test.cpp pins this).
+// would produce directly, from every entry point (tests/serve_test.cpp
+// answers one simulated stream through each and pins this).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -106,13 +108,9 @@ struct ServiceConfig {
   anomaly::AtlasConfig atlas;
   std::size_t cache_capacity = 1u << 16;  ///< recommendations, all shards
   std::size_t cache_shards = 16;
-  /// Workers for batch atlas builds and batch answering; 0 = hardware
-  /// threads. Parallel builds engage only when the machine's timing is
-  /// thread-safe.
+  /// Workers for parallel atlas builds; 0 = hardware threads. Parallel
+  /// builds engage only when the machine's timing is thread-safe.
   std::size_t threads = 0;
-  /// Build missing atlas slices on demand; when false, a miss falls back to
-  /// direct classification (source kMeasured).
-  bool auto_build = true;
   /// Graceful degradation: when a slice build fails (or the breaker is open,
   /// or a deduplicated build exceeds build_deadline_s, or the async queue
   /// sheds), answer from the analytical flop-minimal ranking with
@@ -194,17 +192,16 @@ class SelectionService {
   Recommendation query(const Query& q);
 
   /// Answer a batch, results in input order. Queries are grouped by atlas
-  /// slice, each missing slice is built exactly once (on the ThreadPool when
-  /// the machine's timing is thread-safe), and grouped queries are answered
-  /// straight from the slice snapshot — the per-query LRU is neither
-  /// consulted nor populated for them, which is what makes a warm batch
-  /// several times faster than repeated query() calls; with on-demand
-  /// building on, the payloads are identical either way, since the LRU then
-  /// only ever caches atlas answers for non-exact queries. Exact queries
-  /// take the query() path; with auto_build off (where cached measured
-  /// answers are possible) the whole batch does, preserving strict
-  /// bit-identity with sequential query() calls in every configuration.
-  /// A slice-build failure propagates to the caller (first error wins).
+  /// slice in one pass, each missing slice is built exactly once (on the
+  /// ThreadPool when the machine's timing is thread-safe), and each group is
+  /// answered through RegionAtlas::lookup behind a memo of the last interval
+  /// it answered. The per-query LRU is neither consulted nor populated for
+  /// grouped queries, which is what makes a warm batch several times faster
+  /// than repeated query() calls; the payloads are identical either way,
+  /// since the LRU only ever caches atlas answers for non-exact queries.
+  /// Exact queries take the query() path. A slice-build failure propagates
+  /// to the caller (first error wins); with degrade_on_failure the failed
+  /// group answers from fallback instead.
   std::vector<Recommendation> query_batch(std::span<const Query> batch);
   std::vector<Recommendation> query_batch(std::initializer_list<Query> batch) {
     return query_batch(std::span<const Query>(batch.begin(), batch.size()));
@@ -221,8 +218,10 @@ class SelectionService {
   /// already-built slices resolve immediately; anything needing a scan (or
   /// an exact classification) is handed to a background worker through a
   /// deduplicating build queue — N pending queries on the same slice cost
-  /// one build. Invalid queries throw synchronously; a failed build fails
-  /// the future. Destroying the service fails still-queued futures.
+  /// one build, and all N answer from its outcome. Invalid queries throw
+  /// synchronously; a failed build fails the futures (or, with
+  /// degrade_on_failure, answers each from fallback). Destroying the service
+  /// fails still-queued futures.
   std::future<Recommendation> query_async(Query q);
 
   /// Build (or load) the atlas slices the queries would need, without
@@ -273,12 +272,12 @@ class SelectionService {
  private:
   using AtlasPtr = std::shared_ptr<const anomaly::RegionAtlas>;
 
-  /// In-memory slice identity: machine and scan config are fixed per
-  /// service, so (family, dim, base line) is enough — and hashing it is a
-  /// handful of FNV steps, where the store's canonical() string costs a
-  /// dozen snprintf calls. Strings stay at the store boundary. An exact
-  /// query's async bucket reuses this shape with dim = -1 and the full
-  /// instance as base.
+  /// The slice identity inside the service: machine and scan config are
+  /// fixed per service, so (family, dim, base line) is enough — and hashing
+  /// it is a handful of FNV steps, where the store's canonical() string
+  /// costs a dozen snprintf calls. checkpoint() derives the store::AtlasKey
+  /// at the store boundary. An exact query's async bucket reuses this shape
+  /// with dim = -1 and the full instance as base.
   struct SliceId {
     std::string family;
     int dim = 0;
@@ -290,16 +289,9 @@ class SelectionService {
     std::size_t operator()(const SliceId& id) const;
   };
   static SliceId slice_id(const Query& q);
-  static SliceId slice_id(const store::AtlasKey& key);
 
-  struct Slice {
-    store::AtlasKey key;
-    AtlasPtr atlas;
-  };
   /// Immutable once published; replaced whole via copy-on-write.
-  struct Snapshot {
-    std::unordered_map<SliceId, Slice, SliceIdHash> slices;
-  };
+  using Snapshot = std::unordered_map<SliceId, AtlasPtr, SliceIdHash>;
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   struct AsyncWaiter {
@@ -309,19 +301,11 @@ class SelectionService {
     /// waiter's spans attach to the originating request's tree.
     obs::TraceContext ctx;
   };
-  /// One queued unit of background work: all waiters for one slice (or one
-  /// exact-classification bucket).
-  struct AsyncBucket {
-    store::AtlasKey key;
-    bool exact = false;
-    std::vector<AsyncWaiter> waiters;
-  };
 
   /// Resolves a family by registry name (instantiated once, cached).
   const expr::ExpressionFamily& resolve_family(const std::string& name);
   /// Validates the query shape and resolves the family (cached per name).
   const expr::ExpressionFamily& family_for(const Query& q);
-  store::AtlasKey atlas_key(const Query& q) const;
 
   SnapshotPtr snapshot() const { return snapshot_.load(); }
   /// The published atlas for a slice, or null.
@@ -331,14 +315,21 @@ class SelectionService {
   /// degrade_on_failure is set, in which case a failed build, an open
   /// breaker or an expired build deadline return nullptr and the caller
   /// answers from fallback_answer().
-  AtlasPtr obtain_atlas(const store::AtlasKey& key, const SliceId& id);
-  /// Scans the slice (serialised behind timing_mutex_ when the machine's
-  /// timing is not thread-safe).
-  AtlasPtr build_slice(const store::AtlasKey& key);
-  /// Copy-on-write insert + atomic swap; first publication of a key wins.
-  AtlasPtr publish(const store::AtlasKey& key, const SliceId& id,
-                   AtlasPtr atlas);
+  AtlasPtr obtain_atlas(const SliceId& id);
+  /// Scans the slice (under timing_guard()).
+  AtlasPtr build_slice(const SliceId& id);
+  /// Holds timing_mutex_ when the machine's timing is not thread-safe.
+  std::unique_lock<std::mutex> timing_guard();
+  /// Copy-on-write insert + atomic swap; first publication of a slice wins.
+  AtlasPtr publish(const SliceId& id, AtlasPtr atlas);
 
+  /// The answer core. An exact query is classified directly. Any other is
+  /// answered from its slice with RegionAtlas::lookup: `atlas` when the
+  /// caller has already resolved the slice, else what obtain_atlas()
+  /// returns; a null atlas (degraded build) means fallback_answer(). Every
+  /// answer but a fallback goes into the LRU.
+  Recommendation answer(const Query& q,
+                        std::optional<AtlasPtr> atlas = std::nullopt);
   Recommendation classify_exact(const Query& q);
 
   /// The degraded answer: the analytical flop-minimal algorithm, no timing
@@ -356,10 +347,12 @@ class SelectionService {
   /// waiting on another thread's build instead of building itself.
   void breaker_probe_release(const SliceId& id);
 
-  std::future<Recommendation> enqueue_async(SliceId bucket_id,
-                                            store::AtlasKey key, bool exact,
-                                            Query q);
   void async_worker_loop();
+
+  /// fn(0) ... fn(n - 1), on the ThreadPool when it has more than one
+  /// participant, with the caller's trace context handed to the workers.
+  void for_each_parallel(std::size_t n,
+                         const std::function<void(std::size_t)>& fn);
 
   model::MachineModel& machine_;
   ServiceConfig config_;
@@ -401,7 +394,8 @@ class SelectionService {
   mutable std::mutex async_mutex_;
   std::condition_variable async_cv_;
   std::deque<SliceId> async_order_;  // FIFO of bucket ids
-  std::unordered_map<SliceId, AsyncBucket, SliceIdHash> async_pending_;
+  std::unordered_map<SliceId, std::vector<AsyncWaiter>, SliceIdHash>
+      async_pending_;
   std::thread async_worker_;
   bool async_stop_ = false;
 

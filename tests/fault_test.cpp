@@ -399,6 +399,37 @@ TEST(FaultServe, BoundedAsyncQueueShedsNewBucketsToFallback) {
   EXPECT_EQ(f2.get().source, Source::kAtlas);
 }
 
+TEST(FaultServe, AsyncWaitersOfAFailedBuildShareItsSingleAttempt) {
+  model::SimulatedMachine machine;
+  ServiceConfig cfg = fast_config();
+  cfg.degrade_on_failure = true;
+  cfg.breaker_threshold = 0;  // no breaker to cap the retries
+  SelectionService service(machine, cfg);
+
+  // The first build is slow and succeeds; every later one fails.
+  FaultScope fault("build.delay_ms=300:limit=1,build.slice=always:after=1");
+  auto first = service.query_async(Query{"aatb", {300, 260, 549}, 0, false});
+  ASSERT_TRUE(wait_for([&] { return service.async_queue_depth() == 0; }));
+  // While the worker is held, queue several waiters on one other slice:
+  // one bucket, one build attempt, and that attempt fails.
+  constexpr int kWaiters = 8;
+  std::vector<std::future<Recommendation>> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(
+        service.query_async(Query{"aatb", {80, 100 + 50 * i, 768}, 1, false}));
+  }
+  ASSERT_EQ(service.async_queue_depth(), 1u);
+
+  EXPECT_EQ(first.get().source, Source::kAtlas);
+  for (auto& waiter : waiters) {
+    EXPECT_EQ(waiter.get().source, Source::kFallback);
+  }
+  EXPECT_EQ(fault_injected(FaultSite::kBuildSlice), 1u);
+  EXPECT_EQ(service.stats().degraded_answers,
+            static_cast<std::uint64_t>(kWaiters));
+  EXPECT_EQ(service.stats().atlases_built, 1u);
+}
+
 // ----------------------------------------------------------------- drift
 
 TEST(FaultDrift, MonitorSurvivesProbeFaultsAndRecovers) {

@@ -1,20 +1,23 @@
 // serve/: SelectionService answers must be bit-identical to what the
 // underlying RegionAtlas / classifier produce directly, from every source
-// (atlas, measured, cache), under concurrency, and across a store
-// checkpoint/warm cycle.
+// (atlas, measured, cache) and every entry point, under concurrency, and
+// across a store checkpoint/warm cycle.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "anomaly/classifier.hpp"
 #include "model/simulated_machine.hpp"
@@ -22,7 +25,9 @@
 #include "scripted.hpp"
 #include "serve/selection_service.hpp"
 #include "serve/shard_cache.hpp"
+#include "sim/generator.hpp"
 #include "support/check.hpp"
+#include "support/fault.hpp"
 
 namespace {
 
@@ -218,23 +223,6 @@ TEST(SelectionService, SlicesAreSharedAcrossQueriesAlongTheSameLine) {
   service.query(Query{"aatb", {150, 333, 549}, 0, false});
   EXPECT_EQ(service.stats().atlases_built, 3u);
   EXPECT_EQ(service.atlas_count(), 3u);
-}
-
-TEST(SelectionService, AutoBuildOffFallsBackToMeasured) {
-  model::SimulatedMachine machine;
-  ServiceConfig cfg = scripted_config();
-  cfg.auto_build = false;
-  SelectionService service(machine, cfg);
-  const Recommendation rec =
-      service.query(Query{"aatb", {150, 260, 549}, 0, false});
-  EXPECT_EQ(rec.source, Source::kMeasured);
-  EXPECT_EQ(service.stats().atlases_built, 0u);
-
-  // Once the slice is warmed explicitly, the atlas path takes over.
-  service.warm({Query{"aatb", {150, 260, 549}, 0, false}});
-  const Recommendation via_atlas =
-      service.query(Query{"aatb", {151, 260, 549}, 0, false});
-  EXPECT_EQ(via_atlas.source, Source::kAtlas);
 }
 
 TEST(SelectionService, InvalidQueriesAreRejected) {
@@ -700,11 +688,11 @@ TEST(SelectionService, QueryBatchPropagatesSliceBuildFailure) {
                std::runtime_error);
 }
 
-TEST(SelectionService, LargeBatchTakesTheParallelAnswerPathBitIdentically) {
+TEST(SelectionService, LargeSingleSliceBatchMatchesTheDirectAtlas) {
   lamb::testing::ScriptedMachine machine;
   const expr::FamilyRegistry registry = test_registry();
   ServiceConfig cfg = scripted_config();
-  cfg.threads = 4;  // batch.size() >= 4096 + pool > 1 => parallel answering
+  cfg.threads = 4;
   SelectionService service(machine, cfg, &registry);
 
   lamb::testing::ScriptedFamily family;
@@ -840,6 +828,211 @@ TEST(SelectionService, WarmBatchBuildsOnThePoolBitIdenticalToSerial) {
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(a->to_csv(), b->to_csv());
     EXPECT_EQ(a->samples_used(), b->samples_used());
+  }
+}
+
+// ----------------------------------------------------------- differential
+
+/// A simulator stream over four registry families and two scanned
+/// dimensions: dozens of slices, locality sweeps, 16-query batch sweeps and
+/// exact single queries.
+sim::TraceSpec differential_trace() {
+  sim::PhaseSpec sweep;
+  sweep.name = "sweep";
+  sweep.duration = 0.5;
+  sweep.rate = 400.0;
+  sweep.families = {{"aatb", 1.0}, {"chain4", 1.0}, {"gram", 1.0},
+                    {"aatbc", 1.0}};
+  sweep.bases = 4;
+  sweep.batch_fraction = 0.15;
+  sweep.batch_size = 16;
+  sweep.exact_fraction = 0.1;
+  sweep.locality = 0.8;
+  sweep.locality_step = 7;
+  sim::PhaseSpec cross = sweep;
+  cross.name = "cross";
+  cross.dim = 1;
+  cross.bases = 3;
+  cross.locality = 0.3;
+  cross.exact_fraction = 0.2;
+  return sim::TraceSpec{{sweep, cross}};
+}
+
+/// The answer each query should get, computed without the service:
+/// RegionAtlas::lookup on an atlas built directly for the query's slice, or
+/// classify_instance for exact queries.
+class DirectOracle {
+ public:
+  DirectOracle(model::MachineModel& machine, anomaly::AtlasConfig config)
+      : machine_(machine), config_(config) {}
+
+  Recommendation want(const Query& q) {
+    std::unique_ptr<expr::ExpressionFamily>& slot = families_[q.family];
+    if (slot == nullptr) {
+      slot = expr::make_family(q.family);
+    }
+    const expr::ExpressionFamily& family = *slot;
+    Recommendation rec;
+    if (q.exact) {
+      const anomaly::InstanceResult r = anomaly::classify_instance(
+          family, machine_, q.dims, config_.time_score_threshold);
+      rec.algorithm = r.fastest.front();
+      rec.flop_minimal = r.cheapest.front();
+      rec.flops_reliable = !r.anomaly;
+      rec.time_score = r.time_score;
+      return rec;
+    }
+    expr::Instance base = q.dims;
+    base[static_cast<std::size_t>(q.dim)] = 0;
+    auto [it, inserted] = atlases_.try_emplace({q.family, q.dim, base});
+    if (inserted) {
+      it->second = std::make_unique<anomaly::RegionAtlas>(
+          family, machine_, base, q.dim, config_);
+    }
+    const anomaly::AtlasInterval& interval =
+        it->second->lookup(q.dims[static_cast<std::size_t>(q.dim)]);
+    rec.algorithm = interval.recommended;
+    rec.flop_minimal = interval.flop_minimal;
+    rec.flops_reliable = !interval.anomalous;
+    rec.time_score = interval.worst_time_score;
+    return rec;
+  }
+
+  std::size_t slices() const { return atlases_.size(); }
+
+ private:
+  model::MachineModel& machine_;
+  anomaly::AtlasConfig config_;
+  std::map<std::string, std::unique_ptr<expr::ExpressionFamily>> families_;
+  std::map<std::tuple<std::string, int, expr::Instance>,
+           std::unique_ptr<anomaly::RegionAtlas>>
+      atlases_;
+};
+
+enum class EntryPoint { kQuery, kCachedThenAsync, kBatch, kAsync, kWarmed };
+
+const char* entry_point_name(EntryPoint entry) {
+  switch (entry) {
+    case EntryPoint::kQuery:
+      return "query";
+    case EntryPoint::kCachedThenAsync:
+      return "try_cached+query_async";
+    case EntryPoint::kBatch:
+      return "query_batch";
+    case EntryPoint::kAsync:
+      return "query_async";
+    case EntryPoint::kWarmed:
+      return "warm+query";
+  }
+  return "?";
+}
+
+/// Answers the whole stream through one entry point, one answer per query
+/// in stream order. query_async submits the entire stream before waiting,
+/// so its build buckets collect many waiters; kWarmed answers through
+/// query() on a service the caller has warmed.
+std::vector<Recommendation> answer_stream(
+    SelectionService& service, EntryPoint entry,
+    const std::vector<sim::Request>& requests) {
+  std::vector<Recommendation> out;
+  std::vector<std::future<Recommendation>> pending;
+  for (const sim::Request& req : requests) {
+    switch (entry) {
+      case EntryPoint::kQuery:
+      case EntryPoint::kWarmed:
+        for (const Query& q : req.queries) {
+          out.push_back(service.query(q));
+        }
+        break;
+      case EntryPoint::kCachedThenAsync:
+        for (const Query& q : req.queries) {
+          Recommendation rec;
+          if (!service.try_cached(q, rec)) {
+            rec = service.query_async(q).get();
+          }
+          out.push_back(rec);
+        }
+        break;
+      case EntryPoint::kBatch:
+        for (const Recommendation& rec : service.query_batch(req.queries)) {
+          out.push_back(rec);
+        }
+        break;
+      case EntryPoint::kAsync:
+        for (const Query& q : req.queries) {
+          pending.push_back(service.query_async(q));
+        }
+        break;
+    }
+  }
+  for (std::future<Recommendation>& fut : pending) {
+    out.push_back(fut.get());
+  }
+  return out;
+}
+
+TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
+  model::SimulatedMachine machine;
+  const ServiceConfig cfg = scripted_config();
+  const std::vector<sim::Request> requests =
+      sim::TraceGenerator(differential_trace(), 7).generate();
+
+  std::vector<Query> queries;
+  for (const sim::Request& req : requests) {
+    queries.insert(queries.end(), req.queries.begin(), req.queries.end());
+  }
+  DirectOracle oracle(machine, cfg.atlas);
+  std::vector<Recommendation> want;
+  std::size_t exact = 0;
+  for (const Query& q : queries) {
+    want.push_back(oracle.want(q));
+    exact += q.exact ? 1 : 0;
+  }
+  ASSERT_GE(oracle.slices(), 24u);
+  ASSERT_GE(exact, 10u);
+  ASSERT_TRUE(std::any_of(requests.begin(), requests.end(),
+                          [](const sim::Request& r) { return r.batch; }));
+
+  for (const bool armed : {false, true}) {
+    // Armed but quiet: every fault site on the build path takes the armed
+    // branch, and none may fire or change an answer.
+    std::optional<support::FaultScope> fault;
+    if (armed) {
+      fault.emplace(
+          "build.slice=always:after=1000000000,"
+          "build.delay_ms=50:after=1000000000,"
+          "alloc.build=always:after=1000000000");
+    }
+    for (const EntryPoint entry :
+         {EntryPoint::kQuery, EntryPoint::kCachedThenAsync,
+          EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed}) {
+      const std::string label =
+          std::string(entry_point_name(entry)) + (armed ? " (armed)" : "");
+      SelectionService service(machine, cfg);
+      if (entry == EntryPoint::kWarmed) {
+        // Every slice is built up front, so no answer below builds one.
+        ASSERT_EQ(service.warm(queries), oracle.slices()) << label;
+      }
+      const std::vector<Recommendation> got =
+          answer_stream(service, entry, requests);
+      ASSERT_EQ(got.size(), want.size()) << label;
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (!(got[i] == want[i]) || got[i].source == Source::kFallback) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << label << ": query " << i << " ("
+                          << queries[i].family << ", dim " << queries[i].dim
+                          << (queries[i].exact ? ", exact" : "")
+                          << ") answered algorithm " << got[i].algorithm
+                          << " from " << serve::to_string(got[i].source)
+                          << ", want " << want[i].algorithm;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << label;
+      EXPECT_EQ(service.stats().atlases_built, oracle.slices()) << label;
+    }
+    EXPECT_EQ(support::fault_injected_total(), 0u);
   }
 }
 
