@@ -187,9 +187,10 @@ struct Lowering {
            alg.operands()[static_cast<std::size_t>(l.op_id)].external;
   }
 
-  /// Emit the product of items p, p+1 as a plain GEMM/SYMM step; returns the
-  /// produced item, or nullopt when the branch's consumption mode cannot be
-  /// expressed by the kernel set (the branch is pruned).
+  /// Emit the product of items p, p+1 as a plain GEMM/SYMM step and replace
+  /// the pair by its result; returns false, emitting nothing, when the
+  /// branch's consumption mode cannot be expressed by the kernel set (the
+  /// branch is pruned).
   bool emit_plain(model::Algorithm& alg, std::vector<Item>& items, int p) const {
     const Item l = items[static_cast<std::size_t>(p)];
     const Item r = items[static_cast<std::size_t>(p) + 1];

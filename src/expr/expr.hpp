@@ -20,6 +20,13 @@
 // The result is a vector of model::Algorithm built through the validating
 // builder, so every enumerated algorithm is correct by construction and can
 // be executed or timed generically.
+//
+// The enumeration never branches on a size: sizes enter only as operand
+// shapes and the conformance check. DslFamily (expr/family.hpp) therefore
+// enumerates once per family, at an instance where every dimension has a
+// distinct size, and binds each instance's sizes into a copy of that set
+// (model::Algorithm::rebind); factors that conform only at some instances
+// are rejected when the family is built.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,7 @@
 #include "expr/family.hpp"
 
+#include <numeric>
+
 #include "chain/chain.hpp"
 #include "la/generators.hpp"
 #include "support/check.hpp"
@@ -22,6 +24,9 @@ void ExpressionFamily::check_instance(const Instance& dims) const {
              "instance arity mismatch for family " + name());
   for (int d : dims) {
     LAMB_CHECK(d >= 1, "instance dimensions must be positive");
+    LAMB_CHECK(d <= kMaxDimension,
+               support::strf("instance dimensions must be at most %d",
+                             kMaxDimension));
   }
 }
 
@@ -29,29 +34,48 @@ DslFamily::DslFamily(std::string name, ExprPtr expression,
                      EnumerationOptions options)
     : name_(std::move(name)),
       expression_(std::move(expression)),
-      options_(options),
       flat_(flatten(expression_)),
       dimension_count_(flat_.dimension_count()) {
   LAMB_CHECK(!name_.empty(), "family needs a name");
   LAMB_CHECK(flat_.factors.size() >= 2,
              "family expression must be a product of at least two factors");
+  // Distinct sizes make two dimensions equal only where their indices are:
+  // factors that conform here conform at every instance.
+  Instance distinct(static_cast<std::size_t>(dimension_count_));
+  std::iota(distinct.begin(), distinct.end(), 1);
+  compiled_ = enumerate_algorithms(expression_, distinct, name_ + "-alg",
+                                   options);
+}
+
+std::vector<model::Shape> DslFamily::external_shapes(
+    const Instance& dims) const {
+  check_instance(dims);
+  std::vector<model::Shape> shapes;
+  shapes.reserve(flat_.externals.size());
+  for (const ExternalSpec& e : flat_.externals) {
+    shapes.push_back({dims[static_cast<std::size_t>(e.rows_dim)],
+                      dims[static_cast<std::size_t>(e.cols_dim)]});
+  }
+  return shapes;
 }
 
 std::vector<model::Algorithm> DslFamily::algorithms(
     const Instance& dims) const {
-  check_instance(dims);
-  return enumerate_algorithms(expression_, dims, name_ + "-alg", options_);
+  const std::vector<model::Shape> shapes = external_shapes(dims);
+  std::vector<model::Algorithm> out = compiled_;
+  for (model::Algorithm& alg : out) {
+    alg.rebind(shapes);
+  }
+  return out;
 }
 
 std::vector<la::Matrix> DslFamily::make_externals(const Instance& dims,
                                                   support::Rng& rng) const {
-  check_instance(dims);
+  const std::vector<model::Shape> shapes = external_shapes(dims);
   std::vector<la::Matrix> out;
-  out.reserve(flat_.externals.size());
-  for (const ExternalSpec& e : flat_.externals) {
-    out.push_back(la::random_matrix(
-        dims[static_cast<std::size_t>(e.rows_dim)],
-        dims[static_cast<std::size_t>(e.cols_dim)], rng));
+  out.reserve(shapes.size());
+  for (const model::Shape& s : shapes) {
+    out.push_back(la::random_matrix(s.rows, s.cols, rng));
   }
   return out;
 }
@@ -60,6 +84,9 @@ namespace {
 
 ExprPtr chain_expression(int length) {
   LAMB_CHECK(length >= 2, "chain family needs at least two matrices");
+  LAMB_CHECK(length <= ChainFamily::kMaxLength,
+             support::strf("chain family supports at most %d matrices",
+                           ChainFamily::kMaxLength));
   const std::vector<std::string> names = chain::chain_operand_names(length);
   ExprPtr expr = Expr::operand(names[0], 0, 1);
   for (int i = 1; i < length; ++i) {

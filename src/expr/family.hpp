@@ -6,7 +6,8 @@
 // Families are defined through the expression DSL (expr/expr.hpp): DslFamily
 // enumerates the algorithm set generically from an expression, so a new
 // family is one expression plus a registry entry (expr/registry.hpp) —
-// ChainFamily and AatbFamily below are exactly that.
+// ChainFamily and AatbFamily below are exactly that. The set is enumerated
+// once per family and bound to each instance's sizes on request.
 #pragma once
 
 #include <memory>
@@ -19,6 +20,11 @@
 #include "support/rng.hpp"
 
 namespace lamb::expr {
+
+/// Largest instance dimension a family accepts. A built-in family makes at
+/// most 7 kernel calls of at most 2 * (2^19)^3 = 2^58 FLOPs each, so every
+/// FLOP total stays below 2^61 and fits a long long.
+inline constexpr int kMaxDimension = 1 << 19;
 
 class ExpressionFamily {
  public:
@@ -40,13 +46,20 @@ class ExpressionFamily {
   virtual std::vector<la::Matrix> make_externals(const Instance& dims,
                                                  support::Rng& rng) const = 0;
 
- protected:
+  /// Throws support::CheckError unless `dims` has dimension_count() sizes,
+  /// each in [1, kMaxDimension].
   void check_instance(const Instance& dims) const;
 };
 
-/// A family defined entirely by a DSL expression: the algorithm set is
-/// enumerated generically (schedules + symmetric rank-k rewrites) and the
-/// externals follow the expression's operand table.
+/// A family defined entirely by a DSL expression. The constructor enumerates
+/// the algorithm set once (schedules + symmetric rank-k rewrites, via
+/// enumerate_algorithms) at the instance (1, 2, ..., n), where every
+/// dimension has a distinct size; algorithms() returns a copy with the
+/// instance's sizes bound in (model::Algorithm::rebind). The enumerator never
+/// branches on a size, so the bound set equals a fresh enumeration at that
+/// instance. Factors that conform only when two dimensions coincide, such as
+/// A(d0 x d1) * B(d2 x d0), are rejected at construction. The externals
+/// follow the expression's operand table.
 class DslFamily : public ExpressionFamily {
  public:
   DslFamily(std::string name, ExprPtr expression,
@@ -61,17 +74,25 @@ class DslFamily : public ExpressionFamily {
   const ExprPtr& expression() const { return expression_; }
 
  private:
+  /// Shapes of the expression's externals at `dims`, in operand-table order.
+  std::vector<model::Shape> external_shapes(const Instance& dims) const;
+
   std::string name_;
   ExprPtr expression_;
-  EnumerationOptions options_;
   FlatProduct flat_;
   int dimension_count_ = 0;
+  std::vector<model::Algorithm> compiled_;
 };
 
 /// X := A1 * ... * An, instance (d0, ..., dn); algorithms are all (n-1)!
 /// multiplication schedules (paper Sec. 3.2.1 for n = 4).
 class ChainFamily final : public DslFamily {
  public:
+  /// Longest chain a family is built for. chain8 compiles 7! = 5,040
+  /// schedules at construction; every further factor multiplies that.
+  static constexpr int kMaxLength = 8;
+
+  /// Throws support::CheckError unless 2 <= length <= kMaxLength.
   explicit ChainFamily(int length = 4);
 
   int length() const { return length_; }

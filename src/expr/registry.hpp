@@ -2,8 +2,8 @@
 // benches, tests and CLI flags select families by name ("--family=aatb").
 //
 // Built-ins registered on first use:
-//   chain3..chain6  — matrix chains (any other "chainN", N >= 2, is resolved
-//                     dynamically by make())
+//   chain3..chain6  — matrix chains (chain2, chain7 and chain8 are resolved
+//                     dynamically by make(); longer chains are rejected)
 //   aatb            — A*A'*B, the paper's Sec. 3.2.2 expression
 //   gram            — A*A', the bare symmetric rank-k product
 //   aatbc           — A*A'*B*C, a longer symmetric-headed chain
@@ -33,8 +33,9 @@ class FamilyRegistry {
 
   bool contains(const std::string& name) const;
 
-  /// Instantiate a registered family. Unregistered "chainN" names (N >= 2)
-  /// are resolved to ChainFamily(N); any other unknown name throws
+  /// Instantiate a registered family. Unregistered "chainN" names are
+  /// resolved to ChainFamily(N), which throws support::CheckError for
+  /// N > ChainFamily::kMaxLength; any other unknown name throws
   /// support::CheckError listing the registered names.
   std::unique_ptr<ExpressionFamily> make(const std::string& name) const;
 

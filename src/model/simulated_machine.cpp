@@ -125,8 +125,8 @@ double SimulatedMachine::coupling_factor(const Algorithm& alg,
 std::vector<double> SimulatedMachine::time_steps(const Algorithm& alg) {
   std::vector<double> times;
   times.reserve(alg.steps().size());
-  const std::uint64_t alg_ctx = support::hash_combine(
-      kSteppedContext, support::hash_string(alg.signature()));
+  const std::uint64_t alg_ctx =
+      support::hash_combine(kSteppedContext, alg.signature_hash());
   for (std::size_t i = 0; i < alg.steps().size(); ++i) {
     const KernelCall& call = alg.steps()[i].call;
     const std::uint64_t stream = support::hash_combine(

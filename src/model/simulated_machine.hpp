@@ -2,7 +2,9 @@
 //
 // time(call) = flops / (peak * efficiency(call)) + per-call overhead, with
 //   * multiplicative measurement jitter derived from a hash of the call, the
-//     context and the repetition index (bit-reproducible everywhere),
+//     context and the repetition index (bit-reproducible everywhere); inside
+//     time_steps() the context is the algorithm's signature_hash(), so two
+//     schedules that make the same calls still draw different noise,
 //   * an inter-kernel cache-coupling term inside time_steps(): a call whose
 //     inputs were just produced and still fit in the LLC runs slightly
 //     faster than its cold-cache benchmark. Experiment 3's predictor

@@ -36,13 +36,9 @@ bool same_config(const anomaly::AtlasConfig& a, const anomaly::AtlasConfig& b) {
 /// Shape checks shared by every entry point; the family is resolved by the
 /// caller (so batch loops can memoise the registry lookup per name).
 void validate_query(const Query& q, const expr::ExpressionFamily& family) {
-  LAMB_CHECK(static_cast<int>(q.dims.size()) == family.dimension_count(),
-             "query arity mismatch for family " + q.family);
+  family.check_instance(q.dims);
   LAMB_CHECK(q.dim >= 0 && q.dim < family.dimension_count(),
              "query dimension out of range");
-  for (int d : q.dims) {
-    LAMB_CHECK(d >= 1, "query dimensions must be positive");
-  }
 }
 
 /// Same atlas slice: same family, same scanned dimension, same base line
@@ -155,18 +151,38 @@ SelectionService::~SelectionService() {
 
 const expr::ExpressionFamily& SelectionService::resolve_family(
     const std::string& name) {
-  const std::lock_guard<std::mutex> lock(families_mutex_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    it = families_.emplace(name, registry_.make(name)).first;
+  {
+    const std::lock_guard<std::mutex> lock(families_mutex_);
+    if (const auto it = families_.find(name); it != families_.end()) {
+      return *it->second;
+    }
   }
-  return *it->second;
+  // Built outside the lock: a family compiles its algorithm set when built
+  // (milliseconds for a long chain), and every query that misses the LRU
+  // takes this lock. Of two racing builds, the first inserted is kept.
+  std::unique_ptr<const expr::ExpressionFamily> built = registry_.make(name);
+  const std::lock_guard<std::mutex> lock(families_mutex_);
+  return *families_.try_emplace(name, std::move(built)).first->second;
 }
 
 const expr::ExpressionFamily& SelectionService::family_for(const Query& q) {
   const expr::ExpressionFamily& family = resolve_family(q.family);
   validate_query(q, family);
   return family;
+}
+
+SelectionService::SnapshotPtr SelectionService::snapshot() const {
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  return snapshot_;
+}
+
+void SelectionService::set_snapshot(SnapshotPtr next) {
+  {
+    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot_.swap(next);
+  }
+  // `next` now holds the replaced snapshot; it is released here, outside
+  // the lock, so readers never wait on a map's destruction.
 }
 
 std::unique_lock<std::mutex> SelectionService::timing_guard() {
@@ -206,11 +222,11 @@ SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
 SelectionService::AtlasPtr SelectionService::publish(const SliceId& id,
                                                      AtlasPtr atlas) {
   const std::lock_guard<std::mutex> lock(publish_mutex_);
-  auto next = std::make_shared<Snapshot>(*snapshot_.load());
+  auto next = std::make_shared<Snapshot>(*snapshot());
   const auto [it, inserted] = next->try_emplace(id, std::move(atlas));
   const AtlasPtr result = it->second;
   if (inserted) {
-    snapshot_.store(std::move(next));
+    set_snapshot(std::move(next));
   }
   return result;
 }
@@ -495,7 +511,7 @@ std::vector<Recommendation> SelectionService::query_batch(
   std::vector<Group> groups;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deferred;  // (query, group)
   std::vector<std::uint32_t> exact_queries;  // -> query() path, input order
-  const SnapshotPtr snap = snapshot();  // one atomic load for the whole batch
+  const SnapshotPtr snap = snapshot();  // one snapshot for the whole batch
 
   const auto answer_grouped = [&](std::size_t i, Group& group) {
     const int c = batch[i].dims[static_cast<std::size_t>(batch[i].dim)];
@@ -770,7 +786,7 @@ std::size_t SelectionService::warm_from_store(
   // (they may be referenced by outstanding atlas_for() pointers).
   std::size_t adopted = 0;
   const std::lock_guard<std::mutex> lock(publish_mutex_);
-  auto next = std::make_shared<Snapshot>(*snapshot_.load());
+  auto next = std::make_shared<Snapshot>(*snapshot());
   for (auto& [id, atlas] : fresh) {
     if (next->try_emplace(std::move(id), std::move(atlas)).second) {
       atlases_loaded_.fetch_add(1);
@@ -778,13 +794,13 @@ std::size_t SelectionService::warm_from_store(
     }
   }
   if (adopted > 0) {
-    snapshot_.store(std::move(next));
+    set_snapshot(std::move(next));
   }
   return adopted;
 }
 
 std::size_t SelectionService::checkpoint(store::AtlasStore& atlas_store) const {
-  const SnapshotPtr snap = snapshot_.load();
+  const SnapshotPtr snap = snapshot();
   const std::string machine = machine_.name();
   for (const auto& [id, atlas] : *snap) {
     atlas_store.save(
@@ -801,7 +817,7 @@ std::size_t SelectionService::refresh_slices() {
   // The stale generation: everything published at this instant. Slices that
   // appear concurrently (on-demand builds) were scanned against the
   // machine's current timings and are not stale.
-  const SnapshotPtr stale = snapshot_.load();
+  const SnapshotPtr stale = snapshot();
   std::vector<const SliceId*> ids;
   ids.reserve(stale->size());
   for (const auto& [id, atlas] : *stale) {
@@ -825,13 +841,13 @@ std::size_t SelectionService::refresh_slices() {
   // atlas_for() raw pointers valid.
   {
     const std::lock_guard<std::mutex> lock(publish_mutex_);
-    auto next = std::make_shared<Snapshot>(*snapshot_.load());
+    auto next = std::make_shared<Snapshot>(*snapshot());
     for (std::size_t i = 0; i < ids.size(); ++i) {
       AtlasPtr& slot = next->at(*ids[i]);
       retired_.push_back(std::move(slot));
       slot = std::move(rebuilt[i]);
     }
-    snapshot_.store(std::move(next));
+    set_snapshot(std::move(next));
   }
   // Cached recommendations quote the stale generation; drop them after the
   // swap so every later answer re-reads the refreshed slices. (This resets
@@ -851,7 +867,7 @@ const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
 }
 
 std::size_t SelectionService::atlas_count() const {
-  return snapshot_.load()->size();
+  return snapshot()->size();
 }
 
 ServiceStats SelectionService::stats() const {

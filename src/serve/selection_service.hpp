@@ -26,10 +26,10 @@
 //
 // Snapshot semantics: the slice map is an immutable std::shared_ptr-held
 // value, replaced copy-on-write under a writer mutex and read with a single
-// atomic shared_ptr load. A warm query therefore takes no lock other than
-// its LRU shard; a reader may observe a snapshot one swap behind (and then
-// simply builds or waits for the slice it needs), but never a torn or
-// partially built one. Published atlases are never freed while the
+// pointer copy under a mutex held for nothing else. A warm query therefore
+// never waits on a build or a copy; a reader may observe a snapshot one swap
+// behind (and then simply builds or waits for the slice it needs), but never
+// a torn or partially built one. Published atlases are never freed while the
 // service lives, so raw pointers returned by atlas_for() stay valid.
 //
 // Answers are bit-identical to what the underlying RegionAtlas / classifier
@@ -302,12 +302,16 @@ class SelectionService {
     obs::TraceContext ctx;
   };
 
-  /// Resolves a family by registry name (instantiated once, cached).
+  /// Resolves a family by registry name (instantiated once, outside
+  /// families_mutex_, and cached).
   const expr::ExpressionFamily& resolve_family(const std::string& name);
   /// Validates the query shape and resolves the family (cached per name).
   const expr::ExpressionFamily& family_for(const Query& q);
 
-  SnapshotPtr snapshot() const { return snapshot_.load(); }
+  /// The current snapshot (a pointer copy under snapshot_mutex_).
+  SnapshotPtr snapshot() const;
+  /// Swaps in the next snapshot; writers call it under publish_mutex_.
+  void set_snapshot(SnapshotPtr next);
   /// The published atlas for a slice, or null.
   static AtlasPtr find_slice(const Snapshot& snap, const SliceId& id);
   /// The slice's atlas: published, in-flight (waits for the builder), or
@@ -363,8 +367,13 @@ class SelectionService {
   std::unordered_map<std::string, std::unique_ptr<const expr::ExpressionFamily>>
       families_;
 
-  /// The warm read path: one atomic load, no mutex.
-  std::atomic<SnapshotPtr> snapshot_;
+  /// The warm read path: held only to copy or swap snapshot_, never while
+  /// a map is copied, built or destroyed. (std::atomic<SnapshotPtr> is no
+  /// cheaper: libstdc++ implements it with a spin bit, and its load()
+  /// releases that bit with a relaxed RMW, so the pointer read races with
+  /// the next store's write, which ThreadSanitizer reports.)
+  mutable std::mutex snapshot_mutex_;
+  SnapshotPtr snapshot_;
   /// Serialises copy-on-write snapshot swaps (writers only).
   mutable std::mutex publish_mutex_;
   /// Atlases replaced by refresh_slices(), kept so atlas_for() pointers

@@ -1,13 +1,17 @@
 // The expression DSL: flattening rewrites, generic schedule enumeration, the
-// symmetric rank-k variant expansion, and exact parity with the hand-rolled
-// chain/aatb enumerations the DSL replaced.
+// symmetric rank-k variant expansion, exact parity with the hand-rolled
+// chain/aatb enumerations the DSL replaced, and a differential test of
+// DslFamily's enumerate-once-and-bind path against fresh enumeration.
 #include <gtest/gtest.h>
 
 #include "chain/chain.hpp"
 #include "expr/aatb.hpp"
 #include "expr/expr.hpp"
 #include "expr/family.hpp"
+#include "expr/registry.hpp"
+#include "scripted.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -172,6 +176,116 @@ TEST(ExprEnumerate, SingleFactorRejected) {
   const ExprPtr a = Expr::operand("A", 0, 1);
   EXPECT_THROW(expr::enumerate_algorithms(a, {3, 4}, "x"),
                support::CheckError);
+}
+
+/// Field-by-field equality of two algorithms, plus the signature hash.
+void expect_same_algorithm(const model::Algorithm& bound,
+                           const model::Algorithm& fresh,
+                           const std::string& where) {
+  EXPECT_EQ(bound.name(), fresh.name()) << where;
+  EXPECT_EQ(bound.num_externals(), fresh.num_externals()) << where;
+  ASSERT_EQ(bound.operands().size(), fresh.operands().size()) << where;
+  for (std::size_t i = 0; i < bound.operands().size(); ++i) {
+    const model::Operand& b = bound.operands()[i];
+    const model::Operand& f = fresh.operands()[i];
+    EXPECT_EQ(b.rows, f.rows) << where << " operand " << i;
+    EXPECT_EQ(b.cols, f.cols) << where << " operand " << i;
+    EXPECT_EQ(b.external, f.external) << where << " operand " << i;
+    EXPECT_EQ(b.lower_only, f.lower_only) << where << " operand " << i;
+    EXPECT_EQ(b.name, f.name) << where << " operand " << i;
+  }
+  ASSERT_EQ(bound.steps().size(), fresh.steps().size()) << where;
+  for (std::size_t i = 0; i < bound.steps().size(); ++i) {
+    const model::Step& b = bound.steps()[i];
+    const model::Step& f = fresh.steps()[i];
+    EXPECT_TRUE(b.call == f.call)
+        << where << " step " << i << ": " << b.call.to_string() << " vs "
+        << f.call.to_string();
+    EXPECT_EQ(b.inputs, f.inputs) << where << " step " << i;
+    EXPECT_EQ(b.output, f.output) << where << " step " << i;
+  }
+  EXPECT_EQ(bound.flops(), fresh.flops()) << where;
+  EXPECT_EQ(bound.signature(), fresh.signature()) << where;
+  EXPECT_EQ(bound.signature_hash(), support::hash_string(bound.signature()))
+      << where;
+  EXPECT_EQ(fresh.signature_hash(), support::hash_string(fresh.signature()))
+      << where;
+}
+
+// A family's bound algorithm set must equal a fresh enumeration at the same
+// instance, at sizes in [1, 48] where equal and unit dimensions occur.
+TEST(DslFamily, BoundAlgorithmsMatchFreshEnumeration) {
+  const std::vector<std::pair<std::string, int>> cases = {
+      {"chain3", 50}, {"chain4", 50}, {"chain5", 50}, {"chain6", 50},
+      {"chain7", 50}, {"chain8", 5},  {"aatb", 50},   {"gram", 50},
+      {"aatbc", 50}};
+  support::Rng rng(2022);
+  for (const auto& [name, instances] : cases) {
+    const auto owned = expr::make_family(name);
+    const auto* family = dynamic_cast<const expr::DslFamily*>(owned.get());
+    ASSERT_NE(family, nullptr) << name;
+    for (int i = 0; i < instances; ++i) {
+      expr::Instance dims(
+          static_cast<std::size_t>(family->dimension_count()));
+      for (int& d : dims) {
+        d = rng.uniform_int(1, 48);
+      }
+      const auto bound = family->algorithms(dims);
+      const auto fresh = expr::enumerate_algorithms(
+          family->expression(), dims, family->name() + "-alg");
+      ASSERT_EQ(bound.size(), fresh.size()) << name;
+      for (std::size_t a = 0; a < bound.size(); ++a) {
+        expect_same_algorithm(bound[a], fresh[a],
+                              name + " instance " + std::to_string(i) +
+                                  " alg " + std::to_string(a));
+      }
+    }
+  }
+}
+
+TEST(Algorithm, SignatureHashOfHandBuiltAlgorithms) {
+  for (int n = 2; n <= 6; ++n) {
+    chain::ChainDims dims(static_cast<std::size_t>(n) + 1);
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      dims[i] = static_cast<la::index_t>(3 + i);
+    }
+    for (const model::Algorithm& alg :
+         chain::enumerate_chain_schedules(dims)) {
+      EXPECT_EQ(alg.signature_hash(), support::hash_string(alg.signature()))
+          << alg.signature();
+    }
+  }
+  const lamb::testing::ScriptedFamily scripted;
+  for (const model::Algorithm& alg : scripted.algorithms({40})) {
+    EXPECT_EQ(alg.signature_hash(), support::hash_string(alg.signature()))
+        << alg.signature();
+  }
+  // No steps: the hash of the empty signature.
+  EXPECT_EQ(model::Algorithm("empty").signature_hash(),
+            support::hash_string(""));
+}
+
+TEST(Algorithm, RebindRejectsNonConformingShapes) {
+  const ExprPtr a = Expr::operand("A", 0, 1);
+  const ExprPtr b = Expr::operand("B", 1, 2);
+  auto algs = expr::enumerate_algorithms(a * b, {3, 4, 5}, "x");
+  ASSERT_EQ(algs.size(), 1u);
+  const std::uint64_t hash = algs[0].signature_hash();
+  const std::vector<model::Shape> conforming = {{6, 7}, {7, 8}};
+  algs[0].rebind(conforming);
+  EXPECT_EQ(algs[0].steps()[0].call, model::make_gemm(6, 8, 7));
+  EXPECT_EQ(algs[0].signature_hash(), hash);
+  const std::vector<model::Shape> mismatched = {{6, 7}, {9, 8}};
+  EXPECT_THROW(algs[0].rebind(mismatched), support::CheckError);
+  const std::vector<model::Shape> too_few = {{6, 7}};
+  EXPECT_THROW(algs[0].rebind(too_few), support::CheckError);
+}
+
+TEST(DslFamily, FactorsConformingOnlyAtSomeInstancesRejected) {
+  // A(d0 x d1) * B(d2 x d0) conforms only where d1 == d2.
+  const ExprPtr a = Expr::operand("A", 0, 1);
+  const ExprPtr b = Expr::operand("B", 2, 0);
+  EXPECT_THROW(expr::DslFamily("partial", a * b), support::CheckError);
 }
 
 TEST(DslFamily, DimensionCountDerivedFromExpression) {

@@ -426,6 +426,19 @@ TEST(NetServe, MalformedBodiesAnswer400AndKeepTheConnectionAlive) {
   EXPECT_EQ(client.request("GET", "/healthz").status, 200);
 }
 
+TEST(NetServe, DimensionAboveTheBoundAnswers400) {
+  // Sizes beyond expr::kMaxDimension would overflow FLOP counts.
+  ServedService served;
+  Client client = served.connect();
+  EXPECT_EQ(client.request("POST", "/v1/query", "scripted,2000000000").status,
+            400);
+  EXPECT_EQ(client
+                .request("POST", "/v1/query",
+                         "scripted," + std::to_string(expr::kMaxDimension))
+                .status,
+            200);
+}
+
 TEST(NetServe, ProtocolErrorsCloseTheConnection) {
   ServedService served;
   {

@@ -42,6 +42,14 @@ TEST(FamilyRegistry, ChainNamesResolveDynamically) {
   EXPECT_EQ(family->dimension_count(), 8);
 }
 
+TEST(FamilyRegistry, ChainLengthIsBounded) {
+  // A family compiles its algorithm set when built: (n-1)! schedules for a
+  // chain of n, so any chainN a caller names must stay within the bound.
+  EXPECT_EQ(expr::make_family("chain8")->dimension_count(), 9);
+  EXPECT_THROW(expr::make_family("chain9"), support::CheckError);
+  EXPECT_THROW(expr::make_family("chain1009"), support::CheckError);
+}
+
 TEST(FamilyRegistry, UnknownNameThrowsWithListing) {
   try {
     expr::make_family("no-such-family");

@@ -238,6 +238,57 @@ TEST(SelectionService, InvalidQueriesAreRejected) {
                support::CheckError);  // non-positive size
 }
 
+TEST(SelectionService, DimensionsAboveTheBoundAreRejected) {
+  // At 2e9 a GEMM's 2*m*n*k overflows the long long FLOP count.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  EXPECT_THROW(
+      service.query(Query{"chain4", {100, 2000000000, 1200, 300, 400}, 0,
+                          false}),
+      support::CheckError);
+  EXPECT_THROW(service.query(Query{"chain4",
+                                   {100, expr::kMaxDimension + 1, 100, 100,
+                                    100},
+                                   0, true}),
+               support::CheckError);
+  EXPECT_NO_THROW(service.query(
+      Query{"chain4", {100, expr::kMaxDimension, 100, 100, 100}, 0, true}));
+}
+
+TEST(SelectionService, OverlongChainIsRejectedBeforeEnumerating) {
+  // chain13 would enumerate 12! = 479,001,600 schedules while resolving.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  EXPECT_THROW(service.query(Query{"chain13", std::vector<int>(14, 50), 0,
+                                   false}),
+               support::CheckError);
+  EXPECT_EQ(service.stats().atlases_built, 0u);
+}
+
+TEST(SelectionService, ConcurrentFirstQueriesShareOneFamily) {
+  // Every thread misses the family cache and builds chain7 outside the
+  // lock; all of them must answer from the family that was kept.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  const Query q{"chain7", {30, 60, 90, 40, 70, 20, 50, 80}, 0, true};
+  std::vector<Recommendation> answers(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < answers.size(); ++t) {
+    threads.emplace_back([&, t] { answers[t] = service.query(q); });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  const auto family = expr::make_family("chain7");
+  const auto expected = anomaly::classify_instance(
+      *family, machine, q.dims, scripted_config().atlas.time_score_threshold);
+  for (const Recommendation& rec : answers) {
+    EXPECT_EQ(rec.algorithm, expected.fastest.front());
+    EXPECT_EQ(rec.flop_minimal, expected.cheapest.front());
+    EXPECT_EQ(rec.time_score, expected.time_score);
+  }
+}
+
 TEST(SelectionService, QueryBatchMatchesSequentialQueries) {
   model::SimulatedMachine machine;
   SelectionService reference_service(machine, scripted_config());
