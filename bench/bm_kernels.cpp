@@ -1,10 +1,7 @@
-// bm_kernels: microbenchmarks of the BLAS substrate.
+// bm_kernels: microbenchmarks of the BLAS substrate, printed as a table.
 //
-// Standalone driver (own main, no google-benchmark) so CI can run it as an
-// acceptance gate the same way bm_net_throughput gates the HTTP front-end:
-//
-//   bm_kernels [--seconds=0.15] [--json=PATH] [--min-gflops=0]
-//              [--threads=1] [--sizes=64,128,256,384]
+//   bm_kernels [--seconds=0.15] [--min-gflops=0] [--threads=1]
+//              [--sizes=64,128,256,384] [--roofline]
 //
 // Sections:
 //   gemm      blocked dgemm squares, once per available microkernel tier
@@ -17,11 +14,16 @@
 //             layer used to (buf.assign) — shows the zero-copy win
 //   parallel  column-stripe and row-block pool splits (with --threads > 1)
 //
-// --json writes every row as a JSON array (see scripts/check.sh, which emits
-// BENCH_kernels.json from it — the perf trajectory the BENCH_* files track).
-// --min-gflops fails the run (exit 1) if the best blocked dgemm of the
-// auto-dispatched kernel stays below the floor, so kernel regressions break
-// CI instead of silently eroding the atlas measurements.
+// --roofline replaces the sections with the arithmetic-intensity sweep of
+// the roofline section below.
+//
+// Each row is one timed loop of --seconds, a single shot: enough to show a
+// missing SIMD tier or a broken packing path, not to compare two commits.
+// lambbench's blas-exec workload (lambbench/run.py) does that, with checked
+// results and minima over passes. --min-gflops fails the run (exit 1) if the
+// best blocked dgemm of the auto-dispatched kernel stays below the floor, so
+// kernel regressions break CI (perf-smoke gates at 18) instead of silently
+// eroding the atlas measurements.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -52,8 +54,6 @@ struct Row {
   index_t m = 0, n = 0, k = 0;
   double value = 0.0;  ///< GFLOP/s (compute rows) or GB/s (pack rows)
   const char* unit = "gflops";
-  double seconds = 0.0;
-  int iterations = 0;
 };
 
 std::vector<Row> g_rows;
@@ -74,8 +74,6 @@ std::pair<double, int> run_timed(Fn&& fn) {
 
 void report(Row row, double work_per_iter, double seconds, int iters) {
   row.value = work_per_iter * iters / seconds / 1e9;
-  row.seconds = seconds;
-  row.iterations = iters;
   std::printf("%-9s %-26s %-7s %-8s %4td %4td %4td  %8.2f %s\n",
               row.section.c_str(), row.name.c_str(), row.kernel.c_str(),
               row.variant.c_str(), row.m, row.n, row.k, row.value, row.unit);
@@ -99,7 +97,8 @@ void bench_gemm(const std::string& section, const std::string& name,
   const blas::GemmVariant variant =
       opts.force_variant.value_or(blas::select_gemm_variant(m, n, k));
   // Only the blocked variant runs the microkernel; naive/small-k rows get
-  // "-" so the JSON never attributes their numbers to a SIMD tier.
+  // "-" so neither the table nor the --min-gflops gate attributes their
+  // numbers to a SIMD tier.
   const std::string kernel =
       variant == blas::GemmVariant::kBlocked
           ? (force != nullptr ? force->name : blas::active_microkernel().name)
@@ -277,29 +276,6 @@ void bench_parallel(std::size_t threads) {
              256, opts);
 }
 
-void write_json(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bm_kernels: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "  {\"section\": \"%s\", \"name\": \"%s\", \"kernel\": "
-                 "\"%s\", \"variant\": \"%s\", \"m\": %td, \"n\": %td, "
-                 "\"k\": %td, \"%s\": %.4f, \"seconds\": %.4f, "
-                 "\"iterations\": %d}%s\n",
-                 r.section.c_str(), r.name.c_str(), r.kernel.c_str(),
-                 r.variant.c_str(), r.m, r.n, r.k, r.unit, r.value, r.seconds,
-                 r.iterations, i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  std::printf("wrote %zu rows to %s\n", g_rows.size(), path.c_str());
-}
-
 // ---------------------------------------------------------------- roofline
 //
 // --roofline sweeps arithmetic intensity (flops per DRAM byte) by varying
@@ -309,21 +285,15 @@ void write_json(const std::string& path) {
 // around the timed loop, so attained GFLOP/s comes with cycles,
 // instructions, IPC and LLC miss rate; the memory ceiling comes from a
 // STREAM-style triad over buffers far past the LLC. Rendered with
-// support/ascii_plot and written to --json (BENCH_pmu.json in check.sh).
+// support/ascii_plot.
 
 struct RooflineRow {
   std::string kernel;
-  index_t m = 0, n = 0, k = 0;
   double ai = 0.0;      ///< flops per byte of mandatory DRAM traffic
   double gflops = 0.0;  ///< attained, from wall time
-  double seconds = 0.0;
-  int iterations = 0;
-  double flops_in_window = 0.0;  ///< flops inside the PMU window
-  obs::PmuSample pmu;
 };
 
 std::vector<RooflineRow> g_roofline;
-double g_triad_gbps = 0.0;
 
 double measure_triad_gbps() {
   // 3 x 32 MiB streams: far past any LLC, so the triad measures DRAM.
@@ -362,32 +332,25 @@ void roofline_point(const blas::Microkernel* mk, index_t m, index_t n,
 
   RooflineRow row;
   row.kernel = mk->name;
-  row.m = m;
-  row.n = n;
-  row.k = k;
   const double flops = 2.0 * static_cast<double>(m) * n * k;
   const double bytes =
       8.0 * (static_cast<double>(m) * n + static_cast<double>(m) * k +
              static_cast<double>(k) * n);
   row.ai = flops / bytes;
   row.gflops = flops * iters / seconds / 1e9;
-  row.seconds = seconds;
-  row.iterations = iters;
-  // The PMU window includes run_timed's untimed warm-up call; pair counter
-  // ratios with the flops of every call in the window, not just the timed
-  // ones.
-  row.flops_in_window = flops * (iters + 1);
-  row.pmu = sample;
   std::printf("%-9s %-26s %-7s %-8s %4td %4td %4td  %8.2f gflops  ai %5.2f",
               "roofline", "k_sweep", row.kernel.c_str(), "blocked", m, n, k,
               row.gflops, row.ai);
   if (sample.valid) {
+    // The PMU window includes run_timed's untimed warm-up call; pair counter
+    // ratios with the flops of every call in the window, not just the timed
+    // ones.
+    const double flops_in_window = flops * (iters + 1);
     std::printf("  ipc %4.2f  llc-miss %4.1f%%  flop/cyc %4.2f",
                 sample.ipc(), 100.0 * sample.llc_miss_rate(),
                 sample.cycles == 0
                     ? 0.0
-                    : row.flops_in_window /
-                          static_cast<double>(sample.cycles));
+                    : flops_in_window / static_cast<double>(sample.cycles));
   }
   std::printf("\n");
   g_roofline.push_back(std::move(row));
@@ -395,9 +358,9 @@ void roofline_point(const blas::Microkernel* mk, index_t m, index_t n,
 
 void run_roofline() {
   std::printf("pmu: %s\n", obs::pmu_status().c_str());
-  g_triad_gbps = measure_triad_gbps();
+  const double triad_gbps = measure_triad_gbps();
   std::printf("triad bandwidth: %.2f GB/s (memory ceiling)\n\n",
-              g_triad_gbps);
+              triad_gbps);
   for (const blas::Microkernel* mk : blas::available_microkernels()) {
     for (const index_t k :
          {index_t{4}, index_t{8}, index_t{16}, index_t{32}, index_t{64},
@@ -436,7 +399,7 @@ void run_roofline() {
   for (int i = 0; i <= 64; ++i) {
     const double x = x_lo + (x_hi - x_lo) * i / 64.0;
     roof.xs.push_back(x);
-    roof.ys.push_back(std::min(g_triad_gbps * std::exp2(x), peak));
+    roof.ys.push_back(std::min(triad_gbps * std::exp2(x), peak));
   }
   series.push_back(std::move(roof));
   support::PlotOptions plot;
@@ -444,45 +407,6 @@ void run_roofline() {
   plot.x_label = "log2(flops/byte)";
   plot.y_label = "GFLOP/s";
   std::printf("\n%s", support::line_plot(series, plot).c_str());
-}
-
-void write_roofline_json(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bm_kernels: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "[\n  {\"section\": \"meta\", \"pmu_available\": %d, "
-               "\"pmu_status\": \"%s\", \"triad_gbps\": %.4f}",
-               obs::pmu_available() ? 1 : 0, obs::pmu_status().c_str(),
-               g_triad_gbps);
-  for (const RooflineRow& r : g_roofline) {
-    std::fprintf(
-        f,
-        ",\n  {\"section\": \"roofline\", \"kernel\": \"%s\", \"m\": %td, "
-        "\"n\": %td, \"k\": %td, \"ai\": %.4f, \"gflops\": %.4f, "
-        "\"seconds\": %.4f, \"iterations\": %d, \"pmu_valid\": %d",
-        r.kernel.c_str(), r.m, r.n, r.k, r.ai, r.gflops, r.seconds,
-        r.iterations, r.pmu.valid ? 1 : 0);
-    if (r.pmu.valid) {
-      std::fprintf(
-          f,
-          ", \"cycles\": %llu, \"instructions\": %llu, \"ipc\": %.4f, "
-          "\"llc_miss_rate\": %.4f, \"flops_per_cycle\": %.4f",
-          static_cast<unsigned long long>(r.pmu.cycles),
-          static_cast<unsigned long long>(r.pmu.instructions), r.pmu.ipc(),
-          r.pmu.llc_miss_rate(),
-          r.pmu.cycles == 0
-              ? 0.0
-              : r.flops_in_window / static_cast<double>(r.pmu.cycles));
-    }
-    std::fprintf(f, "}");
-  }
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
-  std::printf("wrote %zu roofline rows to %s\n", g_roofline.size(),
-              path.c_str());
 }
 
 std::vector<index_t> parse_sizes(const std::string& csv) {
@@ -521,7 +445,6 @@ std::vector<index_t> parse_sizes(const std::string& csv) {
 int main(int argc, char** argv) {
   const support::Cli cli(argc, argv);
   g_seconds = cli.get_double("seconds", 0.15);
-  const std::string json_path = cli.get_string("json", "");
   const double min_gflops = cli.get_double("min-gflops", 0.0);
   const auto threads =
       static_cast<std::size_t>(cli.get_int("threads", 1));
@@ -538,9 +461,6 @@ int main(int argc, char** argv) {
     // --min-gflops stays a normal-mode gate (roofline runs are diagnostic,
     // not acceptance).
     run_roofline();
-    if (!json_path.empty()) {
-      write_roofline_json(json_path);
-    }
     return 0;
   }
 
@@ -550,10 +470,6 @@ int main(int argc, char** argv) {
   bench_level3();
   bench_pack();
   bench_parallel(threads);
-
-  if (!json_path.empty()) {
-    write_json(json_path);
-  }
 
   if (min_gflops > 0.0) {
     // Gate on the auto-dispatched tier's best blocked dgemm square.

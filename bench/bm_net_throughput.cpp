@@ -1,4 +1,5 @@
-// bm_net_throughput: load generator for the HTTP serving front-end.
+// bm_net_throughput: load generator for the HTTP serving front-end, and
+// CI's HTTP floors.
 //
 // Spins up an in-process Server over a warm SelectionService (simulated
 // machine, one hot atlas slice — the serving path, not the scan, is under
@@ -10,45 +11,38 @@
 //            fused server-side into one query_batch call
 //
 // Reports queries/s and per-request p50/p99 latency for both, plus the
-// per-query speedup of the batch endpoint. Acceptance (ISSUE 4): >= 50k
-// warm single-queries/s over loopback, batch strictly faster per query.
-// --min-qps makes the run fail below a floor (0 = report only), so CI can
-// gate on it.
+// per-query speedup of the batch endpoint. The run fails when the batch
+// endpoint is not faster per query, and, with --min-qps, when the single
+// phase stays below that floor (CI gates 80000 q/s at --loops=4).
 //
 //   bm_net_throughput [--connections=4] [--requests=20000] [--pipeline=32]
-//                     [--batch=64] [--seconds=2] [--min-qps=0]
-//                     [--port=0] [--http-threads=2] [--loops=1]
-//                     [--loop-sweep=N] [--json=PATH]
+//                     [--batch=64] [--min-qps=0] [--port=0]
+//                     [--http-threads=2] [--loops=1]
 //                     [--trace=off|counters|sampled|full] [--trace-sweep]
 //                     [--rounds=3] [--max-sampled-overhead=0]
 //
 // --loops shards the server over N epoll event loops (SO_REUSEPORT
-// listeners when the kernel allows). --loop-sweep=N additionally re-runs
-// the single-query phase at 1, 2, 4, ... <= N loops against fresh servers
-// and reports aggregate qps plus the per-loop request shares (written to
-// the JSON as loop_sweep rows, host core count included — loops beyond the
-// physical cores cannot scale).
-//
-// --json writes the phase results as a flat JSON array (the same shape as
-// bm_kernels --json), which scripts/check.sh collects as BENCH_serving.json.
+// listeners when the kernel allows); loops beyond the host's cores cannot
+// scale. Each phase is a single shot. lambbench's http-serve workload
+// (lambbench/run.py) times the same tier with checked answers, taking the
+// median over repeated rounds.
 //
 // --trace configures the server-side tracer before the phases run, so the
 // normal numbers can be taken under any tracing tier. --trace-sweep replaces
-// the phases entirely: it re-runs the single-query phase under off, sampled
-// (1-in-64), and full tracing in interleaved rounds (rotating the mode
-// order so drift hits every mode equally), computes each round's overhead
-// against that round's own off-mode qps, and reports the MINIMUM overhead
-// across rounds — real instrumentation cost recurs every round, machine
-// noise does not. --max-sampled-overhead=PCT (0 =
-// report only) fails the run when sampled tracing costs more than PCT% of
-// the untraced qps — the ISSUE 7 gate. With --json the sweep writes
-// {"section": "obs", ...} rows, which check.sh collects as BENCH_obs.json.
+// the phases: it re-runs the single-query phase under off, sampled (1-in-64)
+// and full tracing in interleaved rounds, rotating the mode order each round,
+// and computes each round's overhead against that round's own off-mode qps.
+// It reports the SMALLEST per-round overhead. One round that happens to
+// favour the traced mode is enough to pull that statistic down, even below
+// zero, so it is a lenient bound, not an estimate of the cost.
+// --max-sampled-overhead=PCT (0 = report only) fails the run when the
+// sampled statistic exceeds PCT%, that is, when sampled tracing costs more
+// than PCT% in every round.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,7 +194,6 @@ int main(int argc, char** argv) {
   const int window = static_cast<int>(cli.get_int("pipeline", 32));
   const int batch = static_cast<int>(cli.get_int("batch", 64));
   const int loops = static_cast<int>(cli.get_int("loops", 1));
-  const int loop_sweep = static_cast<int>(cli.get_int("loop-sweep", 0));
   const double min_qps = cli.get_double("min-qps", 0.0);
   const std::string trace_mode = cli.get_string("trace", "off");
   if (!apply_trace_mode(trace_mode)) {
@@ -266,7 +259,6 @@ int main(int argc, char** argv) {
     const int rounds = static_cast<int>(cli.get_int("rounds", 3));
     const double max_overhead = cli.get_double("max-sampled-overhead", 0.0);
     static constexpr const char* kModes[] = {"off", "sampled", "full"};
-    PhaseResult best[3];
     double best_qps[3] = {0.0, 0.0, 0.0};
 
     // One untimed pass warms the wire path (socket buffers, allocator,
@@ -275,13 +267,12 @@ int main(int argc, char** argv) {
     run_phase("127.0.0.1", server.port(), single_bodies, "/v1/query",
               connections, std::max(1, requests / 4), window, 1);
 
-    // Interleave the modes within each round — machine-wide drift (thermal,
-    // noisy neighbours) then degrades every mode of a round roughly equally
-    // — and rotate the starting mode per round so no mode always runs first
-    // or last. Overheads are computed per round against that round's own
-    // off-mode qps, and the gate takes the MINIMUM overhead across rounds:
-    // a genuine instrumentation cost shows up in every round, while a
-    // noisy-neighbour stall only inflates the rounds it hit.
+    // Interleave the modes within each round, so that drift slower than a
+    // round (thermal, noisy neighbours) degrades every mode of a round
+    // roughly equally, and rotate the starting mode per round so no mode
+    // always runs first or last. Overheads are computed per round against
+    // that round's own off-mode qps; the gate reads their minimum (see the
+    // header comment).
     std::vector<std::array<double, 3>> round_qps(
         static_cast<std::size_t>(rounds));
     for (int r = 0; r < rounds; ++r) {
@@ -295,10 +286,7 @@ int main(int argc, char** argv) {
             result.qps();
         std::printf("  round %d %-8s %8.0f q/s\n", r, kModes[m],
                     result.qps());
-        if (result.qps() > best_qps[m]) {
-          best_qps[m] = result.qps();
-          best[m] = result;
-        }
+        best_qps[m] = std::max(best_qps[m], result.qps());
       }
     }
     apply_trace_mode("off");
@@ -321,29 +309,6 @@ int main(int argc, char** argv) {
 
     server.stop();
     loop.join();
-
-    if (cli.has("json")) {
-      const std::string path = cli.get_string("json", "");
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-      }
-      out << "[\n";
-      for (int m = 0; m < 3; ++m) {
-        out << support::strf(
-            "  {\"section\": \"obs\", \"name\": \"trace_%s\", "
-            "\"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f},\n",
-            kModes[m], best_qps[m], 1e6 * best[m].quantile(0.50),
-            1e6 * best[m].quantile(0.99));
-      }
-      out << support::strf(
-                 "  {\"section\": \"obs\", \"name\": \"trace_overhead\", "
-                 "\"sampled_pct\": %.2f, \"full_pct\": %.2f}\n",
-                 sampled_pct, full_pct)
-          << "]\n";
-      std::printf("wrote %s\n", path.c_str());
-    }
 
     if (max_overhead > 0.0 && sampled_pct > max_overhead) {
       std::fprintf(stderr,
@@ -377,90 +342,6 @@ int main(int argc, char** argv) {
 
   server.stop();
   loop.join();
-
-  // Loop scaling sweep: re-run the single-query phase against fresh servers
-  // with 1, 2, 4, ... <= --loop-sweep event loops. The per-loop request
-  // shares show how evenly the kernel (SO_REUSEPORT) or the round-robin
-  // acceptor spread the connections; host_cores is recorded because loops
-  // beyond the physical core count cannot scale (CI runners and dev hosts
-  // differ widely here — the JSON keeps the numbers honest).
-  std::vector<std::string> sweep_rows;
-  if (loop_sweep > 0) {
-    const unsigned host_cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    std::printf("loop scaling sweep (host cores: %u):\n", host_cores);
-    for (int n = 1; n <= loop_sweep; n *= 2) {
-      net::ServerConfig sweep_cfg;
-      sweep_cfg.port = 0;
-      sweep_cfg.max_connections = static_cast<std::size_t>(connections) + 8;
-      sweep_cfg.loops = static_cast<std::size_t>(n);
-      net::Server sweep_server(routes.router(), sweep_cfg);
-      routes.attach_server(&sweep_server);
-      std::thread sweep_loop([&] { sweep_server.run(); });
-      const PhaseResult r =
-          run_phase("127.0.0.1", sweep_server.port(), single_bodies,
-                    "/v1/query", connections, requests, window, 1);
-      std::string per_loop = "[";
-      for (std::size_t i = 0; i < sweep_server.loops(); ++i) {
-        per_loop += support::strf(
-            "%s%llu", i == 0 ? "" : ", ",
-            static_cast<unsigned long long>(
-                sweep_server.loop_stats(i).requests_total.load()));
-      }
-      per_loop += "]";
-      sweep_server.stop();
-      sweep_loop.join();
-      std::printf(
-          "  loops %2d (%s) %8.0f q/s | p50 %7.1f us  p99 %7.1f us | "
-          "per-loop requests %s\n",
-          n, sweep_server.sharded_listeners() ? "reuseport" : "handoff ",
-          r.qps(), 1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99),
-          per_loop.c_str());
-      sweep_rows.push_back(support::strf(
-          "  {\"section\": \"serving\", \"name\": \"loop_sweep\", "
-          "\"loops\": %d, \"host_cores\": %u, \"sharded\": %s, "
-          "\"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, "
-          "\"per_loop_requests\": %s}",
-          n, host_cores,
-          sweep_server.sharded_listeners() ? "true" : "false", r.qps(),
-          1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99), per_loop.c_str()));
-    }
-    routes.attach_server(&server);  // sweep servers are gone
-  }
-
-  if (cli.has("json")) {
-    const std::string path = cli.get_string("json", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    const auto phase_json = [](const char* name, const PhaseResult& r,
-                               std::uint64_t queries_per_request) {
-      return support::strf(
-          "  {\"section\": \"serving\", \"name\": \"%s\", "
-          "\"requests\": %llu, \"queries_per_request\": %llu, "
-          "\"qps\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, "
-          "\"per_query_ns\": %.1f}",
-          name, static_cast<unsigned long long>(r.requests),
-          static_cast<unsigned long long>(queries_per_request), r.qps(),
-          1e6 * r.quantile(0.50), 1e6 * r.quantile(0.99),
-          1e9 * r.seconds / static_cast<double>(r.queries));
-    };
-    out << "[\n"
-        << phase_json("single", single, 1) << ",\n"
-        << phase_json("batch", batched, static_cast<std::uint64_t>(batch))
-        << ",\n"
-        << support::strf(
-               "  {\"section\": \"serving\", \"name\": \"batch_speedup\", "
-               "\"per_query_speedup\": %.2f}",
-               single_per_query / batch_per_query);
-    for (const std::string& row : sweep_rows) {
-      out << ",\n" << row;
-    }
-    out << "\n]\n";
-    std::printf("wrote %s\n", path.c_str());
-  }
 
   bool ok = true;
   if (min_qps > 0.0 && single.qps() < min_qps) {

@@ -8,18 +8,10 @@
 //             serve_cli warm --family=aatb --atlas-dir=atlases
 //                       --queries=queries.csv
 //   query   answer queries from a CSV file or stdin (one instance per line,
-//           comma-separated sizes; '#' starts a comment)
+//           comma-separated sizes; '#' starts a comment) in one query_batch
+//           call
 //             echo 300,260,549 | serve_cli query --family=aatb
 //                       --atlas-dir=atlases
-//   batch   answer the query list through query_batch and report its
-//           throughput against repeated single query() calls on the same
-//           warm service
-//             serve_cli batch --family=aatb --queries=queries.csv --repeat=5
-//   async   submit every query through query_async (deduplicating
-//           background builds), then collect the futures in input order
-//             echo 300,260,549 | serve_cli async --family=aatb
-//   bench   time uncached classification vs warm-cache service queries
-//             serve_cli bench --family=aatb --queries-n=2000
 //   serve   HTTP front-end: warm from --atlas-dir (and --queries, if given),
 //           then listen until SIGINT/SIGTERM (graceful drain, checkpoint on
 //           exit when an atlas dir is set)
@@ -42,12 +34,9 @@
 //           keeps only the always-on lamb_stage_seconds histograms, sampled
 //           adds full span capture for 1-in---trace-sample requests, full
 //           samples everything. Spans surface on GET /debug/trace (Chrome
-//           trace-event JSON), requests slower than --slow-ms on
-//           GET /debug/slow; POST /debug/sample_rate retunes sampling live.
-//   trace   fetch /debug/trace (or /debug/slow with --slow) from a running
-//           server and print or save it
-//             serve_cli trace --port=8080 [--host=127.0.0.1] [--slow]
-//                       [--out=trace.json]
+//           trace-event JSON, e.g. `curl -o trace.json HOST:PORT/debug/trace`),
+//           requests slower than --slow-ms on GET /debug/slow;
+//           POST /debug/sample_rate retunes sampling live.
 //   fsck    verify every checkpoint in --atlas-dir (framed *.atlas records
 //           and the drift baseline) without loading them into a service;
 //           --repair quarantines corrupt files (renamed to *.corrupt and
@@ -76,6 +65,11 @@
 //             serve_cli profile [--trace=spec.toml] [--seed=1] [--warm]
 //                       [--sample=1] [--json=out.json]
 //
+// An unknown subcommand exits 1 before any machine model, service or
+// --atlas-dir is touched. To compare the service's speed between commits,
+// use lambbench/run.py (the warm-serve and cold-build workloads; --trace 1
+// adds per-layer numbers), not these subcommands.
+//
 // Common flags: --family=NAME (registry name), --dim=N (slice dimension,
 // default 0), --exact (bypass the atlas), --atlas-dir=DIR (persistent store;
 // omitted = in-memory only), --real (measured machine instead of simulated),
@@ -94,20 +88,17 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <span>
 #include <sstream>
-
+#include <string_view>
 #include <thread>
+#include <utility>
 
-#include "anomaly/classifier.hpp"
 #include "model/measured_machine.hpp"
 #include "model/simulated_machine.hpp"
-#include "net/client.hpp"
 #include "net/routes.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
@@ -121,7 +112,6 @@
 #include "store/serial.hpp"
 #include "support/cli.hpp"
 #include "support/fault.hpp"
-#include "support/rng.hpp"
 #include "support/str.hpp"
 
 #include <filesystem>
@@ -253,7 +243,8 @@ void print_recommendations(const std::vector<serve::Query>& queries,
   }
 }
 
-int cmd_build(const support::Cli& cli, serve::SelectionService& service) {
+int cmd_build(const support::Cli& cli, serve::SelectionService& service,
+              model::MachineModel&) {
   const std::string family = cli.get_string("family", "aatb");
   const expr::Instance base =
       parse_instance(cli.get_string("base", "150,260,549"));
@@ -266,7 +257,8 @@ int cmd_build(const support::Cli& cli, serve::SelectionService& service) {
   return 0;
 }
 
-int cmd_warm(const support::Cli& cli, serve::SelectionService& service) {
+int cmd_warm(const support::Cli& cli, serve::SelectionService& service,
+             model::MachineModel&) {
   const std::string family = cli.get_string("family", "aatb");
   const int dim = static_cast<int>(cli.get_int("dim", 0));
   const auto queries = read_queries(cli, family, dim, false);
@@ -277,149 +269,14 @@ int cmd_warm(const support::Cli& cli, serve::SelectionService& service) {
   return 0;
 }
 
-int cmd_query(const support::Cli& cli, serve::SelectionService& service) {
+int cmd_query(const support::Cli& cli, serve::SelectionService& service,
+              model::MachineModel&) {
   const std::string family = cli.get_string("family", "aatb");
   const int dim = static_cast<int>(cli.get_int("dim", 0));
   const bool exact = cli.get_bool("exact", false);
   const auto queries = read_queries(cli, family, dim, exact);
   const auto recs = service.query_batch(queries);
   print_recommendations(queries, recs);
-  print_stats(service);
-  return 0;
-}
-
-int cmd_batch(const support::Cli& cli, serve::SelectionService& service) {
-  const std::string family = cli.get_string("family", "aatb");
-  const int dim = static_cast<int>(cli.get_int("dim", 0));
-  const int repeat = static_cast<int>(cli.get_int("repeat", 5));
-  const auto queries = read_queries(cli, family, dim, false);
-  if (queries.empty()) {
-    std::fprintf(stderr, "no queries\n");
-    return 1;
-  }
-
-  // Cold pass builds every needed slice (grouped, deduplicated, parallel
-  // when the machine's timing allows), then the timed passes are warm.
-  using clock = std::chrono::steady_clock;
-  const auto t_cold = clock::now();
-  auto recs = service.query_batch(queries);
-  const double cold =
-      std::chrono::duration<double>(clock::now() - t_cold).count();
-
-  for (const serve::Query& q : queries) {
-    service.query(q);  // populate the LRU for the single-query baseline
-  }
-  const auto t_single = clock::now();
-  for (int r = 0; r < repeat; ++r) {
-    for (const serve::Query& q : queries) {
-      service.query(q);
-    }
-  }
-  const double single =
-      std::chrono::duration<double>(clock::now() - t_single).count();
-
-  const auto t_batch = clock::now();
-  for (int r = 0; r < repeat; ++r) {
-    recs = service.query_batch(queries);
-  }
-  const double batch =
-      std::chrono::duration<double>(clock::now() - t_batch).count();
-
-  print_recommendations(queries, recs);
-  const double per_query = static_cast<double>(queries.size()) * repeat;
-  std::printf("cold batch %.3f s; warm: single query %.0f ns/q, "
-              "query_batch %.0f ns/q -> %.1fx\n",
-              cold, 1e9 * single / per_query, 1e9 * batch / per_query,
-              single / batch);
-  print_stats(service);
-  return 0;
-}
-
-int cmd_async(const support::Cli& cli, serve::SelectionService& service) {
-  const std::string family = cli.get_string("family", "aatb");
-  const int dim = static_cast<int>(cli.get_int("dim", 0));
-  const bool exact = cli.get_bool("exact", false);
-  const auto queries = read_queries(cli, family, dim, exact);
-
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  std::vector<std::future<serve::Recommendation>> futures;
-  futures.reserve(queries.size());
-  for (const serve::Query& q : queries) {
-    futures.push_back(service.query_async(q));
-  }
-  const double submit =
-      std::chrono::duration<double>(clock::now() - t0).count();
-
-  std::vector<serve::Recommendation> recs;
-  recs.reserve(futures.size());
-  for (auto& fut : futures) {
-    recs.push_back(fut.get());
-  }
-  const double total =
-      std::chrono::duration<double>(clock::now() - t0).count();
-
-  print_recommendations(queries, recs);
-  std::printf("%zu async queries: submitted in %.6f s, all resolved after "
-              "%.3f s\n",
-              queries.size(), submit, total);
-  print_stats(service);
-  return 0;
-}
-
-int cmd_bench(const support::Cli& cli, serve::SelectionService& service,
-              model::MachineModel& machine) {
-  const std::string family_name = cli.get_string("family", "aatb");
-  const int dim = static_cast<int>(cli.get_int("dim", 0));
-  const int n = static_cast<int>(cli.get_int("queries-n", 2000));
-  const auto& cfg = service.config().atlas;
-
-  // Random queries along a handful of slices, so warm() builds a few atlases
-  // and the query loop then runs entirely from atlas + cache lookups.
-  const auto family = expr::make_family(family_name);
-  support::Rng rng(cli.get_seed("seed", 42));
-  std::vector<serve::Query> queries;
-  queries.reserve(static_cast<std::size_t>(n));
-  const int bases = 4;
-  std::vector<expr::Instance> base_pool;
-  for (int b = 0; b < bases; ++b) {
-    expr::Instance base;
-    for (int d = 0; d < family->dimension_count(); ++d) {
-      base.push_back(rng.uniform_int(cfg.lo, cfg.hi));
-    }
-    base_pool.push_back(base);
-  }
-  for (int i = 0; i < n; ++i) {
-    expr::Instance dims = base_pool[static_cast<std::size_t>(
-        rng.uniform_int(0, bases - 1))];
-    dims[static_cast<std::size_t>(dim)] = rng.uniform_int(cfg.lo, cfg.hi);
-    queries.push_back(serve::Query{family_name, dims, dim, false});
-  }
-
-  using clock = std::chrono::steady_clock;
-
-  // Reference: uncached classification of every query.
-  const auto t0 = clock::now();
-  for (const serve::Query& q : queries) {
-    anomaly::classify_instance(*family, machine, q.dims,
-                               cfg.time_score_threshold);
-  }
-  const double uncached =
-      std::chrono::duration<double>(clock::now() - t0).count();
-
-  service.warm(queries);
-  service.query_batch(queries);  // populate the recommendation cache
-
-  const auto t1 = clock::now();
-  for (const serve::Query& q : queries) {
-    service.query(q);
-  }
-  const double warm = std::chrono::duration<double>(clock::now() - t1).count();
-
-  std::printf("%d queries: uncached classification %.3f s (%.1f us/q), "
-              "warm service %.6f s (%.2f us/q) -> %.0fx\n",
-              n, uncached, 1e6 * uncached / n, warm, 1e6 * warm / n,
-              uncached / warm);
   print_stats(service);
   return 0;
 }
@@ -575,34 +432,6 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
   return 0;
 }
 
-int cmd_trace(const support::Cli& cli) {
-  const std::string host = cli.get_string("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 8080));
-  const char* target = cli.get_bool("slow", false) ? "/debug/slow"
-                                                   : "/debug/trace";
-  net::Client client(host, port);
-  const net::ResponseParser::Parsed response = client.request("GET", target);
-  if (response.status != 200) {
-    std::fprintf(stderr, "HTTP %d from %s\n%s", response.status, target,
-                 response.body.c_str());
-    return 1;
-  }
-  const std::string out_path = cli.get_string("out", "");
-  if (out_path.empty()) {
-    std::printf("%s", response.body.c_str());
-    return 0;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << response.body;
-  std::printf("wrote %s (%zu bytes; open in chrome://tracing or Perfetto)\n",
-              out_path.c_str(), response.body.size());
-  return 0;
-}
-
 /// Checkpoint integrity audit. Walks --atlas-dir and re-parses every framed
 /// record exactly the way warm_from_store would, but without a service or
 /// machine model — so it runs before a deploy, on a snapshot, or against a
@@ -700,7 +529,8 @@ int cmd_fsck(const support::Cli& cli) {
   return unrepaired > 0 ? 1 : 0;
 }
 
-int cmd_simulate(const support::Cli& cli, serve::SelectionService& service) {
+int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
+                 model::MachineModel&) {
   const sim::TraceSpec spec = cli.has("trace")
                                   ? sim::load_trace(cli.get_string("trace", ""))
                                   : sim::default_trace();
@@ -817,7 +647,8 @@ int cmd_simulate(const support::Cli& cli, serve::SelectionService& service) {
   return 0;
 }
 
-int cmd_profile(const support::Cli& cli, serve::SelectionService& service) {
+int cmd_profile(const support::Cli& cli, serve::SelectionService& service,
+                model::MachineModel&) {
   const sim::TraceSpec spec = cli.has("trace")
                                   ? sim::load_trace(cli.get_string("trace", ""))
                                   : sim::default_trace();
@@ -907,6 +738,14 @@ int cmd_profile(const support::Cli& cli, serve::SelectionService& service) {
   return 0;
 }
 
+using Command = int (*)(const support::Cli&, serve::SelectionService&,
+                        model::MachineModel&);
+
+/// Every subcommand that runs against a service; fsck runs without one.
+constexpr std::pair<std::string_view, Command> kCommands[] = {
+    {"build", cmd_build}, {"warm", cmd_warm},         {"query", cmd_query},
+    {"serve", cmd_serve}, {"simulate", cmd_simulate}, {"profile", cmd_profile}};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -915,22 +754,31 @@ int main(int argc, char** argv) {
   // Fault injection arms from LAMB_FAULT before anything else runs, so the
   // store warm-up and every subcommand see the armed sites.
   support::fault_arm_from_env();
-  if (cli.positional().empty()) {
-    std::fprintf(stderr,
-                 "usage: %s build|warm|query|batch|async|bench|serve|"
-                 "simulate|profile|trace|fsck [flags]\n"
-                 "(see the header comment of examples/serve_cli.cpp)\n",
-                 cli.program().c_str());
-    return 1;
-  }
-  const std::string cmd = cli.positional().front();
-  if (cmd == "trace") {
-    // Pure HTTP client; needs no service or machine model.
-    return cmd_trace(cli);
-  }
+  const std::string cmd =
+      cli.positional().empty() ? "" : cli.positional().front();
   if (cmd == "fsck") {
     // Pure on-disk audit; needs no service or machine model.
     return cmd_fsck(cli);
+  }
+  // Resolved before the machine, the service or --atlas-dir exist: warming
+  // from the store creates the directory and may quarantine files in it.
+  Command command = nullptr;
+  for (const auto& [name, run] : kCommands) {
+    if (name == cmd) {
+      command = run;
+      break;
+    }
+  }
+  if (command == nullptr) {
+    if (!cmd.empty()) {
+      std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
+    }
+    std::fprintf(stderr,
+                 "usage: %s build|warm|query|serve|simulate|profile|fsck "
+                 "[flags]\n"
+                 "(see the header comment of examples/serve_cli.cpp)\n",
+                 cli.program().c_str());
+    return 1;
   }
 
   const bool serving = cmd == "serve" || cmd == "simulate";
@@ -947,29 +795,7 @@ int main(int argc, char** argv) {
                 adopted);
   }
 
-  int rc = 1;
-  if (cmd == "build") {
-    rc = cmd_build(cli, service);
-  } else if (cmd == "warm") {
-    rc = cmd_warm(cli, service);
-  } else if (cmd == "query") {
-    rc = cmd_query(cli, service);
-  } else if (cmd == "batch") {
-    rc = cmd_batch(cli, service);
-  } else if (cmd == "async") {
-    rc = cmd_async(cli, service);
-  } else if (cmd == "bench") {
-    rc = cmd_bench(cli, service, *machine);
-  } else if (cmd == "serve") {
-    rc = cmd_serve(cli, service, *machine);
-  } else if (cmd == "simulate") {
-    rc = cmd_simulate(cli, service);
-  } else if (cmd == "profile") {
-    rc = cmd_profile(cli, service);
-  } else {
-    std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
-  }
-
+  const int rc = command(cli, service, *machine);
   if (atlas_store != nullptr && rc == 0) {
     const std::size_t written = service.checkpoint(*atlas_store);
     std::printf("checkpointed %zu slices to %s\n", written, atlas_dir.c_str());

@@ -19,11 +19,6 @@
 #                      lock-free snapshot path, the drift-refresh swap and
 #                      the HTTP event loop / completion-hub handoff
 #                      race-clean
-#   BENCH              0 to skip the BENCH_kernels.json / BENCH_pmu.json /
-#                      BENCH_serving.json emission that otherwise follows a
-#                      clean non-sanitized test run (the kernel GFLOP/s,
-#                      roofline and serving-throughput trajectories the
-#                      BENCH_* files track)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,29 +56,3 @@ cmake -B "$BUILD_DIR" -S . "${GENERATOR[@]}" \
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
   ${TEST_FILTER[@]+"${TEST_FILTER[@]}"}
-
-# Seed/extend the perf trajectories: a quick bm_kernels sweep into
-# BENCH_kernels.json and a short bm_net_throughput run into
-# BENCH_serving.json (skipped under sanitizers — those builds aren't
-# representative — or with BENCH=0).
-if [[ "$SANITIZE" == "0" && "${BENCH:-1}" != "0" \
-      && -x "$BUILD_DIR/bm_kernels" ]]; then
-  "$BUILD_DIR/bm_kernels" --seconds=0.1 --json BENCH_kernels.json
-  # The arithmetic-intensity sweep with PMU attribution (counters live
-  # where perf_event access allows, wall-clock-only otherwise) — the
-  # roofline trajectory BENCH_pmu.json tracks.
-  "$BUILD_DIR/bm_kernels" --roofline --seconds=0.05 --json BENCH_pmu.json
-fi
-if [[ "$SANITIZE" == "0" && "${BENCH:-1}" != "0" \
-      && -x "$BUILD_DIR/bm_net_throughput" ]]; then
-  # --loop-sweep=4 appends the reactor scaling rows (1, 2, 4 loops with
-  # per-loop request shares) to the serving trajectory.
-  "$BUILD_DIR/bm_net_throughput" --requests=4000 --connections=2 \
-    --loop-sweep=4 --json BENCH_serving.json
-  # Tracing overhead trajectory: qps with tracing off / sampled (1-in-64) /
-  # full, interleaved rounds with the min-round overhead statistic.
-  # Report-only here; CI gates the sampled overhead with
-  # --max-sampled-overhead on longer windows.
-  "$BUILD_DIR/bm_net_throughput" --requests=20000 --connections=2 \
-    --trace-sweep --rounds=3 --json BENCH_obs.json
-fi

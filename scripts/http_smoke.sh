@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the HTTP serving front-end: start `serve_cli serve`,
 # drive query/batch/healthz/metrics over loopback with curl, then check a
-# graceful SIGTERM drain (exit 0).
+# graceful SIGTERM drain (exit 0). First, an unknown subcommand must fail
+# without creating its --atlas-dir.
 #
 #   scripts/http_smoke.sh [build-dir]     (default: build)
 #
@@ -22,10 +23,19 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+# Warming from a store creates the directory and may quarantine files in
+# it, so a mistyped subcommand must be rejected before that.
+RC=0
+"$BIN" nosuch --atlas-dir="$TMP/x" 2>/dev/null || RC=$?
+[[ "$RC" -ne 0 && ! -e "$TMP/x" ]]
+
 # --hi=400 keeps on-demand atlas scans quick on the simulated machine.
 "$BIN" serve --port="$PORT" --hi=400 --loops="$LOOPS" &
 SRV=$!
-trap 'kill -9 "$SRV" 2>/dev/null || true' EXIT
+trap 'kill -9 "$SRV" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 for _ in $(seq 100); do
   curl -sf "$BASE/healthz" >/dev/null 2>&1 && break
@@ -64,16 +74,14 @@ done
 
 # Exposition lint: HELP/TYPE before every family, no duplicate series, and
 # counters monotonic between two scrapes separated by more traffic.
-SCRAPE_DIR="$(mktemp -d)"
-trap 'kill -9 "$SRV" 2>/dev/null || true; rm -rf "$SCRAPE_DIR"' EXIT
-echo "$METRICS" > "$SCRAPE_DIR/scrape1.txt"
+echo "$METRICS" > "$TMP/scrape1.txt"
 curl -sf -X POST --data-binary 'aatb,220,260,549' "$BASE/v1/query" >/dev/null
-curl -sf "$BASE/metrics" > "$SCRAPE_DIR/scrape2.txt"
-scripts/metrics_lint.sh "$SCRAPE_DIR/scrape1.txt" "$SCRAPE_DIR/scrape2.txt"
+curl -sf "$BASE/metrics" > "$TMP/scrape2.txt"
+scripts/metrics_lint.sh "$TMP/scrape1.txt" "$TMP/scrape2.txt"
 
 # Graceful drain: SIGTERM must produce a clean exit 0 from run().
 kill -TERM "$SRV"
 wait "$SRV"
 trap - EXIT
-rm -rf "$SCRAPE_DIR"
+rm -rf "$TMP"
 echo "http smoke OK"

@@ -5,7 +5,7 @@
 // one-per-shard, so the per-shard capacities sum to exactly the requested
 // global bound. The hit path performs no allocations — keys are hashed and
 // compared in place, which is what keeps a warm service query at nanoseconds
-// (bench/bm_service_throughput.cpp).
+// (serve.cache_hit_ns in `lambbench/run.py --workload warm-serve --trace 1`).
 #pragma once
 
 #include <cstdint>
