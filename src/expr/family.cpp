@@ -22,6 +22,8 @@ std::vector<std::string> ExpressionFamily::dimension_names() const {
 void ExpressionFamily::check_instance(const Instance& dims) const {
   LAMB_CHECK(static_cast<int>(dims.size()) == dimension_count(),
              "instance arity mismatch for family " + name());
+  LAMB_CHECK(dims.size() <= static_cast<std::size_t>(kMaxArity),
+             support::strf("instances have at most %d dimensions", kMaxArity));
   for (int d : dims) {
     LAMB_CHECK(d >= 1, "instance dimensions must be positive");
     LAMB_CHECK(d <= kMaxDimension,
@@ -39,6 +41,10 @@ DslFamily::DslFamily(std::string name, ExprPtr expression,
   LAMB_CHECK(!name_.empty(), "family needs a name");
   LAMB_CHECK(flat_.factors.size() >= 2,
              "family expression must be a product of at least two factors");
+  LAMB_CHECK(dimension_count_ <= kMaxArity,
+             support::strf("family '%s' has %d dimensions; at most %d are "
+                           "supported",
+                           name_.c_str(), dimension_count_, kMaxArity));
   // Distinct sizes make two dimensions equal only where their indices are:
   // factors that conform here conform at every instance.
   Instance distinct(static_cast<std::size_t>(dimension_count_));

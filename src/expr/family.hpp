@@ -26,6 +26,11 @@ namespace lamb::expr {
 /// FLOP total stays below 2^61 and fits a long long.
 inline constexpr int kMaxDimension = 1 << 19;
 
+/// Most free dimensions a family may have; chain8, the longest built-in,
+/// has 9. The serving layer holds an instance inline in its cache and slice
+/// keys, sized by this bound.
+inline constexpr int kMaxArity = 9;
+
 class ExpressionFamily {
  public:
   virtual ~ExpressionFamily() = default;
@@ -47,7 +52,7 @@ class ExpressionFamily {
                                                  support::Rng& rng) const = 0;
 
   /// Throws support::CheckError unless `dims` has dimension_count() sizes,
-  /// each in [1, kMaxDimension].
+  /// at most kMaxArity, each in [1, kMaxDimension].
   void check_instance(const Instance& dims) const;
 };
 
@@ -58,8 +63,9 @@ class ExpressionFamily {
 /// instance's sizes bound in (model::Algorithm::rebind). The enumerator never
 /// branches on a size, so the bound set equals a fresh enumeration at that
 /// instance. Factors that conform only when two dimensions coincide, such as
-/// A(d0 x d1) * B(d2 x d0), are rejected at construction. The externals
-/// follow the expression's operand table.
+/// A(d0 x d1) * B(d2 x d0), are rejected at construction, as are
+/// expressions with more than kMaxArity dimensions. The externals follow the
+/// expression's operand table.
 class DslFamily : public ExpressionFamily {
  public:
   DslFamily(std::string name, ExprPtr expression,
@@ -91,6 +97,7 @@ class ChainFamily final : public DslFamily {
   /// Longest chain a family is built for. chain8 compiles 7! = 5,040
   /// schedules at construction; every further factor multiplies that.
   static constexpr int kMaxLength = 8;
+  static_assert(kMaxLength + 1 <= kMaxArity);  // chainN has N + 1 dims
 
   /// Throws support::CheckError unless 2 <= length <= kMaxLength.
   explicit ChainFamily(int length = 4);

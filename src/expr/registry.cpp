@@ -9,6 +9,9 @@ namespace lamb::expr {
 void FamilyRegistry::add(const std::string& name,
                          const std::string& description, Factory factory) {
   LAMB_CHECK(!name.empty(), "family name must not be empty");
+  LAMB_CHECK(name.size() <= kMaxFamilyName,
+             support::strf("family name '%s' is longer than %zu bytes",
+                           name.c_str(), kMaxFamilyName));
   LAMB_CHECK(factory != nullptr, "family factory must not be null");
   LAMB_CHECK(find(name) == nullptr,
              "family '" + name + "' is already registered");
@@ -58,7 +61,8 @@ std::unique_ptr<ExpressionFamily> FamilyRegistry::make(
                "factory for family '" + name + "' returned null");
     return family;
   }
-  const int chain_length = parse_chain_length(name);
+  const int chain_length =
+      name.size() <= kMaxFamilyName ? parse_chain_length(name) : -1;
   if (chain_length >= 2) {
     return std::make_unique<ChainFamily>(chain_length);
   }

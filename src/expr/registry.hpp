@@ -23,20 +23,25 @@
 
 namespace lamb::expr {
 
+/// Longest family name a registry accepts, in bytes. The serving layer holds
+/// the name inline in its cache and slice keys.
+inline constexpr std::size_t kMaxFamilyName = 23;
+
 class FamilyRegistry {
  public:
   using Factory = std::function<std::unique_ptr<ExpressionFamily>()>;
 
-  /// Register a named factory; duplicate names are rejected.
+  /// Register a named factory; duplicate names, and names longer than
+  /// kMaxFamilyName, are rejected.
   void add(const std::string& name, const std::string& description,
            Factory factory);
 
   bool contains(const std::string& name) const;
 
-  /// Instantiate a registered family. Unregistered "chainN" names are
-  /// resolved to ChainFamily(N), which throws support::CheckError for
-  /// N > ChainFamily::kMaxLength; any other unknown name throws
-  /// support::CheckError listing the registered names.
+  /// Instantiate a registered family. Unregistered "chainN" names of at most
+  /// kMaxFamilyName bytes are resolved to ChainFamily(N), which throws
+  /// support::CheckError for N > ChainFamily::kMaxLength; any other unknown
+  /// name throws support::CheckError listing the registered names.
   std::unique_ptr<ExpressionFamily> make(const std::string& name) const;
 
   /// Registered names in registration order.

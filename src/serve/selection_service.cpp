@@ -78,25 +78,41 @@ std::uint64_t steady_now_ns() {
 
 }  // namespace
 
-std::size_t SelectionService::SliceIdHash::operator()(const SliceId& id) const {
-  std::uint64_t h = support::fnv1a64(id.family);
-  h = support::fnv1a64(&id.dim, sizeof(id.dim), h);
-  h = support::fnv1a64(id.base.data(), id.base.size() * sizeof(int), h);
+std::size_t SelectionService::KeyHash::operator()(const Key& key) const {
+  std::uint64_t h = support::fnv1a64(key.family_name());
+  h = support::fnv1a64(key.dims.data(), key.arity * sizeof(int), h);
+  const int tail[2] = {key.dim, key.exact ? 1 : 0};
+  h = support::fnv1a64(tail, sizeof(tail), h);
   return static_cast<std::size_t>(h);
+}
+
+bool SelectionService::make_key(std::string_view family,
+                                std::span<const int> dims, int dim,
+                                bool exact, std::uint32_t generation,
+                                Key& out) {
+  if (family.size() > expr::kMaxFamilyName ||
+      dims.size() > static_cast<std::size_t>(expr::kMaxArity)) {
+    return false;
+  }
+  out = Key{};
+  std::copy(family.begin(), family.end(), out.family.begin());
+  out.family_size = static_cast<std::uint8_t>(family.size());
+  out.arity = static_cast<std::uint8_t>(dims.size());
+  out.exact = exact;
+  out.dim = dim;
+  out.generation = generation;
+  std::copy(dims.begin(), dims.end(), out.dims.begin());
+  return true;
 }
 
 SelectionService::SliceId SelectionService::slice_id(const Query& q) {
-  SliceId id{q.family, q.dim, q.dims};
-  id.base[static_cast<std::size_t>(q.dim)] = 0;
+  // Validation has bounded the name (FamilyRegistry::add) and the arity
+  // (expr::kMaxArity), and put dim in range.
+  SliceId id;
+  LAMB_CHECK(make_key(q.family, q.dims, q.dim, false, 0, id),
+             "slice of an unvalidated query");
+  id.dims[static_cast<std::size_t>(q.dim)] = 0;
   return id;
-}
-
-std::size_t QueryHash::operator()(const Query& q) const {
-  std::uint64_t h = support::fnv1a64(q.family);
-  h = support::fnv1a64(q.dims.data(), q.dims.size() * sizeof(int), h);
-  const int tail[2] = {q.dim, q.exact ? 1 : 0};
-  h = support::fnv1a64(tail, sizeof(tail), h);
-  return static_cast<std::size_t>(h);
 }
 
 std::string_view to_string(Source source) {
@@ -205,15 +221,16 @@ SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
   if (support::fault_fire(support::FaultSite::kAllocBuild)) {
     throw std::bad_alloc();
   }
+  const std::string name(id.family_name());
   if (support::fault_fire(support::FaultSite::kBuildSlice)) {
-    throw std::runtime_error("fault injected: build.slice for " + id.family);
+    throw std::runtime_error("fault injected: build.slice for " + name);
   }
   // The canonicalised base carries a 0 at the scanned coordinate, which
   // the scan overrides at every sample.
-  const expr::ExpressionFamily& family = resolve_family(id.family);
+  const expr::ExpressionFamily& family = resolve_family(name);
   const auto timing_lock = timing_guard();
   const AtlasPtr built = std::make_shared<const anomaly::RegionAtlas>(
-      family, machine_, id.base, id.dim, config_.atlas);
+      family, machine_, id.instance(), id.dim, config_.atlas);
   atlas_samples_.fetch_add(built->samples_used());
   atlases_built_.fetch_add(1);
   return built;
@@ -352,16 +369,18 @@ void SelectionService::breaker_failure(const SliceId& id) {
   // Deterministic jitter in [1, 1.5): same slice + same open ordinal =>
   // same schedule in every run, but distinct slices never thunder together.
   const std::uint64_t h = support::mix64(
-      SliceIdHash{}(id) ^ static_cast<std::uint64_t>(b.open_count));
+      KeyHash{}(id) ^ static_cast<std::uint64_t>(b.open_count));
   backoff *= 1.0 + 0.5 * (static_cast<double>(h >> 11) * 0x1.0p-53);
   b.open_until_ns = steady_now_ns() +
                     static_cast<std::uint64_t>(backoff * 1e9);
   b.open_count += 1;
   breaker_opens_.fetch_add(1);
+  const std::string_view name = id.family_name();
   std::fprintf(stderr,
-               "breaker: slice %s:dim%d open (%d consecutive failures, "
+               "breaker: slice %.*s:dim%d open (%d consecutive failures, "
                "retry in %.3fs)\n",
-               id.family.c_str(), id.dim, b.consecutive_failures, backoff);
+               static_cast<int>(name.size()), name.data(), id.dim,
+               b.consecutive_failures, backoff);
 }
 
 void SelectionService::breaker_probe_release(const SliceId& id) {
@@ -380,10 +399,11 @@ std::vector<BreakerSnapshot> SelectionService::breaker_states() const {
   for (const auto& [id, b] : breakers_) {
     BreakerSnapshot snap;
     std::string base;
-    for (std::size_t d = 0; d < id.base.size(); ++d) {
-      base += support::strf("%s%d", d == 0 ? "" : ".", id.base[d]);
+    for (std::size_t d = 0; d < id.arity; ++d) {
+      base += support::strf("%s%d", d == 0 ? "" : ".", id.dims[d]);
     }
-    snap.slice = support::strf("%s:d%d:%s", id.family.c_str(), id.dim,
+    snap.slice = support::strf("%s:d%d:%s",
+                               std::string(id.family_name()).c_str(), id.dim,
                                base.c_str());
     snap.state = b.open_until_ns == 0 ? 0.0
                  : now < b.open_until_ns ? 1.0
@@ -442,6 +462,7 @@ Recommendation SelectionService::fallback_answer(const Query& q) {
 }
 
 Recommendation SelectionService::answer(const Query& q,
+                                        std::uint32_t generation,
                                         std::optional<AtlasPtr> atlas) {
   Recommendation rec;
   if (q.exact) {
@@ -460,7 +481,9 @@ Recommendation SelectionService::answer(const Query& q,
         (*atlas)->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
     atlas_answers_.fetch_add(1);
   }
-  cache_.put(q, rec);
+  if (Key key; query_key(q, generation, key)) {
+    cache_.put(key, rec);
+  }
   return rec;
 }
 
@@ -470,14 +493,19 @@ Recommendation SelectionService::query(const Query& q) {
     return rec;
   }
   family_for(q);  // validate family, arity and dimension before working
-  return answer(q);
+  return answer(q, generation());
 }
 
 bool SelectionService::try_cached(const Query& q, Recommendation& out) {
-  // The Recommendation is a POD and ShardedLruCache::get allocates nothing,
-  // so the whole probe is allocation-free.
+  // The key and the Recommendation are trivially copyable and
+  // ShardedLruCache::get allocates nothing, so the whole probe is
+  // allocation-free.
   const obs::SpanScope lru_span(obs::Stage::kLru);
-  if (auto hit = cache_.get(q)) {
+  Key key;
+  if (!query_key(q, generation(), key)) {
+    return false;  // cannot be cached; validation rejects it
+  }
+  if (auto hit = cache_.get(key)) {
     hit->source = Source::kCache;
     cache_answers_.fetch_add(1);
     out = *hit;
@@ -616,12 +644,15 @@ std::future<Recommendation> SelectionService::query_async(Query q) {
     ready.set_value(cached);
     return ready.get_future();
   }
-  // Exact queries queue under their own instance (dim -1 marks the bucket
-  // as exact-shaped).
-  SliceId id = q.exact ? SliceId{q.family, -1, q.dims} : slice_id(q);
-  if (!q.exact) {
+  // Exact queries queue under their own instance.
+  SliceId id;
+  if (q.exact) {
+    LAMB_CHECK(query_key(q, 0, id), "bucket of an unvalidated query");
+  } else {
+    id = slice_id(q);
+    const std::uint32_t generation = this->generation();
     if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
-      ready.set_value(answer(q, std::move(atlas)));
+      ready.set_value(answer(q, generation, std::move(atlas)));
       return ready.get_future();
     }
   }
@@ -645,7 +676,7 @@ std::future<Recommendation> SelectionService::query_async(Query q) {
     }
     const auto [it, inserted] = async_pending_.try_emplace(id);
     if (inserted) {
-      async_order_.push_back(std::move(id));
+      async_order_.push_back(id);
     }
     it->second.push_back(AsyncWaiter{std::move(q), {}, obs::current_context()});
     fut = it->second.back().promise.get_future();
@@ -669,10 +700,12 @@ void SelectionService::async_worker_loop() {
     }
     std::vector<AsyncWaiter>& waiters = bucket.mapped();
     // One resolution per slice bucket: every waiter answers from this one
-    // obtain_atlas() result, a degraded (null) one included. Its spans
-    // attach to the first waiter's request (the one that caused it).
+    // obtain_atlas() result, a degraded (null) one included, and caches it
+    // under the generation read before the resolution. Its spans attach to
+    // the first waiter's request (the one that caused it).
+    const std::uint32_t generation = this->generation();
     AtlasPtr atlas;
-    if (bucket.key().dim >= 0) {
+    if (!bucket.key().exact) {
       try {
         const obs::ContextGuard guard(waiters.front().ctx);
         const obs::SpanScope atlas_span(obs::Stage::kAtlas);
@@ -690,7 +723,7 @@ void SelectionService::async_worker_loop() {
         const obs::ContextGuard guard(waiter.ctx);
         Recommendation rec;
         if (!try_cached(waiter.query, rec)) {
-          rec = answer(waiter.query, atlas);
+          rec = answer(waiter.query, generation, atlas);
         }
         waiter.promise.set_value(rec);
       } catch (...) {
@@ -731,10 +764,10 @@ std::size_t SelectionService::warm(std::span<const Query> batch) {
       continue;
     }
     family_for(q);
-    SliceId id = slice_id(q);
+    const SliceId id = slice_id(q);
     if (find_slice(*snap, id) == nullptr &&
         std::find(to_build.begin(), to_build.end(), id) == to_build.end()) {
-      to_build.push_back(std::move(id));
+      to_build.push_back(id);
     }
   }
   for_each_parallel(to_build.size(),
@@ -772,12 +805,17 @@ std::size_t SelectionService::warm_from_store(
       continue;  // built for another machine model or another scan geometry
     }
     // Store keys may carry any value at the scanned coordinate (canonical()
-    // zeroes it only when printing); normalise here.
-    SliceId id{key.family, key.dim, key.base};
-    id.base[static_cast<std::size_t>(key.dim)] = 0;
-    fresh.emplace_back(std::move(id),
-                       std::make_shared<const anomaly::RegionAtlas>(
-                           std::move(record->atlas)));
+    // zeroes it only when printing); normalise here (load_atlas has checked
+    // that dim indexes the base). A record no registered family could have
+    // written, its name or arity past the key bounds, is skipped like a
+    // foreign one.
+    SliceId id;
+    if (!make_key(key.family, key.base, key.dim, false, 0, id)) {
+      continue;
+    }
+    id.dims[static_cast<std::size_t>(key.dim)] = 0;
+    fresh.emplace_back(id, std::make_shared<const anomaly::RegionAtlas>(
+                               std::move(record->atlas)));
   }
   if (fresh.empty()) {
     return 0;
@@ -788,7 +826,7 @@ std::size_t SelectionService::warm_from_store(
   const std::lock_guard<std::mutex> lock(publish_mutex_);
   auto next = std::make_shared<Snapshot>(*snapshot());
   for (auto& [id, atlas] : fresh) {
-    if (next->try_emplace(std::move(id), std::move(atlas)).second) {
+    if (next->try_emplace(id, std::move(atlas)).second) {
       atlases_loaded_.fetch_add(1);
       ++adopted;
     }
@@ -803,9 +841,9 @@ std::size_t SelectionService::checkpoint(store::AtlasStore& atlas_store) const {
   const SnapshotPtr snap = snapshot();
   const std::string machine = machine_.name();
   for (const auto& [id, atlas] : *snap) {
-    atlas_store.save(
-        store::AtlasKey{id.family, machine, id.dim, id.base, config_.atlas},
-        *atlas);
+    atlas_store.save(store::AtlasKey{std::string(id.family_name()), machine,
+                                     id.dim, id.instance(), config_.atlas},
+                     *atlas);
   }
   return snap->size();
 }
@@ -849,10 +887,14 @@ std::size_t SelectionService::refresh_slices() {
     }
     set_snapshot(std::move(next));
   }
-  // Cached recommendations quote the stale generation; drop them after the
-  // swap so every later answer re-reads the refreshed slices. (This resets
-  // the LRU hit/miss pair; the monotonic per-source counters are
-  // unaffected.)
+  // Cached recommendations quote the stale generation. Advance the
+  // generation after the swap: an answer that read it afterwards also read
+  // the new snapshot, and one that read it before — and may still store its
+  // old-snapshot answer after the clear below — is keyed under the old
+  // generation, which no later lookup asks for. The clear frees their slots
+  // (and resets the LRU hit/miss pair; the monotonic per-source counters
+  // are unaffected).
+  generation_.fetch_add(1, std::memory_order_release);
   cache_.clear();
   slices_refreshed_.fetch_add(ids.size());
   refresh_rounds_.fetch_add(1);

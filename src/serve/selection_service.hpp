@@ -32,11 +32,20 @@
 // a torn or partially built one. Published atlases are never freed while the
 // service lives, so raw pointers returned by atlas_for() stay valid.
 //
+// Inside the service a query is keyed by value: the family name (at most
+// expr::kMaxFamilyName bytes) and the instance (at most expr::kMaxArity
+// sizes) are held inline, so the LRU and the slice maps hash and compare
+// keys without touching the heap, and a warm query() — LRU hit or atlas
+// answer, an eviction included — allocates nothing (serve_test audits
+// this). A query whose name or arity cannot form a key is an LRU miss, and
+// validation then rejects it.
+//
 // Answers are bit-identical to what the underlying RegionAtlas / classifier
 // would produce directly, from every entry point (tests/serve_test.cpp
 // answers one simulated stream through each and pins this).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -49,6 +58,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -69,12 +79,6 @@ struct Query {
   bool exact = false;    ///< bypass the atlas: classify this very instance
 
   friend bool operator==(const Query&, const Query&) = default;
-};
-
-/// FNV-1a over the query's identity, allocation-free (queries are the
-/// recommendation cache's keys; the hit path must not allocate).
-struct QueryHash {
-  std::size_t operator()(const Query& q) const;
 };
 
 enum class Source : std::uint8_t {
@@ -186,9 +190,10 @@ class SelectionService {
   const ServiceConfig& config() const { return config_; }
 
   /// Answer one query. Safe for concurrent callers: the cache is sharded,
-  /// the slice map is read via an atomic snapshot load, atlas builds are
-  /// deduplicated per slice, and machines whose timing is not thread-safe
-  /// are serialised behind one timing mutex.
+  /// the slice map is read through one snapshot pointer copy under a mutex
+  /// held for nothing else, atlas builds are deduplicated per slice, and
+  /// machines whose timing is not thread-safe are serialised behind one
+  /// timing mutex.
   Recommendation query(const Query& q);
 
   /// Answer a batch, results in input order. Queries are grouped by atlas
@@ -209,9 +214,10 @@ class SelectionService {
 
   /// Allocation-free LRU probe: when the query is already cached, fill
   /// `out` (counted as a cache answer, exactly as query() would) and return
-  /// true; otherwise leave `out` untouched and return false, with no
-  /// side effects — the caller falls back to query()/query_async(). The
-  /// serving warm path uses this so an LRU hit never allocates.
+  /// true; otherwise leave `out` untouched and return false — the caller
+  /// falls back to query()/query_async(). Takes only the LRU shard's mutex,
+  /// so the HTTP reactors call it concurrently; the serving warm path uses
+  /// it so an LRU hit never allocates.
   bool try_cached(const Query& q, Recommendation& out);
 
   /// Answer one query without blocking on atlas scans. Cache hits and
@@ -242,16 +248,20 @@ class SelectionService {
   /// and swap the rebuilt set in with one copy-on-write publication — the
   /// drift monitor's answer to a machine whose timings have moved (see
   /// serve/drift.hpp). The stale slices are marked internally, rebuilt, and
-  /// only then replaced in a single atomic snapshot store, so no published
+  /// only then replaced in a single snapshot swap, so no published
   /// snapshot ever contains a stale-marked, unrefreshed slice: readers see
   /// either the complete old generation or the complete new one. Replaced
   /// atlases are retired, not freed — raw pointers from atlas_for() stay
-  /// valid for the service's lifetime. The recommendation LRU is cleared
-  /// after the swap (its entries quote the stale generation); slices
-  /// published concurrently by on-demand builds are already fresh and are
-  /// kept untouched. Rebuilds run on the ThreadPool when the machine's
-  /// timing is thread-safe; a build failure propagates and leaves the old
-  /// generation fully in place. Returns the number of slices rebuilt.
+  /// valid for the service's lifetime. After the swap the recommendation
+  /// LRU moves to a new generation and is cleared: every entry is stamped
+  /// with the generation read before its answer looked up the slice (or
+  /// began classifying), and a lookup reads only its own generation, so an
+  /// answer computed from the old snapshot and stored after the clear is
+  /// never served. Slices published concurrently by on-demand builds are
+  /// already fresh and are kept untouched. Rebuilds run on the ThreadPool
+  /// when the machine's timing is thread-safe; a build failure propagates
+  /// and leaves the old generation fully in place. Returns the number of
+  /// slices rebuilt.
   std::size_t refresh_slices();
 
   /// The built slice for a query's (family, dim, base), if any. The pointer
@@ -272,26 +282,52 @@ class SelectionService {
  private:
   using AtlasPtr = std::shared_ptr<const anomaly::RegionAtlas>;
 
-  /// The slice identity inside the service: machine and scan config are
-  /// fixed per service, so (family, dim, base line) is enough — and hashing
-  /// it is a handful of FNV steps, where the store's canonical() string
-  /// costs a dozen snprintf calls. checkpoint() derives the store::AtlasKey
-  /// at the store boundary. An exact query's async bucket reuses this shape
-  /// with dim = -1 and the full instance as base.
-  struct SliceId {
-    std::string family;
+  /// A query's identity by value. Trivially copyable, so the LRU and the
+  /// slice maps hold it without a heap allocation. It takes two shapes:
+  ///  - the LRU key (query_key): the whole query, stamped with the LRU
+  ///    generation its answer was computed under;
+  ///  - the slice id (slice_id): machine and scan config are fixed per
+  ///    service, so (family, dim, base line) is enough, with the scanned
+  ///    coordinate zeroed, exact false and generation 0. checkpoint()
+  ///    derives the store::AtlasKey at the store boundary. An exact query's
+  ///    async bucket is its query_key at generation 0.
+  struct Key {
+    std::array<char, expr::kMaxFamilyName> family{};  ///< zero-padded
+    std::uint8_t family_size = 0;
+    std::uint8_t arity = 0;
+    bool exact = false;
     int dim = 0;
-    expr::Instance base;  ///< coordinate at `dim` zeroed
+    std::uint32_t generation = 0;
+    std::array<int, expr::kMaxArity> dims{};  ///< zero past `arity`
 
-    friend bool operator==(const SliceId&, const SliceId&) = default;
+    std::string_view family_name() const {
+      return {family.data(), family_size};
+    }
+    expr::Instance instance() const {
+      return expr::Instance(dims.begin(), dims.begin() + arity);
+    }
+    friend bool operator==(const Key&, const Key&) = default;
   };
-  struct SliceIdHash {
-    std::size_t operator()(const SliceId& id) const;
+  static_assert(std::is_trivially_copyable_v<Key>);
+  /// FNV-1a over the name, the instance, dim and exact. The generation is
+  /// left out: keys that differ only in it are rare (an answer that straddled
+  /// a refresh) and share a probe run.
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const;
   };
-  static SliceId slice_id(const Query& q);
+  /// Fills `out`; false when the name or the arity exceeds the inline bounds.
+  static bool make_key(std::string_view family, std::span<const int> dims,
+                       int dim, bool exact, std::uint32_t generation, Key& out);
+  static bool query_key(const Query& q, std::uint32_t generation, Key& out) {
+    return make_key(q.family, q.dims, q.dim, q.exact, generation, out);
+  }
+  /// The slice of a validated, non-exact query.
+  static Key slice_id(const Query& q);
+  /// An alias that says which shape a Key holds.
+  using SliceId = Key;
 
   /// Immutable once published; replaced whole via copy-on-write.
-  using Snapshot = std::unordered_map<SliceId, AtlasPtr, SliceIdHash>;
+  using Snapshot = std::unordered_map<SliceId, AtlasPtr, KeyHash>;
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
   struct AsyncWaiter {
@@ -324,16 +360,21 @@ class SelectionService {
   AtlasPtr build_slice(const SliceId& id);
   /// Holds timing_mutex_ when the machine's timing is not thread-safe.
   std::unique_lock<std::mutex> timing_guard();
-  /// Copy-on-write insert + atomic swap; first publication of a slice wins.
+  /// Copy-on-write insert + snapshot swap; first publication of a slice wins.
   AtlasPtr publish(const SliceId& id, AtlasPtr atlas);
 
   /// The answer core. An exact query is classified directly. Any other is
   /// answered from its slice with RegionAtlas::lookup: `atlas` when the
   /// caller has already resolved the slice, else what obtain_atlas()
   /// returns; a null atlas (degraded build) means fallback_answer(). Every
-  /// answer but a fallback goes into the LRU.
-  Recommendation answer(const Query& q,
+  /// answer but a fallback goes into the LRU under `generation`, which the
+  /// caller read before it resolved the slice.
+  Recommendation answer(const Query& q, std::uint32_t generation,
                         std::optional<AtlasPtr> atlas = std::nullopt);
+  /// The LRU generation; refresh_slices() advances it after its swap.
+  std::uint32_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
   Recommendation classify_exact(const Query& q);
 
   /// The degraded answer: the analytical flop-minimal algorithm, no timing
@@ -385,7 +426,7 @@ class SelectionService {
   /// Deduplicates concurrent builds of the same slice: the first caller
   /// registers a future, everyone else waits on it.
   std::mutex builds_mutex_;
-  std::unordered_map<SliceId, std::shared_future<AtlasPtr>, SliceIdHash>
+  std::unordered_map<SliceId, std::shared_future<AtlasPtr>, KeyHash>
       in_flight_;
 
   /// Per-slice circuit breakers (degrade_on_failure only). An entry exists
@@ -397,13 +438,13 @@ class SelectionService {
     bool probing = false;           ///< half-open probe build in flight
   };
   mutable std::mutex breakers_mutex_;
-  std::unordered_map<SliceId, Breaker, SliceIdHash> breakers_;
+  std::unordered_map<SliceId, Breaker, KeyHash> breakers_;
 
   /// Background build queue for query_async (worker started lazily).
   mutable std::mutex async_mutex_;
   std::condition_variable async_cv_;
   std::deque<SliceId> async_order_;  // FIFO of bucket ids
-  std::unordered_map<SliceId, std::vector<AsyncWaiter>, SliceIdHash>
+  std::unordered_map<SliceId, std::vector<AsyncWaiter>, KeyHash>
       async_pending_;
   std::thread async_worker_;
   bool async_stop_ = false;
@@ -412,7 +453,8 @@ class SelectionService {
   std::mutex timing_mutex_;
   const bool concurrent_timing_;
 
-  ShardedLruCache<Query, Recommendation, QueryHash> cache_;
+  ShardedLruCache<Key, Recommendation, KeyHash> cache_;
+  std::atomic<std::uint32_t> generation_{0};
   std::atomic<std::uint64_t> atlases_built_{0};
   std::atomic<std::uint64_t> atlases_loaded_{0};
   std::atomic<std::uint64_t> atlases_skipped_{0};

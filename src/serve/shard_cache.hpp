@@ -1,11 +1,16 @@
 // Sharded LRU cache: N independent support::LruCache shards, each behind its
-// own mutex, shard chosen by the key's hash. Concurrent callers on different
-// shards never contend; capacity is split across shards (shard count is
-// clamped down to the capacity when needed) with the remainder distributed
-// one-per-shard, so the per-shard capacities sum to exactly the requested
-// global bound. The hit path performs no allocations — keys are hashed and
-// compared in place, which is what keeps a warm service query at nanoseconds
-// (serve.cache_hit_ns in `lambbench/run.py --workload warm-serve --trace 1`).
+// own mutex, shard chosen by `Hash{}(key) % N`. Concurrent callers on
+// different shards never contend. Capacity is split across shards (the
+// shard count is clamped down to the capacity when needed), with the
+// remainder spread one per shard, so the per-shard capacities sum to exactly
+// the requested bound.
+//
+// Each call hashes its key once and hands the hash to the shard, whose flat
+// slot array and open-addressing index mix it again before use. A get or a
+// put on a full shard allocates nothing beyond copying the key and value, so
+// with trivially copyable ones (serve::SelectionService's value keys) a warm
+// service query stays off the heap. `lambbench/run.py --workload warm-serve
+// --trace 1` times it as serve.cache_hit_ns and serve.atlas_answer_ns.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +45,17 @@ class ShardedLruCache {
   }
 
   std::optional<Value> get(const Key& key) {
-    Shard& shard = shard_for(key);
+    const std::size_t hash = Hash{}(key);
+    Shard& shard = shard_for(hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.cache.get(key);
+    return shard.cache.get(key, hash);
   }
 
   void put(const Key& key, Value value) {
-    Shard& shard = shard_for(key);
+    const std::size_t hash = Hash{}(key);
+    Shard& shard = shard_for(hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.cache.put(key, std::move(value));
+    shard.cache.put(key, hash, std::move(value));
   }
 
   std::size_t size() const {
@@ -91,8 +98,8 @@ class ShardedLruCache {
     support::LruCache<Key, Value, Hash> cache;
   };
 
-  Shard& shard_for(const Key& key) {
-    return *shards_[Hash{}(key) % shards_.size()];
+  Shard& shard_for(std::size_t hash) {
+    return *shards_[hash % shards_.size()];
   }
 
   std::uint64_t sum(std::uint64_t (Shard::*counter)() const) const {

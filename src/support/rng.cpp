@@ -19,12 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
   return mix64(seed ^ (mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
                        (seed >> 2)));

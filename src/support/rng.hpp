@@ -16,7 +16,12 @@ namespace lamb::support {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Stateless 64-bit mix of a single value (Stafford's mix13 finalizer).
-std::uint64_t mix64(std::uint64_t x);
+/// Inline: the LRU index mixes every key's hash with it.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Combine two 64-bit hashes order-dependently.
 std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);

@@ -2,7 +2,9 @@
 // the injectable measure hook, rebuild every stale slice exactly once
 // through the copy-on-write refresh path (in-flight readers keep valid
 // pointers and never see a stale-marked, unrefreshed slice), advance the
-// drift/refresh counters, and persist/reload its baseline.
+// drift/refresh counters, and persist/reload its baseline. A query that
+// starts after a refresh returned never answers from the replaced
+// generation.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +21,7 @@
 #include "scripted.hpp"
 #include "store/profile_io.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -220,6 +223,96 @@ TEST(DriftMonitor, ConcurrentReadersAcrossRefreshSeeCompleteGenerations) {
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(service.stats().refresh_rounds, 5u);
   EXPECT_TRUE(service.query(probe) == new_gen);
+}
+
+TEST(DriftMonitor, QueriesRacingRefreshesNeverServeAReplacedGeneration) {
+  // Readers answer random points of one line, through an LRU that holds
+  // about half of them, while refresh rounds move the machine's anomaly
+  // window through three positions along the line. A query that starts
+  // after round r returned must answer from generation r, or from r + 1 if
+  // that round swapped meanwhile. An answer read from the replaced snapshot
+  // and stored after the round's LRU clear would still be served as a cache
+  // hit; inside a window, a point's answer differs from its answers at the
+  // other two positions, so such a hit shows.
+  const int windows[3][2] = {{20, 400}, {420, 800}, {820, 1200}};
+  const auto move_to = [&](lamb::testing::ScriptedMachine& m, int round) {
+    m.window_lo = windows[round % 3][0];
+    m.window_hi = windows[round % 3][1];
+  };
+  std::vector<Query> line;
+  for (int c = 25; c <= 1195; c += 10) {
+    line.push_back(Query{"scripted", {c}, 0, false});
+  }
+  // Each position's answers, from services built on the moved machine.
+  std::vector<Recommendation> want[3];
+  for (int g = 0; g < 3; ++g) {
+    lamb::testing::ScriptedMachine reference_machine;
+    move_to(reference_machine, g);
+    auto reference_registry = scripted_registry();
+    SelectionService reference(reference_machine, service_config(),
+                               &reference_registry);
+    for (const Query& q : line) {
+      want[g].push_back(reference.query(q));
+    }
+  }
+  // A stale answer from position g shows where it differs from both others.
+  for (int g = 0; g < 3; ++g) {
+    std::size_t telling = 0;
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      telling += !(want[g][i] == want[(g + 1) % 3][i]) &&
+                         !(want[g][i] == want[(g + 2) % 3][i])
+                     ? 1
+                     : 0;
+    }
+    ASSERT_GE(telling, line.size() / 4) << "position " << g;
+  }
+
+  lamb::testing::ScriptedMachine machine;
+  move_to(machine, 0);
+  auto registry = scripted_registry();
+  serve::ServiceConfig cfg = service_config();
+  cfg.cache_capacity = line.size() / 2;
+  cfg.cache_shards = 2;
+  SelectionService service(machine, cfg, &registry);
+  service.warm({line.front()});
+
+  std::atomic<int> completed{0};  // refresh rounds returned
+  std::atomic<bool> stop{false};
+  std::atomic<int> stale{0};
+  std::atomic<long> checked{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      support::Rng rng(static_cast<std::uint64_t>(r) + 1);
+      while (!stop.load()) {
+        const std::size_t i = rng.bounded(line.size());
+        const int start = completed.load();
+        const Recommendation rec = service.query(line[i]);
+        if (completed.load() != start) {
+          continue;  // a whole round ran meanwhile: any generation is fine
+        }
+        checked.fetch_add(1);
+        if (!(rec == want[start % 3][i]) &&
+            !(rec == want[(start + 1) % 3][i])) {
+          stale.fetch_add(1);
+        }
+      }
+    });
+  }
+  constexpr int kRounds = 300;
+  for (int round = 1; round <= kRounds; ++round) {
+    move_to(machine, round);
+    service.refresh_slices();
+    completed.store(round);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(stale.load(), 0) << "of " << checked.load() << " answers checked";
+  EXPECT_GT(checked.load(), kRounds);
+  EXPECT_EQ(service.stats().refresh_rounds,
+            static_cast<std::uint64_t>(kRounds));
 }
 
 TEST(DriftMonitor, RefreshWithNoSlicesIsANoOp) {

@@ -288,6 +288,23 @@ TEST(DslFamily, FactorsConformingOnlyAtSomeInstancesRejected) {
   EXPECT_THROW(expr::DslFamily("partial", a * b), support::CheckError);
 }
 
+TEST(DslFamily, ArityIsBoundedAtConstruction) {
+  // Serving keys hold an instance inline, expr::kMaxArity sizes at most: a
+  // chain of n factors has n + 1 dimensions.
+  const auto chain = [](int factors) {
+    const std::vector<std::string> names = chain::chain_operand_names(factors);
+    ExprPtr e = Expr::operand(names[0], 0, 1);
+    for (int i = 1; i < factors; ++i) {
+      e = e * Expr::operand(names[static_cast<std::size_t>(i)], i, i + 1);
+    }
+    return e;
+  };
+  EXPECT_THROW(expr::DslFamily("wide", chain(expr::kMaxArity)),
+               support::CheckError);
+  EXPECT_EQ(expr::DslFamily("narrow", chain(3)).dimension_count(), 4);
+  EXPECT_EQ(expr::make_family("chain8")->dimension_count(), expr::kMaxArity);
+}
+
 TEST(DslFamily, DimensionCountDerivedFromExpression) {
   const ExprPtr a = Expr::operand("A", 0, 1);
   const ExprPtr b = Expr::operand("B", 0, 2);

@@ -13,12 +13,12 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "model/simulated_machine.hpp"
 #include "net/client.hpp"
 #include "net/routes.hpp"
@@ -27,87 +27,6 @@
 #include "scripted.hpp"
 #include "serve/selection_service.hpp"
 #include "support/str.hpp"
-
-// ------------------------------------------------- allocation-count hook
-//
-// Counting replacements for the global allocation functions: every
-// operator new bumps a thread-local counter before delegating to malloc
-// (malloc-backed so ASan/TSan interception still sees every allocation).
-// The warm-request-path audit snapshots the counter ON THE EVENT-LOOP
-// THREAD via Server::run_on_loop before and after a burst of keep-alive
-// requests — the reactor's pooled tickets, grow-only buffers and inline
-// completion path promise that delta is zero.
-//
-// GCC can't see that these new/delete replacements are a matched
-// malloc/free pair and warns on every inlined container call; the pairing
-// is correct by construction.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-thread_local std::uint64_t t_alloc_count = 0;
-
-void* counted_alloc(std::size_t size, std::size_t align) noexcept {
-  ++t_alloc_count;
-  if (align <= alignof(std::max_align_t)) {
-    return std::malloc(size > 0 ? size : 1);
-  }
-  void* p = nullptr;
-  if (posix_memalign(&p, align, size > 0 ? size : align) != 0) {
-    return nullptr;
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = counted_alloc(size, 0)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size, 0);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return counted_alloc(size, 0);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  if (void* p = counted_alloc(size, static_cast<std::size_t>(align))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void* operator new(std::size_t size, std::align_val_t align,
-                   const std::nothrow_t&) noexcept {
-  return counted_alloc(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align,
-                     const std::nothrow_t&) noexcept {
-  return counted_alloc(size, static_cast<std::size_t>(align));
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -555,14 +474,20 @@ TEST(NetServe, NeverReadingPipelinedClientIsDisconnected) {
     }
     // Never read; wait until the server cuts us off (we are its only
     // connection, so the active gauge dropping to zero IS the drop). The
-    // deadline only bounds a regressed server that buffers forever — the
-    // receives below then succeed and fail the EXPECT_THROW.
+    // gauge first has to see the connection: until the server accepts it,
+    // it reads zero too. The deadline only bounds a regressed server that
+    // buffers forever — the receives below then succeed and fail the
+    // EXPECT_THROW.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (served.server().stats().connections_active > 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const auto wait_for_active = [&](bool connected) {
+      while ((served.server().stats().connections_active > 0) != connected &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    wait_for_active(true);
+    wait_for_active(false);
     for (int i = 0; i < 8; ++i) {
       client.receive();
     }
@@ -1066,13 +991,17 @@ TEST(NetServe, StopDuringColdBuildStillAnswers) {
   EXPECT_FALSE(served.server().running());
 }
 
-/// Reads the event-loop thread's allocation counter by running a probe on
-/// the loop itself (between events), so the number covers exactly what the
-/// loop allocated — handler, serialization, write path and all.
+/// Reads the event-loop thread's allocation counter (alloc_counter.hpp) by
+/// running a probe on the loop itself (between events), so the number
+/// covers exactly what the loop allocated — handler, serialization, write
+/// path and all. The reactor's pooled tickets, grow-only buffers and inline
+/// completion path promise that a warm request adds nothing to it.
 std::uint64_t loop_alloc_count(Server& server) {
   std::promise<std::uint64_t> probe;
   std::future<std::uint64_t> result = probe.get_future();
-  server.run_on_loop(0, [&probe] { probe.set_value(t_alloc_count); });
+  server.run_on_loop(0, [&probe] {
+    probe.set_value(lamb::testing::thread_alloc_count());
+  });
   return result.get();
 }
 

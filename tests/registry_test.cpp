@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "expr/registry.hpp"
 #include "la/norms.hpp"
@@ -65,6 +66,26 @@ TEST(FamilyRegistry, DuplicateRegistrationRejected) {
   EXPECT_THROW(
       local.add("f", "again", [] { return expr::make_family("aatb"); }),
       support::CheckError);
+}
+
+TEST(FamilyRegistry, NamesAreBoundedForInlineKeys) {
+  // The serving layer holds a family name inline, so no registry hands out
+  // a family under a longer name.
+  expr::FamilyRegistry local;
+  const auto factory = [] { return expr::make_family("aatb"); };
+  EXPECT_NO_THROW(
+      local.add(std::string(expr::kMaxFamilyName, 'f'), "fits", factory));
+  EXPECT_THROW(
+      local.add(std::string(expr::kMaxFamilyName + 1, 'f'), "long", factory),
+      support::CheckError);
+  // A zero-padded chainN name resolves only while it fits.
+  const auto padded = [](std::size_t zeros) {
+    return "chain" + std::string(zeros, '0') + "4";
+  };
+  const std::size_t fill = expr::kMaxFamilyName - 6;
+  ASSERT_EQ(padded(fill).size(), expr::kMaxFamilyName);
+  EXPECT_EQ(expr::make_family(padded(fill))->name(), "chain4");
+  EXPECT_THROW(expr::make_family(padded(fill + 1)), support::CheckError);
 }
 
 TEST(FamilyRegistry, DescriptionsAndListingAvailable) {

@@ -1,13 +1,16 @@
 // serve/: SelectionService answers must be bit-identical to what the
 // underlying RegionAtlas / classifier produce directly, from every source
 // (atlas, measured, cache) and every entry point, under concurrency, and
-// across a store checkpoint/warm cycle.
+// across a store checkpoint/warm cycle; an answer that straddles a refresh
+// is never served from the LRU afterwards; and a warm query() allocates
+// nothing.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -19,6 +22,7 @@
 #include <thread>
 #include <tuple>
 
+#include "alloc_counter.hpp"
 #include "anomaly/classifier.hpp"
 #include "model/simulated_machine.hpp"
 #include "obs/trace.hpp"
@@ -400,10 +404,17 @@ TEST(SelectionService, WarmFromStoreSkipsForeignRecords) {
   atlas_store.save(
       store::AtlasKey{"scripted", scripted.name(), 0, {300}, cfg.atlas},
       foreign);
+  // A record on this machine under a name no registry accepts, which no
+  // slice key can hold.
+  atlas_store.save(
+      store::AtlasKey{std::string(expr::kMaxFamilyName + 1, 's'),
+                      machine.name(), 0, {300}, cfg.atlas},
+      foreign);
 
   SelectionService service(machine, cfg);
   EXPECT_EQ(service.warm_from_store(atlas_store), 0u);
   EXPECT_EQ(service.atlas_count(), 0u);
+  EXPECT_EQ(service.stats().atlases_quarantined, 0u);
 }
 
 // ----------------------------------------------------------- concurrency
@@ -1024,7 +1035,12 @@ std::vector<Recommendation> answer_stream(
 
 TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
   model::SimulatedMachine machine;
-  const ServiceConfig cfg = scripted_config();
+  // The default LRU holds the whole stream; a 64-entry one evicts all along.
+  ServiceConfig evicting = scripted_config();
+  evicting.cache_capacity = 64;
+  evicting.cache_shards = 4;
+  const std::vector<std::pair<std::string, ServiceConfig>> configs = {
+      {"", scripted_config()}, {" (64-entry LRU)", evicting}};
   const std::vector<sim::Request> requests =
       sim::TraceGenerator(differential_trace(), 7).generate();
 
@@ -1032,7 +1048,7 @@ TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
   for (const sim::Request& req : requests) {
     queries.insert(queries.end(), req.queries.begin(), req.queries.end());
   }
-  DirectOracle oracle(machine, cfg.atlas);
+  DirectOracle oracle(machine, scripted_config().atlas);
   std::vector<Recommendation> want;
   std::size_t exact = 0;
   for (const Query& q : queries) {
@@ -1043,48 +1059,196 @@ TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
   ASSERT_GE(exact, 10u);
   ASSERT_TRUE(std::any_of(requests.begin(), requests.end(),
                           [](const sim::Request& r) { return r.batch; }));
+  const std::set<std::tuple<std::string, expr::Instance, int, bool>> distinct =
+      [&] {
+        std::set<std::tuple<std::string, expr::Instance, int, bool>> out;
+        for (const Query& q : queries) {
+          out.emplace(q.family, q.dims, q.dim, q.exact);
+        }
+        return out;
+      }();
+  ASSERT_GT(distinct.size(), 4 * evicting.cache_capacity);
 
-  for (const bool armed : {false, true}) {
-    // Armed but quiet: every fault site on the build path takes the armed
-    // branch, and none may fire or change an answer.
-    std::optional<support::FaultScope> fault;
-    if (armed) {
-      fault.emplace(
-          "build.slice=always:after=1000000000,"
-          "build.delay_ms=50:after=1000000000,"
-          "alloc.build=always:after=1000000000");
-    }
-    for (const EntryPoint entry :
-         {EntryPoint::kQuery, EntryPoint::kCachedThenAsync,
-          EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed}) {
-      const std::string label =
-          std::string(entry_point_name(entry)) + (armed ? " (armed)" : "");
-      SelectionService service(machine, cfg);
-      if (entry == EntryPoint::kWarmed) {
-        // Every slice is built up front, so no answer below builds one.
-        ASSERT_EQ(service.warm(queries), oracle.slices()) << label;
+  for (const auto& [config_label, cfg] : configs) {
+    for (const bool armed : {false, true}) {
+      // Armed but quiet: every fault site on the build path takes the armed
+      // branch, and none may fire or change an answer.
+      std::optional<support::FaultScope> fault;
+      if (armed) {
+        fault.emplace(
+            "build.slice=always:after=1000000000,"
+            "build.delay_ms=50:after=1000000000,"
+            "alloc.build=always:after=1000000000");
       }
-      const std::vector<Recommendation> got =
-          answer_stream(service, entry, requests);
-      ASSERT_EQ(got.size(), want.size()) << label;
-      std::size_t mismatches = 0;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        if (!(got[i] == want[i]) || got[i].source == Source::kFallback) {
-          if (++mismatches <= 5) {
-            ADD_FAILURE() << label << ": query " << i << " ("
-                          << queries[i].family << ", dim " << queries[i].dim
-                          << (queries[i].exact ? ", exact" : "")
-                          << ") answered algorithm " << got[i].algorithm
-                          << " from " << serve::to_string(got[i].source)
-                          << ", want " << want[i].algorithm;
+      for (const EntryPoint entry :
+           {EntryPoint::kQuery, EntryPoint::kCachedThenAsync,
+            EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed}) {
+        const std::string label = std::string(entry_point_name(entry)) +
+                                  (armed ? " (armed)" : "") + config_label;
+        SelectionService service(machine, cfg);
+        if (entry == EntryPoint::kWarmed) {
+          // Every slice is built up front, so no answer below builds one.
+          ASSERT_EQ(service.warm(queries), oracle.slices()) << label;
+        }
+        const std::vector<Recommendation> got =
+            answer_stream(service, entry, requests);
+        ASSERT_EQ(got.size(), want.size()) << label;
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          if (!(got[i] == want[i]) || got[i].source == Source::kFallback) {
+            if (++mismatches <= 5) {
+              ADD_FAILURE() << label << ": query " << i << " ("
+                            << queries[i].family << ", dim " << queries[i].dim
+                            << (queries[i].exact ? ", exact" : "")
+                            << ") answered algorithm " << got[i].algorithm
+                            << " from " << serve::to_string(got[i].source)
+                            << ", want " << want[i].algorithm;
+            }
           }
         }
+        EXPECT_EQ(mismatches, 0u) << label;
+        EXPECT_EQ(service.stats().atlases_built, oracle.slices()) << label;
       }
-      EXPECT_EQ(mismatches, 0u) << label;
-      EXPECT_EQ(service.stats().atlases_built, oracle.slices()) << label;
+      EXPECT_EQ(support::fault_injected_total(), 0u);
     }
-    EXPECT_EQ(support::fault_injected_total(), 0u);
   }
+}
+
+// ----------------------------------------------- LRU generations and heap
+
+/// ScriptedMachine timings, except that timing an algorithm at kGatedSize
+/// (outside every atlas scan's range) waits for release(): a query can be
+/// held after it read its slice, or began to classify, and before it stores
+/// its answer in the LRU.
+class GatedMachine final : public model::MachineModel {
+ public:
+  static constexpr int kGatedSize = 1500;
+
+  std::string name() const override { return inner_.name(); }
+  double peak_flops() const override { return inner_.peak_flops(); }
+  bool concurrent_timing_safe() const override { return true; }
+
+  std::vector<double> time_steps(const model::Algorithm& alg) override {
+    if (alg.steps().at(0).call.m == kGatedSize) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return inner_.time_steps(alg);
+  }
+  double time_call_isolated(const model::KernelCall& call) override {
+    return inner_.time_call_isolated(call);
+  }
+
+  void wait_until_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void release() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  lamb::testing::ScriptedMachine inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(SelectionService, AnswerStoredAfterARefreshFromBeforeItIsNotServed) {
+  // An exact answer is held inside classification while refresh_slices()
+  // swaps the snapshot, advances the LRU generation and clears the LRU; the
+  // held answer is stored after that clear. It was computed before the
+  // refresh, so no later lookup may serve it.
+  GatedMachine machine;
+  const expr::FamilyRegistry registry = test_registry();
+  SelectionService service(machine, scripted_config(), &registry);
+  service.warm({Query{"scripted", {300}, 0, false}});  // a slice to refresh
+  const Query held{"scripted", {GatedMachine::kGatedSize}, 0, true};
+
+  Recommendation first;
+  std::thread asker([&] { first = service.query(held); });
+  machine.wait_until_entered();
+  EXPECT_EQ(service.refresh_slices(), 1u);
+  machine.release();
+  asker.join();
+  EXPECT_EQ(first.source, Source::kMeasured);
+
+  const Recommendation second = service.query(held);
+  EXPECT_EQ(second.source, Source::kMeasured)
+      << "an answer computed before the refresh was served after it";
+  EXPECT_EQ(second, first);  // the machine did not move
+  EXPECT_EQ(service.query(held).source, Source::kCache);
+  EXPECT_EQ(service.stats().measured_queries, 2u);
+}
+
+TEST(SelectionService, QueriesPastTheKeyBoundsMissAndAreRejected) {
+  // A name longer than expr::kMaxFamilyName, or more sizes than
+  // expr::kMaxArity, cannot form an LRU key: the probe misses, and
+  // validation rejects the query like any unknown family or arity.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  const std::vector<Query> rejected = {
+      {std::string(expr::kMaxFamilyName + 1, 'a'), {100, 200, 300}, 0, false},
+      {"aatb", std::vector<int>(expr::kMaxArity + 1, 50), 0, false},
+      {"aatb", std::vector<int>(expr::kMaxArity + 1, 50), 0, true}};
+  for (const Query& q : rejected) {
+    Recommendation rec;
+    EXPECT_FALSE(service.try_cached(q, rec));
+    EXPECT_THROW(service.query(q), support::CheckError);
+    EXPECT_THROW(service.query_async(q), support::CheckError);
+    EXPECT_THROW(service.query_batch({q}), support::CheckError);
+  }
+  EXPECT_EQ(service.stats().atlases_built, 0u);
+}
+
+TEST(SelectionService, WarmQueriesDoNotAllocate) {
+  // Atlas answers on a full LRU, each of which evicts, and LRU hits: the
+  // keys and recommendations are held by value and a full LRU reuses its
+  // tail slot, so neither path touches the heap.
+  model::SimulatedMachine machine;
+  ServiceConfig cfg = scripted_config();
+  cfg.cache_capacity = 64;
+  cfg.cache_shards = 4;
+  SelectionService service(machine, cfg);
+  std::vector<Query> line;
+  for (int c = cfg.atlas.lo; c <= cfg.atlas.hi; ++c) {
+    line.push_back(Query{"aatb", {c, 260, 549}, 0, false});
+  }
+  ASSERT_EQ(service.warm({line.front()}), 1u);
+  for (const Query& q : line) {
+    service.query(q);  // resolves the family, fills the LRU's arrays
+  }
+
+  // A line longer than the LRU, walked in order: every query misses.
+  std::size_t atlas_answers = 0;
+  const std::uint64_t before = lamb::testing::thread_alloc_count();
+  for (int round = 0; round < 2; ++round) {
+    for (const Query& q : line) {
+      atlas_answers += service.query(q).source == Source::kAtlas ? 1 : 0;
+    }
+  }
+  const Query& hot = line[line.size() / 2];
+  service.query(hot);
+  const std::uint64_t after_atlas = lamb::testing::thread_alloc_count();
+  std::size_t cache_answers = 0;
+  for (int i = 0; i < 1000; ++i) {
+    cache_answers += service.query(hot).source == Source::kCache ? 1 : 0;
+  }
+  const std::uint64_t after_hits = lamb::testing::thread_alloc_count();
+
+  EXPECT_EQ(atlas_answers, 2 * line.size());
+  EXPECT_GE(atlas_answers, 1000u);
+  EXPECT_EQ(cache_answers, 1000u);
+  EXPECT_EQ(service.cache_size(), cfg.cache_capacity);
+  EXPECT_EQ(after_atlas - before, 0u)
+      << "operator-new calls across " << atlas_answers << " atlas answers";
+  EXPECT_EQ(after_hits - after_atlas, 0u)
+      << "operator-new calls across " << cache_answers << " LRU hits";
 }
 
 }  // namespace

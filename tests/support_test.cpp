@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <list>
+#include <optional>
+#include <unordered_map>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -551,6 +554,109 @@ TEST(Lru, ZeroCapacityIsUnbounded) {
     cache.put(i, i);
   }
   EXPECT_EQ(cache.size(), 1000u);
+}
+
+/// The list + map LRU that LruCache's slot array replaced, kept as the
+/// reference the flat layout is checked against.
+template <typename Key, typename Value, typename Hash>
+class ListMapLru {
+ public:
+  explicit ListMapLru(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<Value> get(const Key& key) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    order_.splice(order_.begin(), order_, it->second);
+    return it->second->second;
+  }
+
+  void put(const Key& key, Value value) {
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second->second = std::move(value);
+      order_.splice(order_.begin(), order_, it->second);
+      return;
+    }
+    order_.emplace_front(key, std::move(value));
+    map_.emplace(key, order_.begin());
+    if (capacity_ > 0 && map_.size() > capacity_) {
+      map_.erase(order_.back().first);
+      order_.pop_back();
+    }
+  }
+
+  std::size_t size() const { return map_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+  void clear() {
+    map_.clear();
+    order_.clear();
+    hits_ = 0;
+    misses_ = 0;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::list<std::pair<Key, Value>> order_;  // front = most recent
+  std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
+                     Hash>
+      map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+/// An identity hash at its weakest: the low four bits are always zero, as
+/// within one shard of a 16-way serve::ShardedLruCache, and every four keys
+/// share a value, so probe runs grow long and erases shift entries far.
+struct WeakIdentityHash {
+  std::size_t operator()(int key) const {
+    return static_cast<std::size_t>(key / 4) * 16;
+  }
+};
+
+template <typename Hash>
+void expect_lru_matches_reference(std::size_t capacity, std::uint64_t seed) {
+  LruCache<int, int, Hash> cache(capacity);
+  ListMapLru<int, int, Hash> reference(capacity);
+  Rng rng(seed);
+  // Three times the capacity in keys: hits, overwrites and evictions mix.
+  const int keys = capacity == 0 ? 300 : static_cast<int>(3 * capacity + 1);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = rng.uniform_int(0, keys - 1);
+    const double op = rng.uniform();
+    if (op < 0.45) {
+      ASSERT_EQ(cache.get(key), reference.get(key))
+          << "capacity " << capacity << " step " << step << " key " << key;
+    } else if (op < 0.998) {
+      cache.put(key, step);
+      reference.put(key, step);
+    } else {
+      cache.clear();
+      reference.clear();
+    }
+    ASSERT_EQ(cache.size(), reference.size())
+        << "capacity " << capacity << " step " << step;
+  }
+  EXPECT_EQ(cache.hits(), reference.hits());
+  EXPECT_EQ(cache.misses(), reference.misses());
+  // The survivors and their values agree for every key.
+  for (int key = 0; key < keys; ++key) {
+    ASSERT_EQ(cache.get(key), reference.get(key)) << "key " << key;
+  }
+}
+
+TEST(Lru, MatchesTheListAndMapReferenceUnderRandomTraffic) {
+  for (const std::size_t capacity : {0u, 1u, 3u, 64u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      expect_lru_matches_reference<std::hash<int>>(capacity, seed);
+      expect_lru_matches_reference<WeakIdentityHash>(capacity, seed + 100);
+    }
+  }
 }
 
 }  // namespace
