@@ -16,9 +16,9 @@
 #                      drift_test, sim_test, blas_kernel_dispatch_test and
 #                      blas_gemm_test — the row-block GEMM split and kernel
 #                      dispatch — obs_test and fault_test), keeping the
-#                      mutex-guarded snapshot pointer, the drift-refresh
-#                      swap and the HTTP event loop / completion-hub
-#                      handoff race-clean
+#                      mutex-guarded slice map, the drift-refresh swap
+#                      and the HTTP event loop / completion-hub handoff
+#                      race-clean
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

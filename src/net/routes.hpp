@@ -104,8 +104,8 @@ class SelectionRoutes {
   SelectionRoutes(const SelectionRoutes&) = delete;
   SelectionRoutes& operator=(const SelectionRoutes&) = delete;
 
-  /// A Router serving the four endpoints, bound to this object (which must
-  /// outlive the Server running it).
+  /// A Router serving the seven routes listed above, bound to this object
+  /// (which must outlive the Server running it).
   Router router();
 
   /// Give /metrics the front-end counters too (call between constructing
@@ -116,7 +116,7 @@ class SelectionRoutes {
   void attach_server(const Server* server) { server_ = server; }
 
   /// Export a drift monitor's counters as lamb_drift_* series (same
-  /// lifecycle rule as attach_http_stats; the monitor must outlive the
+  /// lifecycle rule as attach_server; the monitor must outlive the
   /// routes). Without it the drift series are simply absent.
   void attach_drift(const serve::DriftMonitor* monitor) { drift_ = monitor; }
 

@@ -157,7 +157,7 @@ bool DriftMonitor::check_once() {
   }
 
   // The machine moved: every published slice is stale. Rebuild them all
-  // (copy-on-write, one swap — see SelectionService::refresh_slices), then
+  // (one swap of every slice — see SelectionService::refresh_slices), then
   // adopt the machine's new timings as the baseline so one real shift
   // triggers exactly one refresh round instead of one per check forever.
   obs::PmuScope refresh_pmu(/*arm_now=*/true);

@@ -69,6 +69,9 @@ Recommendation recommendation_from(const anomaly::AtlasInterval& interval) {
 
 constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
 
+/// Ceiling on a breaker's doubled backoff, before the [1, 1.5) jitter.
+constexpr double kBreakerBackoffMaxS = 30.0;
+
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -134,7 +137,6 @@ SelectionService::SelectionService(model::MachineModel& machine,
                                    const expr::FamilyRegistry* registry)
     : machine_(machine), config_(config),
       registry_(registry != nullptr ? *registry : expr::registry()),
-      snapshot_(std::make_shared<const Snapshot>()),
       concurrent_timing_(machine.concurrent_timing_safe()),
       cache_(config.cache_capacity, config.cache_shards) {
   // The pool only ever runs atlas builds, and those are serialised behind
@@ -187,29 +189,16 @@ const expr::ExpressionFamily& SelectionService::family_for(const Query& q) {
   return family;
 }
 
-SelectionService::SnapshotPtr SelectionService::snapshot() const {
-  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  return snapshot_;
-}
-
-void SelectionService::set_snapshot(SnapshotPtr next) {
-  {
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_.swap(next);
-  }
-  // `next` now holds the replaced snapshot; it is released here, outside
-  // the lock, so readers never wait on a map's destruction.
-}
-
 std::unique_lock<std::mutex> SelectionService::timing_guard() {
   return concurrent_timing_ ? std::unique_lock<std::mutex>()
                             : std::unique_lock<std::mutex>(timing_mutex_);
 }
 
-SelectionService::AtlasPtr SelectionService::find_slice(const Snapshot& snap,
-                                                        const SliceId& id) {
-  const auto it = snap.find(id);
-  return it == snap.end() ? nullptr : it->second;
+SelectionService::AtlasPtr SelectionService::find_slice(
+    const SliceId& id) const {
+  const std::lock_guard<std::mutex> lock(slices_mutex_);
+  const auto it = slices_.find(id);
+  return it == slices_.end() ? nullptr : it->second;
 }
 
 SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
@@ -236,49 +225,29 @@ SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
   return built;
 }
 
-SelectionService::AtlasPtr SelectionService::publish(const SliceId& id,
-                                                     AtlasPtr atlas) {
-  const std::lock_guard<std::mutex> lock(publish_mutex_);
-  auto next = std::make_shared<Snapshot>(*snapshot());
-  const auto [it, inserted] = next->try_emplace(id, std::move(atlas));
-  const AtlasPtr result = it->second;
-  if (inserted) {
-    set_snapshot(std::move(next));
-  }
-  return result;
-}
-
 SelectionService::AtlasPtr SelectionService::obtain_atlas(const SliceId& id) {
-  if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
-    return atlas;
-  }
   const bool degrade = config_.degrade_on_failure;
   bool probe = false;
-  if (degrade && config_.breaker_threshold > 0 && !breaker_admit(id, probe)) {
-    return nullptr;  // breaker open: no build attempt, caller degrades
-  }
-  std::promise<AtlasPtr> promise;
+  std::optional<std::promise<AtlasPtr>> promise;  // set when this caller builds
   std::shared_future<AtlasPtr> shared;
-  bool builder = false;
   {
-    const std::lock_guard<std::mutex> lock(builds_mutex_);
-    // Recheck under the lock: the builder publishes before it unregisters,
-    // so a slice absent from both the snapshot and in_flight_ is truly ours
-    // to build.
-    if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
-      if (probe) {
-        breaker_success(id);
-      }
-      return atlas;
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
+    if (const auto it = slices_.find(id); it != slices_.end()) {
+      return it->second;
     }
+    if (degrade && config_.breaker_threshold > 0 &&
+        !breaker_admit(id, probe)) {
+      return nullptr;  // breaker open: no build attempt, caller degrades
+    }
+    // A builder publishes and unregisters under one hold, so a slice that
+    // is neither published nor in flight is this caller's to build.
     const auto [it, inserted] = in_flight_.try_emplace(id);
     if (inserted) {
-      it->second = promise.get_future().share();
-      builder = true;
+      it->second = promise.emplace().get_future().share();
     }
     shared = it->second;
   }
-  if (!builder) {
+  if (!promise) {
     if (probe) {
       // Another thread won the build; its outcome drives the breaker.
       breaker_probe_release(id);
@@ -302,20 +271,23 @@ SelectionService::AtlasPtr SelectionService::obtain_atlas(const SliceId& id) {
     }
   }
   try {
-    AtlasPtr result = publish(id, build_slice(id));
-    promise.set_value(result);
+    const AtlasPtr built = build_slice(id);
+    AtlasPtr result;
     {
-      const std::lock_guard<std::mutex> lock(builds_mutex_);
+      const std::lock_guard<std::mutex> lock(slices_mutex_);
+      // warm_from_store() may have adopted the slice meanwhile; it wins.
+      result = slices_.try_emplace(id, built).first->second;
       in_flight_.erase(id);
     }
+    promise->set_value(result);
     if (degrade && config_.breaker_threshold > 0) {
       breaker_success(id);
     }
     return result;
   } catch (...) {
-    promise.set_exception(std::current_exception());
+    promise->set_exception(std::current_exception());
     {
-      const std::lock_guard<std::mutex> lock(builds_mutex_);
+      const std::lock_guard<std::mutex> lock(slices_mutex_);
       in_flight_.erase(id);
     }
     if (degrade) {
@@ -361,11 +333,10 @@ void SelectionService::breaker_failure(const SliceId& id) {
     return;
   }
   double backoff = config_.breaker_backoff_initial_s;
-  for (int i = 0; i < b.open_count && backoff < config_.breaker_backoff_max_s;
-       ++i) {
+  for (int i = 0; i < b.open_count && backoff < kBreakerBackoffMaxS; ++i) {
     backoff *= 2.0;
   }
-  backoff = std::min(backoff, config_.breaker_backoff_max_s);
+  backoff = std::min(backoff, kBreakerBackoffMaxS);
   // Deterministic jitter in [1, 1.5): same slice + same open ordinal =>
   // same schedule in every run, but distinct slices never thunder together.
   const std::uint64_t h = support::mix64(
@@ -539,7 +510,6 @@ std::vector<Recommendation> SelectionService::query_batch(
   std::vector<Group> groups;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deferred;  // (query, group)
   std::vector<std::uint32_t> exact_queries;  // -> query() path, input order
-  const SnapshotPtr snap = snapshot();  // one snapshot for the whole batch
 
   const auto answer_grouped = [&](std::size_t i, Group& group) {
     const int c = batch[i].dims[static_cast<std::size_t>(batch[i].dim)];
@@ -555,8 +525,8 @@ std::vector<Recommendation> SelectionService::query_batch(
   // check — the other coordinates were validated on the group's
   // representative, and same_slice pins them equal. Distinct slices per
   // batch are few, so the cold case is a linear group scan; brand-new
-  // groups resolve their slice against the snapshot once. Queries whose
-  // slice is not built yet are deferred.
+  // groups resolve their slice in the slice map once. Queries whose slice
+  // is not built yet are deferred.
   const expr::ExpressionFamily* family = nullptr;
   const std::string* family_name = nullptr;
   std::uint32_t last_group = kNoGroup;
@@ -586,7 +556,7 @@ std::vector<Recommendation> SelectionService::query_batch(
         }
       }
       if (g == kNoGroup) {
-        groups.push_back(Group{i, find_slice(*snap, slice_id(q))});
+        groups.push_back(Group{i, find_slice(slice_id(q))});
         g = static_cast<std::uint32_t>(groups.size() - 1);
       }
       last_group = g;
@@ -651,7 +621,7 @@ std::future<Recommendation> SelectionService::query_async(Query q) {
   } else {
     id = slice_id(q);
     const std::uint32_t generation = this->generation();
-    if (AtlasPtr atlas = find_slice(*snapshot(), id)) {
+    if (AtlasPtr atlas = find_slice(id)) {
       ready.set_value(answer(q, generation, std::move(atlas)));
       return ready.get_future();
     }
@@ -754,25 +724,29 @@ void SelectionService::for_each_parallel(
 }
 
 std::size_t SelectionService::warm(std::span<const Query> batch) {
-  // Distinct slices missing from the current snapshot, in first-appearance
-  // order. obtain_atlas() rechecks and deduplicates against concurrent
-  // builders, so a stale snapshot only costs a redundant queue entry.
+  // Distinct unpublished slices, in first-appearance order. obtain_atlas()
+  // deduplicates against concurrent builders, so a slice published
+  // meanwhile only costs one more find.
   std::vector<SliceId> to_build;
-  const SnapshotPtr snap = snapshot();
   for (const Query& q : batch) {
     if (q.exact) {
       continue;
     }
     family_for(q);
     const SliceId id = slice_id(q);
-    if (find_slice(*snap, id) == nullptr &&
+    if (find_slice(id) == nullptr &&
         std::find(to_build.begin(), to_build.end(), id) == to_build.end()) {
       to_build.push_back(id);
     }
   }
-  for_each_parallel(to_build.size(),
-                    [&](std::size_t i) { obtain_atlas(to_build[i]); });
-  return to_build.size();
+  // With degrade_on_failure a failed build returns null: not warmed.
+  std::atomic<std::size_t> obtained{0};
+  for_each_parallel(to_build.size(), [&](std::size_t i) {
+    if (obtain_atlas(to_build[i]) != nullptr) {
+      obtained.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  return obtained.load();
 }
 
 std::size_t SelectionService::warm_from_store(
@@ -817,35 +791,33 @@ std::size_t SelectionService::warm_from_store(
     fresh.emplace_back(id, std::make_shared<const anomaly::RegionAtlas>(
                                std::move(record->atlas)));
   }
-  if (fresh.empty()) {
-    return 0;
-  }
-  // One copy-on-write swap adopts everything; already-present slices win
-  // (they may be referenced by outstanding atlas_for() pointers).
+  // One hold adopts everything; already-present slices win (they may be
+  // referenced by outstanding atlas_for() pointers), and the atlases not
+  // adopted are freed with `fresh`, outside the lock.
   std::size_t adopted = 0;
-  const std::lock_guard<std::mutex> lock(publish_mutex_);
-  auto next = std::make_shared<Snapshot>(*snapshot());
-  for (auto& [id, atlas] : fresh) {
-    if (next->try_emplace(id, std::move(atlas)).second) {
-      atlases_loaded_.fetch_add(1);
-      ++adopted;
+  {
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
+    for (auto& [id, atlas] : fresh) {
+      adopted += slices_.try_emplace(id, std::move(atlas)).second ? 1 : 0;
     }
   }
-  if (adopted > 0) {
-    set_snapshot(std::move(next));
-  }
+  atlases_loaded_.fetch_add(adopted);
   return adopted;
 }
 
 std::size_t SelectionService::checkpoint(store::AtlasStore& atlas_store) const {
-  const SnapshotPtr snap = snapshot();
+  std::vector<std::pair<SliceId, AtlasPtr>> published;
+  {
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
+    published.assign(slices_.begin(), slices_.end());
+  }
   const std::string machine = machine_.name();
-  for (const auto& [id, atlas] : *snap) {
+  for (const auto& [id, atlas] : published) {
     atlas_store.save(store::AtlasKey{std::string(id.family_name()), machine,
                                      id.dim, id.instance(), config_.atlas},
                      *atlas);
   }
-  return snap->size();
+  return published.size();
 }
 
 std::size_t SelectionService::refresh_slices() {
@@ -855,11 +827,13 @@ std::size_t SelectionService::refresh_slices() {
   // The stale generation: everything published at this instant. Slices that
   // appear concurrently (on-demand builds) were scanned against the
   // machine's current timings and are not stale.
-  const SnapshotPtr stale = snapshot();
-  std::vector<const SliceId*> ids;
-  ids.reserve(stale->size());
-  for (const auto& [id, atlas] : *stale) {
-    ids.push_back(&id);
+  std::vector<SliceId> ids;
+  {
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
+    ids.reserve(slices_.size());
+    for (const auto& [id, atlas] : slices_) {
+      ids.push_back(id);
+    }
   }
   if (ids.empty()) {
     refresh_rounds_.fetch_add(1);
@@ -871,26 +845,23 @@ std::size_t SelectionService::refresh_slices() {
   // with the old generation fully intact.
   std::vector<AtlasPtr> rebuilt(ids.size());
   for_each_parallel(ids.size(),
-                    [&](std::size_t i) { rebuilt[i] = build_slice(*ids[i]); });
+                    [&](std::size_t i) { rebuilt[i] = build_slice(ids[i]); });
 
-  // One copy-on-write swap replaces the whole stale set. The copy is taken
-  // from the *current* snapshot, so slices published since the stale load
-  // survive; replaced atlases are retired, never freed, keeping
-  // atlas_for() raw pointers valid.
+  // One hold swaps the whole stale set. Slices published since the ids were
+  // copied are left as they are; replaced atlases are retired, never freed,
+  // keeping atlas_for() raw pointers valid.
   {
-    const std::lock_guard<std::mutex> lock(publish_mutex_);
-    auto next = std::make_shared<Snapshot>(*snapshot());
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      AtlasPtr& slot = next->at(*ids[i]);
+      AtlasPtr& slot = slices_.at(ids[i]);
       retired_.push_back(std::move(slot));
       slot = std::move(rebuilt[i]);
     }
-    set_snapshot(std::move(next));
   }
   // Cached recommendations quote the stale generation. Advance the
-  // generation after the swap: an answer that read it afterwards also read
-  // the new snapshot, and one that read it before — and may still store its
-  // old-snapshot answer after the clear below — is keyed under the old
+  // generation after the swap: an answer that read it afterwards also found
+  // the new atlases, and one that read it before — and may still store its
+  // replaced-atlas answer after the clear below — is keyed under the old
   // generation, which no later lookup asks for. The clear frees their slots
   // (and resets the LRU hit/miss pair; the monotonic per-source counters
   // are unaffected).
@@ -904,12 +875,13 @@ std::size_t SelectionService::refresh_slices() {
 const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
   family_for(q);
   // Safe to return raw: published atlases are never dropped while the
-  // service lives (snapshots only ever grow).
-  return find_slice(*snapshot(), slice_id(q)).get();
+  // service lives (refresh retires the atlases it replaces).
+  return find_slice(slice_id(q)).get();
 }
 
 std::size_t SelectionService::atlas_count() const {
-  return snapshot()->size();
+  const std::lock_guard<std::mutex> lock(slices_mutex_);
+  return slices_.size();
 }
 
 ServiceStats SelectionService::stats() const {

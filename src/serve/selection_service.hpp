@@ -24,13 +24,17 @@
 // answers it through lookup() without the LRU; warm() and refresh_slices()
 // build slices on the ThreadPool when the machine's timing is thread-safe.
 //
-// Snapshot semantics: the slice map is an immutable std::shared_ptr-held
-// value, replaced copy-on-write under a writer mutex and read with a single
-// pointer copy under a mutex held for nothing else. A warm query therefore
-// never waits on a build or a copy; a reader may observe a snapshot one swap
-// behind (and then simply builds or waits for the slice it needs), but never
-// a torn or partially built one. Published atlases are never freed while the
-// service lives, so raw pointers returned by atlas_for() stay valid.
+// Slice map semantics: the published atlases live in one map, guarded with
+// the builds in flight by one mutex. A warm query holds it for one find and
+// one shared_ptr copy; writers hold it for an insert, a swap or a copy of
+// the map's entries — never across a build or store I/O. A warm query
+// therefore never waits on a build. A builder publishes its atlas and
+// unregisters its build under one hold, so every slice is published, in
+// flight, or neither. refresh_slices() swaps all its rebuilt slices under
+// one hold, so a reader finds either the old or the new generation, never
+// a torn or partially built atlas. Published atlases are never freed while
+// the service lives (refresh retires the ones it replaces), so raw pointers
+// returned by atlas_for() stay valid.
 //
 // Inside the service a query is keyed by value: the family name (at most
 // expr::kMaxFamilyName bytes) and the instance (at most expr::kMaxArity
@@ -124,12 +128,13 @@ struct ServiceConfig {
   bool degrade_on_failure = false;
   /// Per-slice circuit breaker (active only with degrade_on_failure): this
   /// many consecutive build failures open the breaker, skipping further
-  /// build attempts until an exponential backoff (with deterministic
-  /// jitter) elapses; then one half-open probe build closes it on success
-  /// or re-opens it with a doubled backoff. 0 disables the breaker.
+  /// build attempts until an exponential backoff elapses; then one
+  /// half-open probe build closes it on success or re-opens it with a
+  /// doubled backoff. The backoff is capped at 30 s, then stretched by a
+  /// deterministic jitter in [1, 1.5), so it never exceeds 45 s. 0 disables
+  /// the breaker.
   int breaker_threshold = 3;
   double breaker_backoff_initial_s = 0.5;
-  double breaker_backoff_max_s = 30.0;
   /// With degrade_on_failure: bound on waiting for another thread's
   /// in-flight build of the same slice; past it the waiter answers from
   /// fallback while the build continues and publishes for later queries.
@@ -190,8 +195,8 @@ class SelectionService {
   const ServiceConfig& config() const { return config_; }
 
   /// Answer one query. Safe for concurrent callers: the cache is sharded,
-  /// the slice map is read through one snapshot pointer copy under a mutex
-  /// held for nothing else, atlas builds are deduplicated per slice, and
+  /// the slice is found in the slice map under a mutex held for that find
+  /// and one shared_ptr copy, atlas builds are deduplicated per slice, and
   /// machines whose timing is not thread-safe are serialised behind one
   /// timing mutex.
   Recommendation query(const Query& q);
@@ -230,8 +235,10 @@ class SelectionService {
   /// fails still-queued futures.
   std::future<Recommendation> query_async(Query q);
 
-  /// Build (or load) the atlas slices the queries would need, without
-  /// producing recommendations. Returns the number of slices built.
+  /// Build (or wait for) the atlas slices the queries would need that are
+  /// not yet published, without producing recommendations. Returns the
+  /// number of those slices it obtained; with degrade_on_failure a build
+  /// that failed, was breakered or missed its deadline is not counted.
   std::size_t warm(std::span<const Query> batch);
   std::size_t warm(std::initializer_list<Query> batch) {
     return warm(std::span<const Query>(batch.begin(), batch.size()));
@@ -241,27 +248,27 @@ class SelectionService {
   /// this service's AtlasConfig; returns the number adopted.
   std::size_t warm_from_store(const store::AtlasStore& atlas_store);
 
-  /// Persist every built slice; returns the number written.
+  /// Persist every published slice; returns the number written. The
+  /// slices are copied under the slice map's mutex and written outside it,
+  /// so queries, builds and refreshes go on during the I/O.
   std::size_t checkpoint(store::AtlasStore& atlas_store) const;
 
   /// Re-scan every published slice against the machine's *current* timings
-  /// and swap the rebuilt set in with one copy-on-write publication — the
-  /// drift monitor's answer to a machine whose timings have moved (see
-  /// serve/drift.hpp). The stale slices are marked internally, rebuilt, and
-  /// only then replaced in a single snapshot swap, so no published
-  /// snapshot ever contains a stale-marked, unrefreshed slice: readers see
-  /// either the complete old generation or the complete new one. Replaced
-  /// atlases are retired, not freed — raw pointers from atlas_for() stay
-  /// valid for the service's lifetime. After the swap the recommendation
-  /// LRU moves to a new generation and is cleared: every entry is stamped
-  /// with the generation read before its answer looked up the slice (or
-  /// began classifying), and a lookup reads only its own generation, so an
-  /// answer computed from the old snapshot and stored after the clear is
-  /// never served. Slices published concurrently by on-demand builds are
-  /// already fresh and are kept untouched. Rebuilds run on the ThreadPool
-  /// when the machine's timing is thread-safe; a build failure propagates
-  /// and leaves the old generation fully in place. Returns the number of
-  /// slices rebuilt.
+  /// and swap the rebuilt set in — the drift monitor's answer to a machine
+  /// whose timings have moved (see serve/drift.hpp). The slice ids are
+  /// copied under the slice map's mutex, rebuilt outside it, and swapped in
+  /// all at once under one hold, so readers see either the complete old
+  /// generation or the complete new one. Replaced atlases are retired, not
+  /// freed — raw pointers from atlas_for() stay valid for the service's
+  /// lifetime. After the swap the recommendation LRU moves to a new
+  /// generation and is cleared: every entry is stamped with the generation
+  /// read before its answer looked up the slice (or began classifying), and
+  /// a lookup reads only its own generation, so an answer computed from a
+  /// replaced atlas and stored after the clear is never served. Slices
+  /// published concurrently by on-demand builds are already fresh and are
+  /// kept untouched. Rebuilds run on the ThreadPool when the machine's
+  /// timing is thread-safe; a build failure propagates and leaves the old
+  /// generation fully in place. Returns the number of slices rebuilt.
   std::size_t refresh_slices();
 
   /// The built slice for a query's (family, dim, base), if any. The pointer
@@ -326,10 +333,6 @@ class SelectionService {
   /// An alias that says which shape a Key holds.
   using SliceId = Key;
 
-  /// Immutable once published; replaced whole via copy-on-write.
-  using Snapshot = std::unordered_map<SliceId, AtlasPtr, KeyHash>;
-  using SnapshotPtr = std::shared_ptr<const Snapshot>;
-
   struct AsyncWaiter {
     Query query;
     std::promise<Recommendation> promise;
@@ -344,24 +347,20 @@ class SelectionService {
   /// Validates the query shape and resolves the family (cached per name).
   const expr::ExpressionFamily& family_for(const Query& q);
 
-  /// The current snapshot (a pointer copy under snapshot_mutex_).
-  SnapshotPtr snapshot() const;
-  /// Swaps in the next snapshot; writers call it under publish_mutex_.
-  void set_snapshot(SnapshotPtr next);
   /// The published atlas for a slice, or null.
-  static AtlasPtr find_slice(const Snapshot& snap, const SliceId& id);
-  /// The slice's atlas: published, in-flight (waits for the builder), or
-  /// built here and published. Throws what the build threw — unless
-  /// degrade_on_failure is set, in which case a failed build, an open
-  /// breaker or an expired build deadline return nullptr and the caller
-  /// answers from fallback_answer().
+  AtlasPtr find_slice(const SliceId& id) const;
+  /// The slice's atlas: published, in flight (waits for the builder), or
+  /// built here and published. One hold of slices_mutex_ finds the slice,
+  /// consults the breaker and joins or registers the build; the builder
+  /// publishes (first publication wins) and unregisters under another.
+  /// Throws what the build threw — unless degrade_on_failure is set, in
+  /// which case a failed build, an open breaker or an expired build
+  /// deadline return nullptr and the caller answers from fallback_answer().
   AtlasPtr obtain_atlas(const SliceId& id);
   /// Scans the slice (under timing_guard()).
   AtlasPtr build_slice(const SliceId& id);
   /// Holds timing_mutex_ when the machine's timing is not thread-safe.
   std::unique_lock<std::mutex> timing_guard();
-  /// Copy-on-write insert + snapshot swap; first publication of a slice wins.
-  AtlasPtr publish(const SliceId& id, AtlasPtr atlas);
 
   /// The answer core. An exact query is classified directly. Any other is
   /// answered from its slice with RegionAtlas::lookup: `atlas` when the
@@ -408,26 +407,24 @@ class SelectionService {
   std::unordered_map<std::string, std::unique_ptr<const expr::ExpressionFamily>>
       families_;
 
-  /// The warm read path: held only to copy or swap snapshot_, never while
-  /// a map is copied, built or destroyed. (std::atomic<SnapshotPtr> is no
-  /// cheaper: libstdc++ implements it with a spin bit, and its load()
-  /// releases that bit with a relaxed RMW, so the pointer read races with
-  /// the next store's write, which ThreadSanitizer reports.)
-  mutable std::mutex snapshot_mutex_;
-  SnapshotPtr snapshot_;
-  /// Serialises copy-on-write snapshot swaps (writers only).
-  mutable std::mutex publish_mutex_;
+  /// Guards the three members below. Held for a find plus one shared_ptr
+  /// copy, an insert, a swap, or a copy of the map's entries (checkpoint(),
+  /// refresh_slices()) — never across a build or store I/O. obtain_atlas()
+  /// consults the breaker inside it: breakers_mutex_ may be taken under
+  /// this mutex, never the other way round.
+  mutable std::mutex slices_mutex_;
+  /// The published atlases; entries are added or replaced, never erased.
+  std::unordered_map<SliceId, AtlasPtr, KeyHash> slices_;
+  /// Deduplicates concurrent builds of the same slice: the first caller
+  /// registers a future, everyone else waits on it.
+  std::unordered_map<SliceId, std::shared_future<AtlasPtr>, KeyHash>
+      in_flight_;
   /// Atlases replaced by refresh_slices(), kept so atlas_for() pointers
-  /// stay valid for the service's lifetime (guarded by publish_mutex_).
+  /// stay valid for the service's lifetime.
   std::vector<AtlasPtr> retired_;
   /// Serialises whole-generation refreshes (each stale slice is rebuilt
   /// exactly once per refresh round).
   std::mutex refresh_mutex_;
-  /// Deduplicates concurrent builds of the same slice: the first caller
-  /// registers a future, everyone else waits on it.
-  std::mutex builds_mutex_;
-  std::unordered_map<SliceId, std::shared_future<AtlasPtr>, KeyHash>
-      in_flight_;
 
   /// Per-slice circuit breakers (degrade_on_failure only). An entry exists
   /// only while a slice is failing; success erases it.

@@ -1,10 +1,9 @@
 // serve/drift.hpp: the drift monitor must detect a shifted machine through
 // the injectable measure hook, rebuild every stale slice exactly once
-// through the copy-on-write refresh path (in-flight readers keep valid
-// pointers and never see a stale-marked, unrefreshed slice), advance the
-// drift/refresh counters, and persist/reload its baseline. A query that
-// starts after a refresh returned never answers from the replaced
-// generation.
+// through the refresh swap (in-flight readers keep valid pointers and never
+// see a stale-marked, unrefreshed slice), advance the drift/refresh
+// counters, and persist/reload its baseline. A query that starts after a
+// refresh returned never answers from the replaced generation.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -230,7 +229,7 @@ TEST(DriftMonitor, QueriesRacingRefreshesNeverServeAReplacedGeneration) {
   // about half of them, while refresh rounds move the machine's anomaly
   // window through three positions along the line. A query that starts
   // after round r returned must answer from generation r, or from r + 1 if
-  // that round swapped meanwhile. An answer read from the replaced snapshot
+  // that round swapped meanwhile. An answer read from a replaced atlas
   // and stored after the round's LRU clear would still be served as a cache
   // hit; inside a window, a point's answer differs from its answers at the
   // other two positions, so such a hit shows.

@@ -265,6 +265,33 @@ TEST(FaultServe, TotalBuildFailureDegradesEveryEntryPointToFallback) {
   EXPECT_GE(fault_injected(FaultSite::kBuildSlice), 1u);
 }
 
+TEST(FaultServe, WarmCountsOnlyTheSlicesItObtained) {
+  // With degrade_on_failure a failed build returns no atlas: warm() must
+  // not report that slice as warmed.
+  model::SimulatedMachine machine;
+  ServiceConfig cfg = fast_config();
+  cfg.degrade_on_failure = true;
+  SelectionService service(machine, cfg);
+  const std::vector<Query> queries = {
+      Query{"aatb", {300, 260, 549}, 0, false},
+      Query{"aatb", {80, 300, 768}, 1, false},
+  };
+  {
+    FaultScope fault("build.slice=always");
+    EXPECT_EQ(service.warm(queries), 0u);
+    EXPECT_EQ(service.atlas_count(), 0u);
+    EXPECT_EQ(fault_injected(FaultSite::kBuildSlice), 2u);
+  }
+  {
+    FaultScope fault("build.slice=always:limit=1");
+    EXPECT_EQ(service.warm(queries), 1u);  // one of the two builds fails
+    EXPECT_EQ(service.atlas_count(), 1u);
+  }
+  EXPECT_EQ(service.warm(queries), 1u);  // the slice still missing
+  EXPECT_EQ(service.atlas_count(), 2u);
+  EXPECT_EQ(service.warm(queries), 0u);  // nothing left to warm
+}
+
 TEST(FaultServe, BuildFailurePropagatesWithoutDegrade) {
   model::SimulatedMachine machine;
   SelectionService service(machine, fast_config());  // degrade off (default)

@@ -1,9 +1,11 @@
 // serve/: SelectionService answers must be bit-identical to what the
 // underlying RegionAtlas / classifier produce directly, from every source
-// (atlas, measured, cache) and every entry point, under concurrency, and
-// across a store checkpoint/warm cycle; an answer that straddles a refresh
-// is never served from the LRU afterwards; and a warm query() allocates
-// nothing.
+// (atlas, measured, cache) and every entry point (HTTP at two event loops
+// included), under concurrency, and across a store checkpoint/warm cycle,
+// also one checkpointed while slices are built and refreshed; an answer
+// that straddles a refresh is never served from the LRU afterwards; a warm
+// query() allocates nothing, and a cold one no more with 256 slices
+// published than with 1.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,11 +27,15 @@
 #include "alloc_counter.hpp"
 #include "anomaly/classifier.hpp"
 #include "model/simulated_machine.hpp"
+#include "net/client.hpp"
+#include "net/routes.hpp"
+#include "net/server.hpp"
 #include "obs/trace.hpp"
 #include "scripted.hpp"
 #include "serve/selection_service.hpp"
 #include "serve/shard_cache.hpp"
 #include "sim/generator.hpp"
+#include "sim/simulator.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
 
@@ -417,6 +423,79 @@ TEST(SelectionService, WarmFromStoreSkipsForeignRecords) {
   EXPECT_EQ(service.stats().atlases_quarantined, 0u);
 }
 
+TEST(SelectionService, CheckpointRacingBuildsAndARefreshRestoresEverySlice) {
+  // Two threads cold-query distinct slices while a third checkpoints over
+  // and over and a fourth refreshes. Each checkpoint copies the published
+  // slices under the slice map's lock and writes them outside it, so every
+  // record it writes is whole. Afterwards one more checkpoint restores every
+  // slice into a fresh service, which answers like the busy one without
+  // building.
+  model::SimulatedMachine machine;
+  const ServiceConfig cfg = scripted_config();
+  const std::string racing_dir = temp_dir();
+  const std::string final_dir = temp_dir();
+  SelectionService service(machine, cfg);
+  ASSERT_EQ(service.warm({Query{"aatb", {150, 260, 549}, 0, false}}), 1u);
+
+  std::vector<Query> cold;  // one query per slice, none published yet
+  for (int line = 0; line < 8; ++line) {
+    cold.push_back(Query{"aatb", {150, 300 + 50 * line, 549}, 0, false});
+    cold.push_back(Query{"aatb", {80, 300 + 50 * line, 768}, 2, false});
+  }
+  const std::size_t slices = 1 + cold.size();
+
+  store::AtlasStore racing_store(racing_dir);
+  std::atomic<int> busy{3};  // the two askers and the refresher
+  std::atomic<int> checkpoints{0};
+  std::size_t refreshed = 0;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < cold.size(); i += 2) {
+        EXPECT_EQ(service.query(cold[i]).source, Source::kAtlas) << i;
+      }
+      busy.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    refreshed = service.refresh_slices();
+    busy.fetch_sub(1);
+  });
+  threads.emplace_back([&] {
+    do {
+      const std::size_t written = service.checkpoint(racing_store);
+      EXPECT_GE(written, 1u);
+      EXPECT_LE(written, slices);
+      checkpoints.fetch_add(1);
+    } while (busy.load() > 0);
+  });
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_GE(checkpoints.load(), 1);
+  EXPECT_GE(refreshed, 1u);
+  ASSERT_EQ(service.atlas_count(), slices);
+
+  // Every record written during the race loads.
+  SelectionService racing_reader(machine, cfg);
+  EXPECT_EQ(racing_reader.warm_from_store(racing_store), racing_store.size());
+  EXPECT_EQ(racing_reader.stats().atlases_quarantined, 0u);
+
+  store::AtlasStore final_store(final_dir);
+  EXPECT_EQ(service.checkpoint(final_store), slices);
+  SelectionService restored(machine, cfg);
+  EXPECT_EQ(restored.warm_from_store(final_store), slices);
+  EXPECT_EQ(restored.atlas_count(), slices);
+  for (const Query& q : cold) {
+    for (const int c : {25, 333, 1190}) {
+      Query sample = q;
+      sample.dims[static_cast<std::size_t>(q.dim)] = c;
+      EXPECT_EQ(restored.query(sample), service.query(sample));
+    }
+  }
+  EXPECT_EQ(restored.stats().atlases_built, 0u);
+}
+
 // ----------------------------------------------------------- concurrency
 
 TEST(SelectionService, ConcurrentQueriesMatchUncachedClassification) {
@@ -531,7 +610,7 @@ TEST(SelectionService, ConcurrentBatchesAreBitIdenticalToDirectAtlases) {
 TEST(SelectionService, ConcurrentMixedSingleBatchAndAsyncCallersAgree) {
   model::SimulatedMachine machine;
   ServiceConfig cfg = scripted_config();
-  cfg.cache_capacity = 128;  // force eviction churn alongside the snapshots
+  cfg.cache_capacity = 128;  // force eviction churn alongside the builds
   SelectionService service(machine, cfg);
 
   const auto family = expr::make_family("aatb");
@@ -842,7 +921,7 @@ TEST(SelectionService, AsyncBuildFailureFailsTheFuturesNotTheService) {
             Source::kAtlas);
 }
 
-// -------------------------------------------------------------- snapshots
+// ------------------------------------------------------------- slice map
 
 TEST(SelectionService, PublishedAtlasPointersSurviveLaterSnapshotSwaps) {
   model::SimulatedMachine machine;
@@ -853,8 +932,9 @@ TEST(SelectionService, PublishedAtlasPointersSurviveLaterSnapshotSwaps) {
   ASSERT_NE(before, nullptr);
   const std::string csv_before = before->to_csv();
 
-  // Each new slice swaps in a fresh snapshot; the earlier atlas must keep
-  // its identity and contents (atlas_for pointers are service-lifetime).
+  // Each new slice is inserted into the slice map; the earlier atlas must
+  // keep its identity and contents (atlas_for pointers are
+  // service-lifetime).
   for (int d1 = 300; d1 <= 800; d1 += 100) {
     service.query(Query{"aatb", {150, d1, 549}, 0, false});
   }
@@ -971,7 +1051,14 @@ class DirectOracle {
       atlases_;
 };
 
-enum class EntryPoint { kQuery, kCachedThenAsync, kBatch, kAsync, kWarmed };
+enum class EntryPoint {
+  kQuery,
+  kCachedThenAsync,
+  kBatch,
+  kAsync,
+  kWarmed,
+  kHttp
+};
 
 const char* entry_point_name(EntryPoint entry) {
   switch (entry) {
@@ -985,9 +1072,88 @@ const char* entry_point_name(EntryPoint entry) {
       return "query_async";
     case EntryPoint::kWarmed:
       return "warm+query";
+    case EntryPoint::kHttp:
+      return "http (2 loops)";
   }
   return "?";
 }
+
+/// The service behind a net::Server with two event loops and two client
+/// connections, one per loop (the acceptor hands connections out round
+/// robin). Requests alternate between the connections: single queries go
+/// to /v1/query, batches to /v1/batch.
+class HttpFront {
+ public:
+  explicit HttpFront(SelectionService& service)
+      : routes_(service), server_(routes_.router(), two_loops()) {
+    // The listener exists before run(), so the connects succeed already.
+    net::ClientConfig client_cfg;
+    client_cfg.io_timeout_s = 120.0;  // a wedged server fails, not hangs
+    for (int c = 0; c < 2; ++c) {
+      clients_.emplace_back("127.0.0.1", server_.port(), client_cfg);
+    }
+    loop_ = std::thread([this] { server_.run(); });
+  }
+  ~HttpFront() {
+    server_.stop();
+    loop_.join();
+  }
+
+  HttpFront(const HttpFront&) = delete;
+  HttpFront& operator=(const HttpFront&) = delete;
+
+  /// One answer per query of `req`; a failed request answers fallbacks,
+  /// which the oracle comparison rejects.
+  std::vector<Recommendation> answer(const sim::Request& req) {
+    net::Client& client = clients_[next_];
+    next_ = (next_ + 1) % clients_.size();
+    std::string body;
+    for (const Query& q : req.queries) {
+      body += sim::format_query_line(q);
+      body += '\n';
+    }
+    const net::ResponseParser::Parsed response =
+        client.request("POST", req.batch ? "/v1/batch" : "/v1/query", body);
+    std::vector<Recommendation> out;
+    if (response.status == 200) {
+      std::size_t pos = 0;
+      while (pos < response.body.size()) {
+        const std::size_t eol = response.body.find('\n', pos);
+        out.push_back(net::parse_recommendation(
+            std::string_view(response.body).substr(pos, eol - pos)));
+        pos = eol == std::string::npos ? response.body.size() : eol + 1;
+      }
+      EXPECT_EQ(out.size(), req.queries.size()) << response.body;
+    } else {
+      ADD_FAILURE() << "HTTP " << response.status << ": " << response.body;
+    }
+    Recommendation failed;
+    failed.source = Source::kFallback;
+    out.resize(req.queries.size(), failed);
+    return out;
+  }
+
+  void expect_every_loop_served() const {
+    for (std::size_t loop = 0; loop < server_.loops(); ++loop) {
+      EXPECT_GT(server_.loop_stats(loop).requests_total.load(), 0u)
+          << "loop " << loop;
+    }
+  }
+
+ private:
+  static net::ServerConfig two_loops() {
+    net::ServerConfig cfg;
+    cfg.loops = 2;
+    cfg.listen = net::ServerConfig::Listen::kAcceptor;
+    return cfg;
+  }
+
+  net::SelectionRoutes routes_;
+  net::Server server_;
+  std::thread loop_;
+  std::vector<net::Client> clients_;
+  std::size_t next_ = 0;
+};
 
 /// Answers the whole stream through one entry point, one answer per query
 /// in stream order. query_async submits the entire stream before waiting,
@@ -998,6 +1164,10 @@ std::vector<Recommendation> answer_stream(
     const std::vector<sim::Request>& requests) {
   std::vector<Recommendation> out;
   std::vector<std::future<Recommendation>> pending;
+  std::optional<HttpFront> http;
+  if (entry == EntryPoint::kHttp) {
+    http.emplace(service);
+  }
   for (const sim::Request& req : requests) {
     switch (entry) {
       case EntryPoint::kQuery:
@@ -1025,10 +1195,18 @@ std::vector<Recommendation> answer_stream(
           pending.push_back(service.query_async(q));
         }
         break;
+      case EntryPoint::kHttp:
+        for (const Recommendation& rec : http->answer(req)) {
+          out.push_back(rec);
+        }
+        break;
     }
   }
   for (std::future<Recommendation>& fut : pending) {
     out.push_back(fut.get());
+  }
+  if (http) {
+    http->expect_every_loop_served();
   }
   return out;
 }
@@ -1071,18 +1249,21 @@ TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
 
   for (const auto& [config_label, cfg] : configs) {
     for (const bool armed : {false, true}) {
-      // Armed but quiet: every fault site on the build path takes the armed
-      // branch, and none may fire or change an answer.
+      // Armed but quiet: every fault site on the build and HTTP paths takes
+      // the armed branch, and none may fire or change an answer.
       std::optional<support::FaultScope> fault;
       if (armed) {
         fault.emplace(
             "build.slice=always:after=1000000000,"
             "build.delay_ms=50:after=1000000000,"
-            "alloc.build=always:after=1000000000");
+            "alloc.build=always:after=1000000000,"
+            "net.accept=always:after=1000000000,"
+            "net.write=always:after=1000000000");
       }
       for (const EntryPoint entry :
            {EntryPoint::kQuery, EntryPoint::kCachedThenAsync,
-            EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed}) {
+            EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed,
+            EntryPoint::kHttp}) {
         const std::string label = std::string(entry_point_name(entry)) +
                                   (armed ? " (armed)" : "") + config_label;
         SelectionService service(machine, cfg);
@@ -1161,7 +1342,7 @@ class GatedMachine final : public model::MachineModel {
 
 TEST(SelectionService, AnswerStoredAfterARefreshFromBeforeItIsNotServed) {
   // An exact answer is held inside classification while refresh_slices()
-  // swaps the snapshot, advances the LRU generation and clears the LRU; the
+  // swaps the slices, advances the LRU generation and clears the LRU; the
   // held answer is stored after that clear. It was computed before the
   // refresh, so no later lookup may serve it.
   GatedMachine machine;
@@ -1249,6 +1430,36 @@ TEST(SelectionService, WarmQueriesDoNotAllocate) {
       << "operator-new calls across " << atlas_answers << " atlas answers";
   EXPECT_EQ(after_hits - after_atlas, 0u)
       << "operator-new calls across " << cache_answers << " LRU hits";
+}
+
+TEST(SelectionService, ColdQueryAllocationsDoNotGrowWithPublishedSlices) {
+  // Publishing a slice inserts one node into the slice map; it copies no
+  // other slice. So a cold query() makes about as many operator-new calls
+  // with 256 other slices published as with 1.
+  ServiceConfig cfg = scripted_config();
+  cfg.atlas.hi = 400;  // cheap scans: 257 slices are built below
+  const Query cold{"aatb", {300, 260, 549}, 0, false};
+  const auto cold_query_allocations = [&](int published) {
+    model::SimulatedMachine machine;
+    SelectionService service(machine, cfg);
+    std::vector<Query> others;
+    for (int i = 0; i < published; ++i) {
+      others.push_back(Query{"aatb", {100, 20 + i, 768}, 0, false});
+    }
+    EXPECT_EQ(service.warm(others), others.size());
+    const std::uint64_t before = lamb::testing::thread_alloc_count();
+    const Recommendation rec = service.query(cold);
+    const std::uint64_t allocations =
+        lamb::testing::thread_alloc_count() - before;
+    EXPECT_EQ(rec.source, Source::kAtlas);
+    EXPECT_EQ(service.atlas_count(), others.size() + 1);
+    return allocations;
+  };
+  const std::uint64_t with_one = cold_query_allocations(1);
+  const std::uint64_t with_many = cold_query_allocations(256);
+  EXPECT_LE(with_many, with_one + 8)
+      << "a cold query made " << with_one << " operator-new calls with 1 "
+      << "other slice published and " << with_many << " with 256";
 }
 
 }  // namespace
