@@ -8,10 +8,12 @@
 //             (scalar / avx2 / avx512) — the headline GFLOP/s numbers
 //   variant   one shape per dispatch variant (naive / small-k / blocked)
 //             plus the transposed blocked path, on the auto-dispatched tier
-//   level3    syrk / symm / trsm routed through the dispatched microkernel
-//   pack      pack_a / pack_b throughput (GB/s) against a baseline that
-//             zero-fills the whole buffer per block the way the packing
-//             layer used to (buf.assign) — shows the zero-copy win
+//   level3    syrk / symm on GEMM's packed path, and trsm, whose block
+//             updates call the dispatched GEMM
+//   pack      pack_a / pack_b throughput (GB/s) into a grow-only,
+//             uninitialised PackBuffer, against a baseline that zero-fills
+//             the whole buffer per block the way the packing layer used to
+//             (buf.assign), and pack_a of a symmetric A (SYMM's rule)
 //   parallel  column-stripe and row-block pool splits (with --threads > 1)
 //
 // --roofline replaces the sections with the arithmetic-intensity sweep of
@@ -239,17 +241,32 @@ void bench_pack() {
   const double a_bytes = static_cast<double>(mc) * kc * sizeof(double);
   const double b_bytes = static_cast<double>(nc) * kc * sizeof(double);
 
-  std::vector<double> buf;
+  blas::PackBuffer buf;
   {
-    const auto [seconds, iters] = run_timed(
-        [&] { blas::pack_a(false, a.view(), 0, 0, mc, kc, mk.mr, buf); });
+    const auto [seconds, iters] = run_timed([&] {
+      blas::pack_a(blas::ReadA::kPlain, a.view(), 0, 0, mc, kc, mk.mr, buf);
+    });
     report(Row{"pack", "pack_a", mk.name, "-", mc, 0, kc, 0.0, "gbps"},
            a_bytes, seconds, iters);
   }
   {
-    const auto [seconds, iters] = run_timed(
-        [&] { pack_a_zerofill(false, a.view(), 0, 0, mc, kc, mk.mr, buf); });
+    std::vector<double> zeroed;
+    const auto [seconds, iters] = run_timed([&] {
+      pack_a_zerofill(false, a.view(), 0, 0, mc, kc, mk.mr, zeroed);
+    });
     report(Row{"pack", "pack_a_zerofill_base", mk.name, "-", mc, 0, kc, 0.0,
+               "gbps"},
+           a_bytes, seconds, iters);
+  }
+  {
+    // The diagonal block of a symmetric A: half the panel is gathered from
+    // the rows of the stored lower triangle.
+    const Matrix s = la::random_symmetric(kc, rng);
+    const auto [seconds, iters] = run_timed([&] {
+      blas::pack_a(blas::ReadA::kSymmetric, s.view(), 0, 0, mc, kc, mk.mr,
+                   buf);
+    });
+    report(Row{"pack", "pack_a_symmetric", mk.name, "-", mc, 0, kc, 0.0,
                "gbps"},
            a_bytes, seconds, iters);
   }

@@ -1,4 +1,5 @@
-// General matrix multiply: C := alpha * op(A) * op(B) + beta * C.
+// General matrix multiply: C := alpha * op(A) * op(B) + beta * C, and the
+// shared level-3 path (run_level3) that gemm, symm and syrk go through.
 //
 // Three internal variants (see blas/variant.hpp):
 //   - naive     : tiny problems, plain loops;
@@ -7,6 +8,13 @@
 //                 runtime-dispatched MR x NR register microkernel
 //                 (blas/microkernel.hpp), with beta folded into the first
 //                 kc-slab's store instead of a separate scaling sweep.
+//
+// SYMM and SYRK are the same loops with a different packing rule and store
+// (Van Zee & van de Geijn, BLIS, ACM TOMS 2015): SYMM packs its A panels
+// straight from the stored lower triangle, and SYRK stores only C's lower
+// triangle, skipping row blocks and micro-tiles strictly above the diagonal
+// and masking the tiles that cross it. Their naive and small-k variants run
+// GEMM's loops per column of C (SYRK) or per rank-1 update (SYMM).
 //
 // With a ThreadPool the blocked path picks between two work splits:
 //   - column stripes : disjoint kNR-aligned column ranges of C, one packing
@@ -67,6 +75,28 @@ GemmParallelMode select_gemm_parallel_mode(la::index_t m, la::index_t n,
                                            std::size_t pool_size,
                                            const BlockSizes& bs,
                                            la::index_t nr);
+
+/// One product for the shared level-3 path:
+///   C := alpha * op(A) * op(B) + beta * C
+/// with op(A) read as `read_a` says and op(B) = B^T when `trans_b`. With
+/// `lower_c` (SYRK's store, never paired with ReadA::kSymmetric) only C's
+/// lower triangle (i >= j) is computed and stored, and its strict upper
+/// triangle is never touched.
+struct Level3Product {
+  ReadA read_a = ReadA::kPlain;
+  bool trans_b = false;
+  bool lower_c = false;
+  double alpha = 1.0;
+  la::ConstMatrixView a;
+  la::ConstMatrixView b;
+  double beta = 0.0;
+  la::MatrixView c;
+};
+
+/// The loops behind gemm, symm and syrk: variant dispatch, packing, pool
+/// split and microkernel sweep. It checks no shapes and opens no trace span;
+/// its callers do both, each with its own kernel's FLOP count.
+void run_level3(const Level3Product& p, const GemmOptions& opts);
 
 /// op(A) is m x k, op(B) is k x n, C is m x n; op = transpose when flagged.
 void gemm(bool trans_a, bool trans_b, double alpha, la::ConstMatrixView a,

@@ -1,5 +1,6 @@
 #include "blas/microkernel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -133,26 +134,25 @@ void force_microkernel(const Microkernel* kernel) {
 void microkernel_fringe(const Microkernel& mk, index_t kc, double alpha,
                         const double* a_panel, const double* b_panel,
                         double beta, double* c, index_t ldc, index_t rows,
-                        index_t cols) {
+                        index_t cols, index_t diag) {
   LAMB_CHECK(mk.mr <= kMaxMR && mk.nr <= kMaxNR,
              "microkernel geometry exceeds the fringe tile buffer");
   // Full tile into a local buffer (beta = 0: the buffer is never read),
-  // then fold the valid corner into C with the caller's beta.
+  // then fold the stored part into C with the caller's beta.
   double tile[kMaxMR * kMaxNR];
   mk.fn(kc, alpha, a_panel, b_panel, 0.0, tile, mk.mr);
   for (index_t j = 0; j < cols; ++j) {
     const double* tj = tile + j * mk.mr;
     double* cj = c + j * ldc;
+    const index_t first = std::max(index_t{0}, j + diag);
+    // beta == 0 must not read C; beta == 1 needs no branch of its own,
+    // since 1.0 * c is exact.
     if (beta == 0.0) {
-      for (index_t i = 0; i < rows; ++i) {
+      for (index_t i = first; i < rows; ++i) {
         cj[i] = tj[i];
       }
-    } else if (beta == 1.0) {
-      for (index_t i = 0; i < rows; ++i) {
-        cj[i] += tj[i];
-      }
     } else {
-      for (index_t i = 0; i < rows; ++i) {
+      for (index_t i = first; i < rows; ++i) {
         cj[i] = beta * cj[i] + tj[i];
       }
     }

@@ -64,12 +64,18 @@ const Microkernel& active_microkernel();
 /// environment). Not intended for concurrent use with in-flight GEMMs.
 void force_microkernel(const Microkernel* kernel);
 
+/// microkernel_fringe's `diag` for a store of the whole (rows x cols) corner.
+inline constexpr la::index_t kAllRows = -kMaxNR;
+
 /// Fringe tile: computes the full mr x nr tile into a stack buffer and
-/// applies only the valid (rows x cols) corner to C with the same beta
-/// semantics as the full-tile path.
+/// applies part of the valid (rows x cols) corner to C with the same beta
+/// semantics as the full-tile path: column j gets rows [max(0, j + diag),
+/// rows). kAllRows stores the whole corner; SYRK passes the tile's column
+/// offset minus its row offset, which keeps C's lower triangle (i >= j).
 void microkernel_fringe(const Microkernel& mk, la::index_t kc, double alpha,
                         const double* a_panel, const double* b_panel,
                         double beta, double* c, la::index_t ldc,
-                        la::index_t rows, la::index_t cols);
+                        la::index_t rows, la::index_t cols,
+                        la::index_t diag = kAllRows);
 
 }  // namespace lamb::blas

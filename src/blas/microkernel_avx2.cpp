@@ -21,8 +21,11 @@ constexpr la::index_t kAvx2NR = 6;
 void avx2_kernel(la::index_t kc, double alpha, const double* a_panel,
                  const double* b_panel, double beta, double* c,
                  la::index_t ldc) {
+  // Register-resident accumulators need the zeroing and store loops
+  // unrolled by pragma, as in the avx512 kernel.
   __m256d acc_lo[kAvx2NR];
   __m256d acc_hi[kAvx2NR];
+  #pragma GCC unroll 6
   for (int j = 0; j < kAvx2NR; ++j) {
     acc_lo[j] = _mm256_setzero_pd();
     acc_hi[j] = _mm256_setzero_pd();
@@ -65,12 +68,14 @@ void avx2_kernel(la::index_t kc, double alpha, const double* a_panel,
 
   const __m256d valpha = _mm256_set1_pd(alpha);
   if (beta == 0.0) {
+    #pragma GCC unroll 6
     for (int j = 0; j < kAvx2NR; ++j) {
       double* cj = c + j * ldc;
       _mm256_storeu_pd(cj, _mm256_mul_pd(valpha, acc_lo[j]));
       _mm256_storeu_pd(cj + 4, _mm256_mul_pd(valpha, acc_hi[j]));
     }
   } else if (beta == 1.0) {
+    #pragma GCC unroll 6
     for (int j = 0; j < kAvx2NR; ++j) {
       double* cj = c + j * ldc;
       _mm256_storeu_pd(
@@ -80,6 +85,7 @@ void avx2_kernel(la::index_t kc, double alpha, const double* a_panel,
     }
   } else {
     const __m256d vbeta = _mm256_set1_pd(beta);
+    #pragma GCC unroll 6
     for (int j = 0; j < kAvx2NR; ++j) {
       double* cj = c + j * ldc;
       _mm256_storeu_pd(cj,

@@ -19,8 +19,12 @@ constexpr la::index_t kAvx512NR = 8;
 void avx512_kernel(la::index_t kc, double alpha, const double* a_panel,
                    const double* b_panel, double beta, double* c,
                    la::index_t ldc) {
+  // The accumulators stay in zmm registers only while every loop over them
+  // is unrolled: GCC 12 unrolls the FMA loop unasked, but without the pragma
+  // it zeroes the arrays with rep stos and spills them around the store.
   __m512d acc_lo[kAvx512NR];
   __m512d acc_hi[kAvx512NR];
+  #pragma GCC unroll 8
   for (int j = 0; j < kAvx512NR; ++j) {
     acc_lo[j] = _mm512_setzero_pd();
     acc_hi[j] = _mm512_setzero_pd();
@@ -42,12 +46,14 @@ void avx512_kernel(la::index_t kc, double alpha, const double* a_panel,
 
   const __m512d valpha = _mm512_set1_pd(alpha);
   if (beta == 0.0) {
+    #pragma GCC unroll 8
     for (int j = 0; j < kAvx512NR; ++j) {
       double* cj = c + j * ldc;
       _mm512_storeu_pd(cj, _mm512_mul_pd(valpha, acc_lo[j]));
       _mm512_storeu_pd(cj + 8, _mm512_mul_pd(valpha, acc_hi[j]));
     }
   } else if (beta == 1.0) {
+    #pragma GCC unroll 8
     for (int j = 0; j < kAvx512NR; ++j) {
       double* cj = c + j * ldc;
       _mm512_storeu_pd(
@@ -57,6 +63,7 @@ void avx512_kernel(la::index_t kc, double alpha, const double* a_panel,
     }
   } else {
     const __m512d vbeta = _mm512_set1_pd(beta);
+    #pragma GCC unroll 8
     for (int j = 0; j < kAvx512NR; ++j) {
       double* cj = c + j * ldc;
       _mm512_storeu_pd(cj,

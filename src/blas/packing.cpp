@@ -1,5 +1,6 @@
 #include "blas/packing.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace lamb::blas {
@@ -7,59 +8,58 @@ namespace lamb::blas {
 using la::ConstMatrixView;
 using la::index_t;
 
-namespace {
-
-/// Grow-only resize: keeps existing capacity (and contents) so packing a
-/// stream of blocks allocates at most once. The packed region is fully
-/// (re)written by the callers, so no zero-fill of reused storage is needed.
-void ensure_size(std::vector<double>& buf, index_t n) {
-  if (static_cast<index_t>(buf.size()) < n) {
-    buf.resize(static_cast<std::size_t>(n));
+double* PackBuffer::reserve(index_t n) {
+  if (n > capacity_) {
+    data_ = std::make_unique_for_overwrite<double[]>(
+        static_cast<std::size_t>(n));
+    capacity_ = n;
   }
+  return data_.get();
 }
 
-}  // namespace
-
-void pack_a(bool trans, ConstMatrixView a, index_t ic, index_t pc, index_t mc,
-            index_t kc, index_t mr, std::vector<double>& buf) {
+const double* pack_a(ReadA read, ConstMatrixView a, index_t ic, index_t pc,
+                     index_t mc, index_t kc, index_t mr, PackBuffer& buf) {
   const index_t panels = (mc + mr - 1) / mr;
-  ensure_size(buf, panels * mr * kc);
-  double* dst = buf.data();
+  double* const out = buf.reserve(panels * mr * kc);
+  double* dst = out;
   for (index_t ip = 0; ip < panels; ++ip) {
-    const index_t i0 = ip * mr;
-    const index_t rows = std::min(mr, mc - i0);
-    if (!trans) {
-      // Source column (ic+i0 .., pc+p) is contiguous: bulk-copy `rows`
-      // doubles per k step, then pad the fringe rows of a partial panel.
-      for (index_t p = 0; p < kc; ++p) {
-        const double* src = &a(ic + i0, pc + p);
-        double* col = dst + p * mr;
-        std::memcpy(col, src, static_cast<std::size_t>(rows) * sizeof(double));
-        for (index_t i = rows; i < mr; ++i) {
-          col[i] = 0.0;
-        }
+    const index_t i0 = ic + ip * mr;
+    const index_t rows = std::min(mr, mc - ip * mr);
+    // Element (i, p) is read mirrored, as A(pc+p, i0+i), where p - i >
+    // diag: above a symmetric A's diagonal, everywhere for op(A) = A^T and
+    // nowhere for a plain A. Mirrored runs are contiguous down column i0+i
+    // of A, so they are copied i outer / p inner.
+    const index_t diag = read == ReadA::kSymmetric ? i0 - pc
+                         : read == ReadA::kPlain   ? kc
+                                                   : -mr;
+    for (index_t i = 0; i < rows; ++i) {
+      for (index_t p = std::clamp(i + diag + 1, index_t{0}, kc); p < kc; ++p) {
+        dst[p * mr + i] = a(pc + p, i0 + i);
       }
-    } else {
-      // op(A) = A^T: source rows become panel rows; strided gather.
-      for (index_t p = 0; p < kc; ++p) {
-        double* col = dst + p * mr;
-        for (index_t i = 0; i < rows; ++i) {
-          col[i] = a(pc + p, ic + i0 + i);
-        }
-        for (index_t i = rows; i < mr; ++i) {
-          col[i] = 0.0;
-        }
+    }
+    // The rest of panel column p, rows [split, rows), is a contiguous run of
+    // column pc+p of A; the fringe rows of a partial panel are zeroed.
+    for (index_t p = 0; p < kc; ++p) {
+      const index_t split = std::clamp(p - diag, index_t{0}, rows);
+      double* panel_col = dst + p * mr;
+      if (split < rows) {
+        std::memcpy(panel_col + split, &a(i0 + split, pc + p),
+                    static_cast<std::size_t>(rows - split) * sizeof(double));
+      }
+      for (index_t i = rows; i < mr; ++i) {
+        panel_col[i] = 0.0;
       }
     }
     dst += mr * kc;
   }
+  return out;
 }
 
-void pack_b(bool trans, ConstMatrixView b, index_t pc, index_t jc, index_t kc,
-            index_t nc, index_t nr, std::vector<double>& buf) {
+const double* pack_b(bool trans, ConstMatrixView b, index_t pc, index_t jc,
+                     index_t kc, index_t nc, index_t nr, PackBuffer& buf) {
   const index_t panels = (nc + nr - 1) / nr;
-  ensure_size(buf, panels * nr * kc);
-  double* dst = buf.data();
+  double* const out = buf.reserve(panels * nr * kc);
+  double* dst = out;
   for (index_t jp = 0; jp < panels; ++jp) {
     const index_t j0 = jp * nr;
     const index_t cols = std::min(nr, nc - j0);
@@ -91,6 +91,7 @@ void pack_b(bool trans, ConstMatrixView b, index_t pc, index_t jc, index_t kc,
     }
     dst += nr * kc;
   }
+  return out;
 }
 
 }  // namespace lamb::blas

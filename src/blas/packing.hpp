@@ -1,4 +1,4 @@
-// Panel packing for the blocked GEMM.
+// Panel packing for the shared level-3 path (run_level3, blas/gemm.hpp).
 //
 // A-panels are packed into row-major micro-panels of `mr` rows; B-panels into
 // column micro-panels of `nr` columns, where (mr, nr) is the geometry of the
@@ -6,13 +6,13 @@
 // zero-padded so the microkernel never needs a scalar cleanup path for the
 // k-loop.
 //
-// The pack routines reuse the capacity of the caller's buffer across blocks:
-// the buffer only ever grows, interior panel elements are written exactly
-// once, and zero-fill is confined to the fringe rows/columns of the final
-// partial micro-panel — no per-block whole-buffer assign().
+// Buffer rule: packing storage belongs to one run_level3 call. A PackBuffer
+// only grows, is never initialised (every packed element is written exactly
+// once, zero-fill is confined to the fringe rows/columns of the final partial
+// micro-panel) and is freed when the call returns.
 #pragma once
 
-#include <vector>
+#include <memory>
 
 #include "la/matrix.hpp"
 
@@ -29,20 +29,39 @@ struct BlockSizes {
   la::index_t nc = 2048;
 };
 
+/// Grow-only, uninitialised packing storage.
+class PackBuffer {
+ public:
+  /// Room for `n` doubles; reallocates (discarding the contents) only to
+  /// grow.
+  double* reserve(la::index_t n);
+
+ private:
+  std::unique_ptr<double[]> data_;
+  la::index_t capacity_ = 0;
+};
+
+/// How pack_a reads element (i, p) of the packed operand from A.
+enum class ReadA {
+  kPlain,       ///< A(i, p)
+  kTransposed,  ///< A(p, i)
+  kSymmetric,   ///< A(max(i, p), min(i, p)): A stores a symmetric matrix's
+                ///< lower triangle (SYMM)
+};
+
 /// Pack op(A)(ic:ic+mc, pc:pc+kc) into `buf` as ceil(mc/mr) micro-panels of
-/// mr x kc (zero-padded rows in the final partial panel only). `trans`
-/// selects op = transpose. Element (i, p) of the block lands at
-/// buf[(i/mr)*mr*kc + p*mr + i%mr]. `buf` is grown if needed but never
-/// shrunk or cleared; every element of the packed region is written.
-void pack_a(bool trans, la::ConstMatrixView a, la::index_t ic, la::index_t pc,
-            la::index_t mc, la::index_t kc, la::index_t mr,
-            std::vector<double>& buf);
+/// mr x kc (zero-padded rows in the final partial panel only), reading op(A)
+/// as `read` says. Element (i, p) of the block lands at
+/// [(i/mr)*mr*kc + p*mr + i%mr] of the returned panels.
+const double* pack_a(ReadA read, la::ConstMatrixView a, la::index_t ic,
+                     la::index_t pc, la::index_t mc, la::index_t kc,
+                     la::index_t mr, PackBuffer& buf);
 
 /// Pack op(B)(pc:pc+kc, jc:jc+nc) into `buf` as ceil(nc/nr) micro-panels of
 /// kc x nr (zero-padded cols in the final partial panel only).
-/// Element (p, j) of the block lands at buf[(j/nr)*nr*kc + p*nr + j%nr].
-void pack_b(bool trans, la::ConstMatrixView b, la::index_t pc, la::index_t jc,
-            la::index_t kc, la::index_t nc, la::index_t nr,
-            std::vector<double>& buf);
+/// Element (p, j) of the block lands at [(j/nr)*nr*kc + p*nr + j%nr].
+const double* pack_b(bool trans, la::ConstMatrixView b, la::index_t pc,
+                     la::index_t jc, la::index_t kc, la::index_t nc,
+                     la::index_t nr, PackBuffer& buf);
 
 }  // namespace lamb::blas

@@ -1,85 +1,24 @@
 #include "blas/symm.hpp"
 
-#include <algorithm>
+#include <cstdint>
 
-#include "blas/level1.hpp"
-#include "blas/ref_blas.hpp"
-#include "blas/variant.hpp"
+#include "obs/trace.hpp"
 
 namespace lamb::blas {
 
-namespace {
-
-using la::ConstMatrixView;
-using la::index_t;
-using la::MatrixView;
-
-constexpr index_t kSymmBlock = 96;
-// Below this size the plain symmetric loop beats materialising the block.
-// Tied to the GEMM naive crossover so the dispatched-microkernel path takes
-// over at the same shape the GEMM variant selection hands work to it.
-constexpr index_t kSymmNaiveLimit = kNaiveLimit;
-
-/// C_block += alpha * A_diag * B_block with A_diag symmetric, lower stored.
-/// Beyond tiny blocks the symmetric diagonal block is materialised in full
-/// (an O(nb^2) copy) so the O(nb^2 * n) product can run through the fast
-/// GEMM path.
-void symm_diag_block(double alpha, ConstMatrixView a, ConstMatrixView b,
-                     MatrixView c, const blas::GemmOptions& opts) {
-  const index_t nb = a.rows();
-  if (nb <= kSymmNaiveLimit) {
-    ref_symm(alpha, a, b, 1.0, c);
-    return;
-  }
-  la::Matrix full(nb, nb);
-  for (index_t j = 0; j < nb; ++j) {
-    for (index_t i = j; i < nb; ++i) {
-      full(i, j) = a(i, j);
-      full(j, i) = a(i, j);
-    }
-  }
-  blas::gemm(false, false, alpha, full.view(), b, 1.0, c, opts);
-}
-
-}  // namespace
-
-void symm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
-          MatrixView c, const GemmOptions& opts) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  LAMB_CHECK(a.rows() == m && a.cols() == m, "symm: A must be m x m");
-  LAMB_CHECK(b.rows() == m && b.cols() == n, "symm: B shape mismatch");
-
-  if (m == 0 || n == 0) {
-    return;
-  }
-
-  scale_matrix(c, beta);
-  if (m <= kSymmBlock) {
-    symm_diag_block(alpha, a, b, c, opts);
-    return;
-  }
-
-  for (index_t kb = 0; kb < m; kb += kSymmBlock) {
-    const index_t kw = std::min(kSymmBlock, m - kb);
-    const ConstMatrixView b_block = b.block(kb, 0, kw, n);
-    for (index_t ib = 0; ib < m; ib += kSymmBlock) {
-      const index_t iw = std::min(kSymmBlock, m - ib);
-      MatrixView c_block = c.block(ib, 0, iw, n);
-      if (ib > kb) {
-        // Strictly-lower stored block used directly.
-        gemm(false, false, alpha, a.block(ib, kb, iw, kw), b_block, 1.0,
-             c_block, opts);
-      } else if (ib < kb) {
-        // Mirror: A(ib, kb) = A(kb, ib)^T, fetched from the lower triangle.
-        gemm(true, false, alpha, a.block(kb, ib, kw, iw), b_block, 1.0,
-             c_block, opts);
-      } else {
-        symm_diag_block(alpha, a.block(ib, kb, iw, kw), b_block, c_block,
-                        opts);
-      }
-    }
-  }
+void symm(double alpha, la::ConstMatrixView a, la::ConstMatrixView b,
+          double beta, la::MatrixView c, const GemmOptions& opts) {
+  const auto m = static_cast<std::uint64_t>(c.rows());
+  const auto n = static_cast<std::uint64_t>(c.cols());
+  // One kernel span per call, carrying the model's 2m^2n FLOP count.
+  const obs::SpanScope kernel_span(obs::Stage::kKernel, 2 * m * m * n);
+  LAMB_CHECK(a.rows() == c.rows() && a.cols() == c.rows(),
+             "symm: A must be m x m");
+  LAMB_CHECK(b.rows() == c.rows() && b.cols() == c.cols(),
+             "symm: B shape mismatch");
+  run_level3({ReadA::kSymmetric, /*trans_b=*/false, /*lower_c=*/false,
+              alpha, a, b, beta, c},
+             opts);
 }
 
 }  // namespace lamb::blas

@@ -1,10 +1,10 @@
 // Symmetric matrix multiply ("left, lower"): C := alpha * A * B + beta * C
 // where A is m x m symmetric with only the lower triangle stored.
 //
-// Implemented as a blocked sweep: strictly-lower blocks of A are used twice
-// (once as-is, once transposed), diagonal blocks through a symmetric
-// micro-path. The extra transposed traversals give SYMM a lower efficiency
-// than GEMM at small-to-medium m, as in the paper's Figure 1.
+// Runs on GEMM's packed path (blas/gemm.hpp): the A panels are packed
+// straight from the stored triangle, element (i, p) read as A(max, min), and
+// beta folds into the first kc slab's store as in GEMM. The strict upper
+// triangle of A is never read.
 #pragma once
 
 #include "blas/gemm.hpp"

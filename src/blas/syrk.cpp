@@ -1,76 +1,22 @@
 #include "blas/syrk.hpp"
 
-#include <algorithm>
+#include <cstdint>
 
-#include "blas/ref_blas.hpp"
-#include "blas/variant.hpp"
-
-#include "la/matrix.hpp"
+#include "obs/trace.hpp"
 
 namespace lamb::blas {
 
-namespace {
-
-using la::ConstMatrixView;
-using la::index_t;
-using la::MatrixView;
-
-constexpr index_t kSyrkBlock = 96;
-// Below this size the plain triangular loop beats the detour through GEMM.
-// Tied to the GEMM naive crossover so every diagonal block large enough for
-// the dispatched microkernel path actually reaches it.
-constexpr index_t kSyrkNaiveLimit = kNaiveLimit;
-
-/// Triangular update of a diagonal block: lower(Cb) := alpha * Ab * Ab^T +
-/// beta * lower(Cb). For all but tiny blocks the full product is formed with
-/// the fast GEMM path and its lower triangle copied out — the extra FLOPs on
-/// the (small) diagonal block are far cheaper than running a naive loop.
-void syrk_diag_block(double alpha, ConstMatrixView ab, double beta,
-                     MatrixView cb, const blas::GemmOptions& opts) {
-  const index_t nb = cb.rows();
-  if (nb <= kSyrkNaiveLimit) {
-    ref_syrk(alpha, ab, beta, cb);
-    return;
-  }
-  la::Matrix full(nb, nb);
-  blas::gemm(false, true, alpha, ab, ab, 0.0, full.view(), opts);
-  for (index_t j = 0; j < nb; ++j) {
-    for (index_t i = j; i < nb; ++i) {
-      const double prev = (beta == 0.0) ? 0.0 : beta * cb(i, j);
-      cb(i, j) = prev + full(i, j);
-    }
-  }
-}
-
-}  // namespace
-
-void syrk(double alpha, ConstMatrixView a, double beta, MatrixView c,
+void syrk(double alpha, la::ConstMatrixView a, double beta, la::MatrixView c,
           const GemmOptions& opts) {
-  const index_t n = c.rows();
-  LAMB_CHECK(c.cols() == n, "syrk: C must be square");
-  LAMB_CHECK(a.rows() == n, "syrk: A rows mismatch");
-  const index_t k = a.cols();
-
-  if (n == 0) {
-    return;
-  }
-  if (n <= kSyrkBlock) {
-    syrk_diag_block(alpha, a, beta, c, opts);
-    return;
-  }
-
-  for (index_t jb = 0; jb < n; jb += kSyrkBlock) {
-    const index_t nb = std::min(kSyrkBlock, n - jb);
-    // Diagonal block: triangular update.
-    syrk_diag_block(alpha, a.block(jb, 0, nb, k), beta,
-                    c.block(jb, jb, nb, nb), opts);
-    // Below-diagonal blocks: C(ib, jb) := alpha A_i A_j^T + beta C(ib, jb).
-    for (index_t ib = jb + nb; ib < n; ib += kSyrkBlock) {
-      const index_t mb = std::min(kSyrkBlock, n - ib);
-      gemm(false, true, alpha, a.block(ib, 0, mb, k), a.block(jb, 0, nb, k),
-           beta, c.block(ib, jb, mb, nb), opts);
-    }
-  }
+  const auto n = static_cast<std::uint64_t>(c.rows());
+  const auto k = static_cast<std::uint64_t>(a.cols());
+  // One kernel span per call, carrying the model's n(n+1)k FLOP count.
+  const obs::SpanScope kernel_span(obs::Stage::kKernel, n * (n + 1) * k);
+  LAMB_CHECK(c.cols() == c.rows(), "syrk: C must be square");
+  LAMB_CHECK(a.rows() == c.rows(), "syrk: A rows mismatch");
+  run_level3({ReadA::kPlain, /*trans_b=*/true, /*lower_c=*/true, alpha, a, a,
+              beta, c},
+             opts);
 }
 
 }  // namespace lamb::blas

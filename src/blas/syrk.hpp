@@ -1,10 +1,10 @@
 // Symmetric rank-k update: lower triangle of C := alpha * A * A^T + beta * C.
 //
-// Implemented as a blocked sweep over the lower triangle of C: off-diagonal
-// blocks are ordinary GEMMs (A_i * A_j^T), diagonal blocks use a triangular
-// update. Compared to a full GEMM of the same product, SYRK does roughly half
-// the FLOPs but at a lower rate for small/skinny problems — the profile shape
-// the paper's A*A^T*B anomalies hinge on.
+// Runs on GEMM's packed path (blas/gemm.hpp): A is packed as both operands
+// (op(B) = A^T), row blocks and micro-tiles strictly above the diagonal are
+// skipped, and tiles that cross it are stored masked to i >= j, so SYRK does
+// about half a GEMM's FLOPs at GEMM's per-tile rate. The strict upper
+// triangle of C is never read or written.
 #pragma once
 
 #include "blas/gemm.hpp"

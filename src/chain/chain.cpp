@@ -134,13 +134,24 @@ int emit_tree(const TreeNode& node, Algorithm& alg,
   return alg.add_gemm(left, right);
 }
 
+/// "(left*right)", built by appends: GCC 12 raises a false -Wrestrict
+/// warning on `"(" + std::string&&`.
+std::string product_string(const std::string& left, const std::string& right) {
+  std::string out = "(";
+  out += left;
+  out += '*';
+  out += right;
+  out += ')';
+  return out;
+}
+
 std::string tree_string(const TreeNode& node,
                         const std::vector<std::string>& names) {
   if (node.lo == node.hi) {
     return names[static_cast<std::size_t>(node.lo)];
   }
-  return "(" + tree_string(*node.left, names) + "*" +
-         tree_string(*node.right, names) + ")";
+  return product_string(tree_string(*node.left, names),
+                        tree_string(*node.right, names));
 }
 
 }  // namespace
@@ -261,8 +272,8 @@ std::string dp_string(const ChainDpResult& dp, int i, int j,
     return names[static_cast<std::size_t>(i)];
   }
   const int k = dp.split[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-  return "(" + dp_string(dp, i, k, names) + "*" +
-         dp_string(dp, k + 1, j, names) + ")";
+  return product_string(dp_string(dp, i, k, names),
+                        dp_string(dp, k + 1, j, names));
 }
 
 }  // namespace

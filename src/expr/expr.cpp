@@ -49,11 +49,17 @@ std::string Expr::to_string() const {
   switch (kind_) {
     case Kind::kOperand:
       return name_;
-    case Kind::kTranspose:
+    case Kind::kTranspose: {
       if (lhs_->kind() == Kind::kOperand) {
         return lhs_->to_string() + "'";
       }
-      return "(" + lhs_->to_string() + ")'";
+      // Built by appends: GCC 12 raises a false -Wrestrict warning on
+      // `"(" + std::string&&`.
+      std::string out = "(";
+      out += lhs_->to_string();
+      out += ")'";
+      return out;
+    }
     case Kind::kProduct:
       return lhs_->to_string() + "*" + rhs_->to_string();
     case Kind::kSyrk:

@@ -249,7 +249,7 @@ void Tracer::end_request(RequestTrace& trace) {
   }
   detail::Lane& ln = lane();
   push(ln, SpanRecord{trace.ctx.trace_id, trace.ctx.parent_span, 0, ln.index,
-                      Stage::kRequest, trace.start_ns, t1});
+                      Stage::kRequest, trace.start_ns, t1, {}, 0});
   if (t1 - trace.start_ns >=
       slow_threshold_ns_.load(std::memory_order_relaxed)) {
     admit_slow(trace, t1);
@@ -263,7 +263,7 @@ void Tracer::record_span(const TraceContext& ctx, Stage stage,
   }
   detail::Lane& ln = lane();
   push(ln, SpanRecord{ctx.trace_id, alloc_span_id(), ctx.parent_span,
-                      ln.index, stage, t0, t1});
+                      ln.index, stage, t0, t1, {}, 0});
 }
 
 void Tracer::record_stage(Stage stage, std::uint64_t t0, std::uint64_t t1) {
@@ -581,11 +581,8 @@ void SpanScope::finish() {
     ctx.parent_span = saved_parent_;
     if (t.enabled()) {
       detail::Lane& ln = t.lane();
-      SpanRecord record{ctx.trace_id, span_id_, saved_parent_, ln.index,
-                        stage_, t0_, t1};
-      record.pmu = pmu;
-      record.flops = flops_;
-      t.push(ln, record);
+      t.push(ln, SpanRecord{ctx.trace_id, span_id_, saved_parent_, ln.index,
+                            stage_, t0_, t1, pmu, flops_});
       if (pmu.valid) {
         const std::size_t s = static_cast<std::size_t>(stage_);
         PmuAgg& agg = ln.pmu[s];

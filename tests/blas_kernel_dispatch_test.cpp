@@ -153,7 +153,7 @@ TEST_P(KernelAgreementTest, MatchesScalarAcrossFringeShapesAndScalars) {
             const Matrix c0 = la::random_matrix(m, n, rng);
             // (alpha, beta) spanning store (0), accumulate (1) and the
             // general fused scale-and-add path.
-            for (const auto [alpha, beta] :
+            for (const auto& [alpha, beta] :
                  {std::pair{1.0, 0.0}, std::pair{2.5, 1.0},
                   std::pair{-1.0, -0.5}}) {
               const Matrix got = run_with_kernel(mk, ta, tb, alpha, a, b,

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/symm.hpp"
+#include "blas/syrk.hpp"
 #include "la/generators.hpp"
 #include "obs/clock.hpp"
 #include "obs/pmu.hpp"
@@ -215,6 +217,54 @@ TEST_F(ObsTest, GemmRecordsAKernelSpan) {
     }
   }
   EXPECT_TRUE(found_kernel);
+}
+
+/// Kernel spans of one sampled trace around `work`.
+template <typename Work>
+std::vector<obs::SpanRecord> kernel_spans_of(Work&& work) {
+  obs::TracerConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_every = 1;
+  obs::Tracer& tracer = obs::tracer();
+  tracer.configure(cfg);
+  obs::RequestTrace trace = tracer.begin_request("level3");
+  {
+    const obs::ContextGuard guard(trace.ctx);
+    work();
+  }
+  tracer.end_request(trace);
+  std::vector<obs::SpanRecord> kernels;
+  for (const obs::SpanRecord& span : tracer.collect_trace(trace.ctx.trace_id)) {
+    if (span.stage == obs::Stage::kKernel) {
+      EXPECT_EQ(span.parent_id, trace.ctx.parent_span);
+      kernels.push_back(span);
+    }
+  }
+  return kernels;
+}
+
+// SYRK and SYMM each record one kernel span with the model's FLOP count
+// (KernelCall::flops()), however many blocks the shape spans: n = 130 and
+// m = 130 cross the mc = 128 row block.
+TEST_F(ObsTest, SyrkRecordsOneKernelSpanWithModelFlops) {
+  support::Rng rng(8);
+  const la::Matrix a = la::random_matrix(130, 40, rng);
+  la::Matrix c(130, 130);
+  const std::vector<obs::SpanRecord> spans = kernel_spans_of(
+      [&] { blas::syrk(1.0, a.view(), 0.0, c.view()); });
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].flops, 130ull * 131ull * 40ull);
+}
+
+TEST_F(ObsTest, SymmRecordsOneKernelSpanWithModelFlops) {
+  support::Rng rng(9);
+  const la::Matrix a = la::random_symmetric(130, rng);
+  const la::Matrix b = la::random_matrix(130, 24, rng);
+  la::Matrix c(130, 24);
+  const std::vector<obs::SpanRecord> spans = kernel_spans_of(
+      [&] { blas::symm(1.0, a.view(), b.view(), 0.0, c.view()); });
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].flops, 2ull * 130ull * 130ull * 24ull);
 }
 
 // Hammer a tiny ring from several writer threads while a reader scans it:
