@@ -73,7 +73,8 @@
 // Common flags: --family=NAME (registry name), --dim=N (slice dimension,
 // default 0), --exact (bypass the atlas), --atlas-dir=DIR (persistent store;
 // omitted = in-memory only), --real (measured machine instead of simulated),
-// --lo/--hi/--step/--threshold (atlas scan geometry), --threads=N.
+// --lo/--hi/--step/--threshold (atlas scan geometry; anomaly::AtlasConfig's
+// defaults, except --hi=300 with --real), --threads=N.
 //
 // Robustness flags (serve/simulate degrade by default; see README "Failure
 // model"): --degrade=0|1 (fallback answers instead of exceptions when a
@@ -123,10 +124,13 @@ using namespace lamb;
 serve::ServiceConfig service_config(const support::Cli& cli, bool real,
                                     bool serving) {
   serve::ServiceConfig cfg;
-  cfg.atlas.lo = static_cast<int>(cli.get_int("lo", 20));
-  cfg.atlas.hi = static_cast<int>(cli.get_int("hi", real ? 300 : 1200));
-  cfg.atlas.coarse_step = static_cast<int>(cli.get_int("step", 20));
-  cfg.atlas.time_score_threshold = cli.get_double("threshold", 0.05);
+  const anomaly::AtlasConfig defaults;
+  cfg.atlas.lo = static_cast<int>(cli.get_int("lo", defaults.lo));
+  cfg.atlas.hi = static_cast<int>(cli.get_int("hi", real ? 300 : defaults.hi));
+  cfg.atlas.coarse_step =
+      static_cast<int>(cli.get_int("step", defaults.coarse_step));
+  cfg.atlas.time_score_threshold =
+      cli.get_double("threshold", defaults.time_score_threshold);
   cfg.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
   // Robustness posture. Serving paths (serve, simulate) degrade to the
   // flop-minimal fallback when a build fails — a wrong-but-safe answer
@@ -440,7 +444,10 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
 ///            (--repair quarantines: rename to *.corrupt + journal entry)
 ///   stale    *.tmp staging files from an interrupted atomic write
 ///            (--repair removes them; the rename never happened, so they
-///            shadow nothing)
+///            shadow nothing), and *.atlas records of an older format
+///            version (kept: warm_from_store skips them, the slice is
+///            rebuilt on first query and the next checkpoint overwrites
+///            the file)
 ///   ok       records that parse clean
 /// Exits 1 while unrepaired corruption remains, 0 otherwise.
 int cmd_fsck(const support::Cli& cli) {
@@ -490,6 +497,10 @@ int cmd_fsck(const support::Cli& cli) {
     if (path.extension() == ".atlas") {
       try {
         (void)store::load_atlas(path.string());
+      } catch (const store::StaleRecordError& e) {
+        ++stale;
+        std::printf("fsck: stale record %s (%s)\n", name.c_str(), e.what());
+        continue;
       } catch (const store::SerialError& e) {
         error = e.what();
       }

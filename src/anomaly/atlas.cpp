@@ -1,7 +1,6 @@
 #include "anomaly/atlas.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "support/check.hpp"
 #include "support/str.hpp"
@@ -10,13 +9,38 @@ namespace lamb::anomaly {
 
 namespace {
 
+/// One classified scan coordinate: the answer tuple and its time score.
 struct ScanPoint {
   int coord = 0;
   bool anomalous = false;
-  std::size_t fastest = 0;
-  std::size_t cheapest = 0;
+  std::uint32_t fastest = 0;
+  std::uint32_t cheapest = 0;
   double time_score = 0.0;
+
+  bool same_answer(const ScanPoint& o) const {
+    return anomalous == o.anomalous && fastest == o.fastest &&
+           cheapest == o.cheapest;
+  }
 };
+
+/// Append to `points`, in ascending order, every sample bisection takes
+/// strictly between `left` and `right`: while two neighbours answer
+/// differently and lie more than one apart, classify the midpoint and
+/// recurse on both halves, so each change the samples reveal lands on its
+/// exact size. `left` is taken by value because callers pass
+/// points.back(), which push_back may move.
+template <class ClassifyAt>
+void refine(ScanPoint left, const ScanPoint& right,
+            const ClassifyAt& classify_at, std::vector<ScanPoint>& points) {
+  if (right.coord - left.coord <= 1 || left.same_answer(right)) {
+    return;
+  }
+  const ScanPoint mid =
+      classify_at(left.coord + (right.coord - left.coord) / 2);
+  refine(left, mid, classify_at, points);
+  points.push_back(mid);
+  refine(mid, right, classify_at, points);
+}
 
 }  // namespace
 
@@ -30,93 +54,63 @@ RegionAtlas::RegionAtlas(const expr::ExpressionFamily& family,
   LAMB_CHECK(config.lo >= 1 && config.hi >= config.lo, "atlas: bad range");
   LAMB_CHECK(config.coarse_step >= 1, "atlas: bad stride");
 
+  // The coarse grid with both endpoints, plus each kernel breakpoint L and
+  // L + 1 that falls inside the range.
+  std::vector<int> coords;
+  for (long long c = config_.lo; c <= config_.hi; c += config_.coarse_step) {
+    coords.push_back(static_cast<int>(c));
+  }
+  coords.push_back(config_.hi);
+  for (const int l : machine.breakpoints()) {
+    if (l >= config_.lo && l <= config_.hi) {
+      coords.push_back(l);
+    }
+    if (l >= config_.lo - 1 && l < config_.hi) {
+      coords.push_back(l + 1);
+    }
+  }
+  std::sort(coords.begin(), coords.end());
+  coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
+
+  expr::Instance dims = base_;
   const auto classify_at = [&](int coord) {
-    expr::Instance dims = base_;
     dims[static_cast<std::size_t>(dim_)] = coord;
     const InstanceResult r = classify_instance(family, machine, dims,
                                                config_.time_score_threshold);
-    ++samples_used_;
-    return ScanPoint{coord, r.anomaly, r.fastest.front(), r.cheapest.front(),
+    return ScanPoint{coord, r.anomaly,
+                     static_cast<std::uint32_t>(r.fastest.front()),
+                     static_cast<std::uint32_t>(r.cheapest.front()),
                      r.time_score};
   };
-
-  // Coarse scan (always including both endpoints).
   std::vector<ScanPoint> points;
-  for (int c = config_.lo; c <= config_.hi; c += config_.coarse_step) {
-    points.push_back(classify_at(c));
+  for (const int c : coords) {
+    const ScanPoint p = classify_at(c);
+    if (!points.empty()) {
+      refine(points.back(), p, classify_at, points);
+    }
+    points.push_back(p);
   }
-  if (points.back().coord != config_.hi) {
-    points.push_back(classify_at(config_.hi));
-  }
+  samples_used_ = static_cast<long long>(points.size());
 
-  // Refine every anomalous-status flip down to unit resolution by bisection.
-  std::vector<ScanPoint> refined;
-  refined.push_back(points.front());
+  // Each run of equal answers is one interval: adjacent samples that
+  // answer differently are one apart after refinement, so a run's last
+  // sample is its interval's upper bound.
+  std::size_t runs = 1;
   for (std::size_t i = 1; i < points.size(); ++i) {
-    ScanPoint left = points[i - 1];
-    ScanPoint right = points[i];
-    if (left.anomalous != right.anomalous) {
-      while (right.coord - left.coord > 1) {
-        const int mid = left.coord + (right.coord - left.coord) / 2;
-        const ScanPoint p = classify_at(mid);
-        if (p.anomalous == left.anomalous) {
-          left = p;
-        } else {
-          right = p;
-        }
-      }
-      refined.push_back(left);
-    }
-    refined.push_back(points[i]);
+    runs += points[i].same_answer(points[i - 1]) ? 0 : 1;
   }
-
-  // Merge consecutive points of equal anomalous status into intervals,
-  // recording the majority-fastest algorithm and the worst severity.
-  std::size_t begin = 0;
-  while (begin < refined.size()) {
-    std::size_t end = begin;
-    while (end + 1 < refined.size() &&
-           refined[end + 1].anomalous == refined[begin].anomalous) {
-      ++end;
+  intervals_.reserve(runs);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ScanPoint& p = points[i];
+    if (i == 0 || !p.same_answer(points[i - 1])) {
+      intervals_.push_back(
+          AtlasInterval{p.coord, p.anomalous, p.fastest, p.cheapest, 0.0});
     }
-    AtlasInterval interval;
-    interval.lo = (begin == 0) ? config_.lo : refined[begin].coord;
-    interval.hi =
-        (end + 1 == refined.size()) ? config_.hi : refined[end].coord;
-    interval.anomalous = refined[begin].anomalous;
-    std::map<std::size_t, int> fastest_votes;
-    std::map<std::size_t, int> cheapest_votes;
-    for (std::size_t i = begin; i <= end; ++i) {
-      ++fastest_votes[refined[i].fastest];
-      ++cheapest_votes[refined[i].cheapest];
-      interval.worst_time_score =
-          std::max(interval.worst_time_score, refined[i].time_score);
-    }
-    const auto majority = [](const std::map<std::size_t, int>& votes) {
-      std::size_t best = 0;
-      int count = -1;
-      for (const auto& [alg, n] : votes) {
-        if (n > count) {
-          count = n;
-          best = alg;
-        }
-      }
-      return best;
-    };
-    interval.recommended = majority(fastest_votes);
-    interval.flop_minimal = majority(cheapest_votes);
-    intervals_.push_back(interval);
-    begin = end + 1;
+    AtlasInterval& interval = intervals_.back();
+    interval.hi = p.coord;
+    interval.worst_time_score =
+        std::max(interval.worst_time_score, p.time_score);
   }
-
-  // Make the interval bounds contiguous.
-  for (std::size_t i = 1; i < intervals_.size(); ++i) {
-    intervals_[i].lo = intervals_[i - 1].hi + 1;
-    if (intervals_[i].lo > intervals_[i].hi) {
-      intervals_[i].hi = intervals_[i].lo;
-    }
-  }
-  intervals_.back().hi = config_.hi;
 }
 
 RegionAtlas::RegionAtlas(expr::Instance base, int dim, AtlasConfig config,
@@ -129,11 +123,11 @@ RegionAtlas::RegionAtlas(expr::Instance base, int dim, AtlasConfig config,
              "atlas: dimension out of range");
   LAMB_CHECK(config_.hi >= config_.lo, "atlas: bad range");
   LAMB_CHECK(!intervals_.empty(), "atlas: no intervals");
-  int expected_lo = config_.lo;
+  long long previous_hi = static_cast<long long>(config_.lo) - 1;
   for (const AtlasInterval& interval : intervals_) {
-    LAMB_CHECK(interval.lo == expected_lo && interval.hi >= interval.lo,
-               "atlas: intervals must partition the range contiguously");
-    expected_lo = interval.hi + 1;
+    LAMB_CHECK(interval.hi > previous_hi,
+               "atlas: interval bounds must ascend from config.lo");
+    previous_hi = interval.hi;
   }
   LAMB_CHECK(intervals_.back().hi == config_.hi,
              "atlas: intervals must end at config.hi");
@@ -159,17 +153,14 @@ std::size_t RegionAtlas::recommend(int size) const {
 
 double RegionAtlas::anomalous_fraction() const {
   long long anomalous = 0;
-  long long total = 0;
   for (const AtlasInterval& interval : intervals_) {
-    const long long width = interval.hi - interval.lo + 1;
-    total += width;
     if (interval.anomalous) {
-      anomalous += width;
+      anomalous += interval.hi - interval_lo(interval) + 1;
     }
   }
-  return total > 0 ? static_cast<double>(anomalous) /
-                         static_cast<double>(total)
-                   : 0.0;
+  const long long total =
+      static_cast<long long>(config_.hi) - config_.lo + 1;
+  return static_cast<double>(anomalous) / static_cast<double>(total);
 }
 
 std::string RegionAtlas::to_string(
@@ -186,7 +177,7 @@ std::string RegionAtlas::to_string(
   for (const AtlasInterval& interval : intervals_) {
     out += support::strf(
         "  [%4d, %4d]  %-12s  run %-10s (FLOP-min: %s, worst ts %.1f%%)\n",
-        interval.lo, interval.hi,
+        interval_lo(interval), interval.hi,
         interval.anomalous ? "ANOMALOUS" : "flops-safe",
         name_of(interval.recommended).c_str(),
         name_of(interval.flop_minimal).c_str(),
@@ -199,7 +190,8 @@ std::string RegionAtlas::to_csv() const {
   std::string out =
       "dim,lo,hi,anomalous,recommended,flop_minimal,worst_time_score\n";
   for (const AtlasInterval& interval : intervals_) {
-    out += support::strf("%d,%d,%d,%d,%zu,%zu,%.17g\n", dim_, interval.lo,
+    out += support::strf("%d,%d,%d,%d,%u,%u,%.17g\n", dim_,
+                         interval_lo(interval),
                          interval.hi, interval.anomalous ? 1 : 0,
                          interval.recommended, interval.flop_minimal,
                          interval.worst_time_score);

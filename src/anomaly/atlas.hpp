@@ -4,15 +4,26 @@
 // severe anomalies").
 //
 // Given an expression family, a machine, a base instance and ONE symbolic
-// dimension, the atlas scans the dimension's whole range once (at a coarse
-// stride, refining around classification changes) and records the anomalous
-// intervals together with the FLOP-minimal and fastest algorithm in each
-// interval. At run time — when the symbolic size becomes known — a query is
-// a binary search: it answers "can I trust the FLOP count here, and if not,
-// which algorithm should I run instead?" without any further measurement.
+// dimension, the atlas scans the dimension's whole range once and records,
+// for every size, the answer tuple (anomalous, fastest algorithm,
+// FLOP-minimal algorithm) as a partition into intervals of equal tuples.
+// The scan samples where the kernels change:
+//   * a coarse grid at `coarse_step`, both endpoints included;
+//   * each machine breakpoint L and L + 1 inside the range
+//     (MachineModel::breakpoints(): the sizes where some kernel's
+//     efficiency steps, which are exactly the abrupt changes the paper
+//     names);
+//   * wherever two adjacent samples answer differently, recursive bisection
+//     down to unit resolution, so every change of any tuple member that the
+//     samples reveal lands on its exact size.
+// Each run of equal tuples becomes one interval carrying that tuple and the
+// worst time score over its samples. At run time — when the symbolic size
+// becomes known — a query is a binary search: it answers "can I trust the
+// FLOP count here, and if not, which algorithm should I run instead?"
+// without any further measurement.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,19 +31,23 @@
 
 namespace lamb::anomaly {
 
+/// One interval of the partition. Its lower bound is not stored: it is the
+/// previous interval's `hi` + 1, or config.lo for the first
+/// (RegionAtlas::interval_lo).
 struct AtlasInterval {
-  int lo = 0;                 ///< inclusive
-  int hi = 0;                 ///< inclusive
+  int hi = 0;                       ///< inclusive upper bound
   bool anomalous = false;
-  std::size_t recommended;    ///< fastest algorithm throughout the interval
-  std::size_t flop_minimal;   ///< what the FLOP discriminant would pick
-  double worst_time_score = 0.0;
+  std::uint32_t recommended = 0;    ///< fastest algorithm throughout
+  std::uint32_t flop_minimal = 0;   ///< what the FLOP discriminant would pick
+  double worst_time_score = 0.0;    ///< max time score over its samples
 };
+// A slice holds several intervals and a service holds thousands of slices.
+static_assert(sizeof(AtlasInterval) <= 24);
 
 struct AtlasConfig {
   int lo = 20;
   int hi = 1200;
-  int coarse_step = 20;          ///< initial scan stride
+  int coarse_step = 80;          ///< coarse-grid stride of the scan
   double time_score_threshold = 0.05;
 };
 
@@ -44,14 +59,22 @@ class RegionAtlas {
               int dim, const AtlasConfig& config = {});
 
   /// Assemble an atlas from already-known parts — the deserialization path
-  /// (store/atlas_io). Validates that `intervals` is a non-empty, contiguous
-  /// partition of [config.lo, config.hi]; throws support::CheckError
+  /// (store/atlas_io). Validates that `intervals` partitions
+  /// [config.lo, config.hi]: non-empty, upper bounds strictly ascending from
+  /// config.lo, the last equal to config.hi. Throws support::CheckError
   /// otherwise, so corrupt files cannot produce an atlas that violates the
   /// lookup() invariants.
   RegionAtlas(expr::Instance base, int dim, AtlasConfig config,
               std::vector<AtlasInterval> intervals, long long samples_used);
 
   const std::vector<AtlasInterval>& intervals() const { return intervals_; }
+  /// Inclusive lower bound of `interval`, which must be one of this
+  /// atlas's intervals (an element of intervals(), or what lookup()
+  /// returned).
+  int interval_lo(const AtlasInterval& interval) const {
+    return &interval == intervals_.data() ? config_.lo
+                                          : (&interval - 1)->hi + 1;
+  }
   int symbolic_dimension() const { return dim_; }
   const expr::Instance& base_instance() const { return base_; }
   const AtlasConfig& config() const { return config_; }

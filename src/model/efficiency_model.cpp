@@ -94,4 +94,24 @@ double call_efficiency(const EfficiencyParams& p, const KernelCall& call) {
   return 0.0;
 }
 
+std::vector<int> efficiency_breakpoints(const EfficiencyParams& p) {
+  std::vector<int> out;
+  const auto step = [&out](la::index_t limit, double factor) {
+    if (limit >= 1 && factor != 1.0) {
+      out.push_back(static_cast<int>(limit));
+    }
+  };
+  step(p.gemm.tiny_limit, p.gemm.tiny_factor);
+  step(p.gemm.small_k_limit, p.gemm.small_k_factor);
+  step(p.gemm.mid_k_limit, p.gemm.mid_k_factor);
+  step(p.gemm.small_m_limit, p.gemm.small_m_factor);
+  step(p.syrk.small_m_limit, p.syrk.small_m_factor);
+  step(p.syrk.mid_m_limit, p.syrk.mid_m_factor);
+  step(p.symm.small_m_limit, p.symm.small_m_factor);
+  step(p.symm.mid_m_limit, p.symm.mid_m_factor);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 }  // namespace lamb::model

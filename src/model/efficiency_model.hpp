@@ -13,6 +13,8 @@
 // machines (e.g. flat profiles, where anomalies provably cannot occur).
 #pragma once
 
+#include <vector>
+
 #include "la/matrix.hpp"
 #include "model/kernel_call.hpp"
 
@@ -80,5 +82,11 @@ double symm_efficiency(const SymmEfficiencyParams& p, la::index_t m,
 
 /// Efficiency of an arbitrary call (TriCopy has no FLOPs; returns 0).
 double call_efficiency(const EfficiencyParams& p, const KernelCall& call);
+
+/// The variant-step limits of `p` (ascending, distinct): every positive
+/// limit whose factor is not 1, so the efficiency surfaces step between L
+/// and L + 1 and are smooth everywhere else. 24, 32, 64, 96, 160 and 300
+/// for xeon_like(); none for flat().
+std::vector<int> efficiency_breakpoints(const EfficiencyParams& p);
 
 }  // namespace lamb::model

@@ -45,6 +45,14 @@ class MachineModel {
   /// Median cold-cache time of one call benchmarked in isolation.
   virtual double time_call_isolated(const KernelCall& call) = 0;
 
+  /// Sizes L (in any order) at which some kernel's efficiency steps
+  /// between operand dimension L and L + 1: the library switching internal
+  /// variants or cache blocks (paper Sec. 4.1.3). Every kernel dimension of
+  /// the registered families is one instance dimension, so the region atlas
+  /// samples each L and L + 1 on the line it scans. The default is none:
+  /// nothing is known about the kernels.
+  virtual std::vector<int> breakpoints() const { return {}; }
+
   /// Total measured time of the algorithm (sum of step times).
   double time_algorithm(const Algorithm& alg);
 

@@ -26,6 +26,13 @@ double MeasuredMachine::peak_flops() const {
   return peak_;
 }
 
+std::vector<int> MeasuredMachine::breakpoints() const {
+  const blas::BlockSizes blocks;
+  return {static_cast<int>(blas::kSmallKLimit),
+          static_cast<int>(blas::kNaiveLimit), static_cast<int>(blocks.mc),
+          static_cast<int>(blocks.kc)};
+}
+
 std::vector<double> MeasuredMachine::time_steps(const Algorithm& alg) {
   // Materialise random externals for this algorithm's shapes. The matrices
   // are dense and unstructured, so contents do not affect timing.

@@ -36,6 +36,9 @@ class MeasuredMachine final : public MachineModel {
 
   std::vector<double> time_steps(const Algorithm& alg) override;
   double time_call_isolated(const KernelCall& call) override;
+  /// Where lamb::blas switches paths: the naive and small-k variant limits
+  /// (blas/variant.hpp) and the mc and kc cache blocks (blas/packing.hpp).
+  std::vector<int> breakpoints() const override;
 
   /// Drop memoised isolated-call benchmarks (counters are kept).
   void clear_benchmark_cache();

@@ -1,7 +1,9 @@
 #include "model/simulated_machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -30,13 +32,19 @@ constexpr std::uint64_t kSteppedContext = 0x57E9;
 SimulatedMachine::SimulatedMachine(SimulatedMachineConfig config)
     : config_(config) {
   LAMB_CHECK(config_.peak_flops > 0.0, "peak must be positive");
-  LAMB_CHECK(config_.repetitions >= 1, "need at least one repetition");
+  LAMB_CHECK(config_.repetitions >= 1 &&
+                 config_.repetitions <= kMaxSimulatedRepetitions,
+             "repetitions out of range");
   LAMB_CHECK(config_.coupling_max >= 0.0 && config_.coupling_max < 1.0,
              "coupling fraction out of range");
 }
 
 std::string SimulatedMachine::name() const {
   return "simulated";
+}
+
+std::vector<int> SimulatedMachine::breakpoints() const {
+  return efficiency_breakpoints(config_.efficiency);
 }
 
 double SimulatedMachine::efficiency(const KernelCall& call) const {
@@ -61,8 +69,10 @@ double SimulatedMachine::jitter_factor(std::uint64_t stream) const {
   if (config_.jitter <= 0.0) {
     return 1.0;
   }
-  std::vector<double> draws;
-  draws.reserve(static_cast<std::size_t>(config_.repetitions));
+  // Every kernel call of every scan sample draws here: no heap.
+  std::array<double, kMaxSimulatedRepetitions> buffer;
+  const std::span<double> draws(buffer.data(),
+                                static_cast<std::size_t>(config_.repetitions));
   for (int r = 0; r < config_.repetitions; ++r) {
     const std::uint64_t h =
         support::hash_combine(stream, static_cast<std::uint64_t>(r));
@@ -71,9 +81,10 @@ double SimulatedMachine::jitter_factor(std::uint64_t stream) const {
         static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
     // Timing noise is one-sided-ish in practice: runs can only be delayed.
     // Use |u| with a small symmetric part so medians stay near 1.
-    draws.push_back(1.0 + config_.jitter * (0.25 * u + 0.75 * std::abs(u)));
+    draws[static_cast<std::size_t>(r)] =
+        1.0 + config_.jitter * (0.25 * u + 0.75 * std::abs(u));
   }
-  return support::median(draws);
+  return support::median_in_place(draws);
 }
 
 double SimulatedMachine::coupling_factor(const Algorithm& alg,

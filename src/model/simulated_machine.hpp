@@ -22,6 +22,10 @@
 
 namespace lamb::model {
 
+/// Bound on SimulatedMachineConfig::repetitions (the draws live on the
+/// stack).
+inline constexpr int kMaxSimulatedRepetitions = 64;
+
 struct SimulatedMachineConfig {
   EfficiencyParams efficiency = EfficiencyParams::xeon_like();
   double peak_flops = 80.0e9;        ///< DP peak of the simulated host
@@ -39,7 +43,7 @@ struct SimulatedMachineConfig {
   double coupling_weight_symm = 0.35;
   double coupling_weight_tricopy = 0.5;
   double jitter = 0.004;             ///< relative measurement noise amplitude
-  int repetitions = 10;              ///< median-of-R protocol
+  int repetitions = 10;              ///< median-of-R protocol, R in [1, 64]
   std::uint64_t noise_seed = 0xC0FFEE;
   bool enable_coupling = true;       ///< ablation switch (cache effects off)
 };
@@ -55,6 +59,8 @@ class SimulatedMachine final : public MachineModel {
 
   std::vector<double> time_steps(const Algorithm& alg) override;
   double time_call_isolated(const KernelCall& call) override;
+  /// The efficiency surfaces' variant-step limits (efficiency_breakpoints).
+  std::vector<int> breakpoints() const override;
 
   /// Noise-free base time of a call (no jitter, no coupling); exposed for
   /// tests and for the analytic cost models.

@@ -470,7 +470,8 @@ Response SelectionRoutes::metrics_response() const {
            "Region atlases loaded from disk.");
   w.counter("lamb_selection_atlases_loaded_total", s.atlases_loaded);
   w.family("lamb_selection_atlases_skipped_total", "counter",
-           "Corrupt atlas files skipped at warm-up (quarantine failed).");
+           "Atlas files skipped at warm-up: older format version (rebuilt "
+           "on first query), or corrupt and quarantine failed.");
   w.counter("lamb_selection_atlases_skipped_total", s.atlases_skipped);
   w.family("lamb_selection_atlases_quarantined_total", "counter",
            "Corrupt atlas files renamed aside (*.corrupt) at warm-up.");

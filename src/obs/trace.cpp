@@ -21,10 +21,16 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 
 /// One ring slot: a per-slot seqlock over all-atomic payload fields. The
-/// writer (the owning thread) bumps seq odd, publishes the payload with
-/// relaxed stores behind a release fence, and bumps seq even; a reader
-/// that sees an odd or changed seq discards the slot. Plain fields would
-/// be a data race under a wrapping writer — all-atomic keeps TSan exact.
+/// writer (the owning thread) bumps seq odd, stores the payload words with
+/// release, and bumps seq even; the reader loads seq, then the payload
+/// words with acquire, then seq again, and discards the slot when seq was
+/// odd or changed. A reader that sees any word of a newer write therefore
+/// synchronises with it and sees that write's odd seq on its second load
+/// (Boehm, "Can seqlocks get along with programming language memory
+/// models?", MSPC 2012). No fences: TSan models acquire and release on the
+/// atomics but not std::atomic_thread_fence. Plain fields would be a data
+/// race under a wrapping writer — all-atomic keeps TSan exact. On x86 the
+/// release stores and acquire loads are the same plain moves as relaxed.
 struct Slot {
   std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> trace_id{0};
@@ -191,26 +197,25 @@ void Tracer::push(detail::Lane& lane, const SpanRecord& record) {
   Slot& slot = lane.ring[head & lane.mask];
   const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: write begun
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.trace_id.store(record.trace_id, std::memory_order_relaxed);
+  slot.trace_id.store(record.trace_id, std::memory_order_release);
   slot.ids.store(static_cast<std::uint64_t>(record.span_id) |
                      (static_cast<std::uint64_t>(record.parent_id) << 32),
-                 std::memory_order_relaxed);
+                 std::memory_order_release);
   slot.meta.store(static_cast<std::uint64_t>(record.stage) |
                       (record.pmu.valid ? kMetaPmuValid : 0) |
                       (static_cast<std::uint64_t>(lane.index) << 8),
-                  std::memory_order_relaxed);
-  slot.t_start.store(record.t_start_ns, std::memory_order_relaxed);
-  slot.t_end.store(record.t_end_ns, std::memory_order_relaxed);
-  slot.flops.store(record.flops, std::memory_order_relaxed);
-  slot.pmu_cycles.store(record.pmu.cycles, std::memory_order_relaxed);
+                  std::memory_order_release);
+  slot.t_start.store(record.t_start_ns, std::memory_order_release);
+  slot.t_end.store(record.t_end_ns, std::memory_order_release);
+  slot.flops.store(record.flops, std::memory_order_release);
+  slot.pmu_cycles.store(record.pmu.cycles, std::memory_order_release);
   slot.pmu_instructions.store(record.pmu.instructions,
-                              std::memory_order_relaxed);
-  slot.pmu_llc_loads.store(record.pmu.llc_loads, std::memory_order_relaxed);
+                              std::memory_order_release);
+  slot.pmu_llc_loads.store(record.pmu.llc_loads, std::memory_order_release);
   slot.pmu_llc_misses.store(record.pmu.llc_misses,
-                            std::memory_order_relaxed);
+                            std::memory_order_release);
   slot.pmu_stalled.store(record.pmu.stalled_backend,
-                         std::memory_order_relaxed);
+                         std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);  // even: committed
   lane.head.store(head + 1, std::memory_order_release);
 }
@@ -306,22 +311,21 @@ std::vector<SpanRecord> Tracer::scan_lanes(
         continue;  // mid-write
       }
       SpanRecord record;
-      record.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      const std::uint64_t ids = slot.ids.load(std::memory_order_relaxed);
-      const std::uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-      record.t_start_ns = slot.t_start.load(std::memory_order_relaxed);
-      record.t_end_ns = slot.t_end.load(std::memory_order_relaxed);
-      record.flops = slot.flops.load(std::memory_order_relaxed);
-      record.pmu.cycles = slot.pmu_cycles.load(std::memory_order_relaxed);
+      record.trace_id = slot.trace_id.load(std::memory_order_acquire);
+      const std::uint64_t ids = slot.ids.load(std::memory_order_acquire);
+      const std::uint64_t meta = slot.meta.load(std::memory_order_acquire);
+      record.t_start_ns = slot.t_start.load(std::memory_order_acquire);
+      record.t_end_ns = slot.t_end.load(std::memory_order_acquire);
+      record.flops = slot.flops.load(std::memory_order_acquire);
+      record.pmu.cycles = slot.pmu_cycles.load(std::memory_order_acquire);
       record.pmu.instructions =
-          slot.pmu_instructions.load(std::memory_order_relaxed);
+          slot.pmu_instructions.load(std::memory_order_acquire);
       record.pmu.llc_loads =
-          slot.pmu_llc_loads.load(std::memory_order_relaxed);
+          slot.pmu_llc_loads.load(std::memory_order_acquire);
       record.pmu.llc_misses =
-          slot.pmu_llc_misses.load(std::memory_order_relaxed);
+          slot.pmu_llc_misses.load(std::memory_order_acquire);
       record.pmu.stalled_backend =
-          slot.pmu_stalled.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+          slot.pmu_stalled.load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq1) {
         continue;  // overwritten while reading
       }

@@ -503,9 +503,11 @@ std::vector<Recommendation> SelectionService::query_batch(
   struct Group {
     std::size_t rep;  ///< index of the group's first query
     AtlasPtr atlas;
-    /// The interval answered last: a sweep's next step (or a random
-    /// coordinate in a wide interval) answers without a lookup.
+    /// The interval answered last and its lower bound: a sweep's next
+    /// step (or a random coordinate in a wide interval) answers without a
+    /// lookup.
     const anomaly::AtlasInterval* memo = nullptr;
+    int memo_lo = 0;
   };
   std::vector<Group> groups;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deferred;  // (query, group)
@@ -513,8 +515,9 @@ std::vector<Recommendation> SelectionService::query_batch(
 
   const auto answer_grouped = [&](std::size_t i, Group& group) {
     const int c = batch[i].dims[static_cast<std::size_t>(batch[i].dim)];
-    if (group.memo == nullptr || c < group.memo->lo || c > group.memo->hi) {
+    if (group.memo == nullptr || c < group.memo_lo || c > group.memo->hi) {
       group.memo = &group.atlas->lookup(c);
+      group.memo_lo = group.atlas->interval_lo(*group.memo);
     }
     out[i] = recommendation_from(*group.memo);
   };
@@ -756,6 +759,14 @@ std::size_t SelectionService::warm_from_store(
     std::optional<store::AtlasRecord> record;
     try {
       record.emplace(store::load_atlas(path));
+    } catch (const store::StaleRecordError& e) {
+      // Written correctly by an older build: not served (the scan that
+      // made it answers differently) and not corrupt. The slice is rebuilt
+      // on first query and the next checkpoint() overwrites the file.
+      std::fprintf(stderr, "warm_from_store: skipping %s: %s\n",
+                   path.c_str(), e.what());
+      atlases_skipped_.fetch_add(1);
+      continue;
     } catch (const store::SerialError& e) {
       // One corrupt, truncated or foreign file (a crash mid-write, a disk
       // error) must not abort warming the healthy rest of the store — and

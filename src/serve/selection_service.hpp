@@ -151,7 +151,8 @@ struct ServiceStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t atlases_built = 0;
   std::uint64_t atlases_loaded = 0;     ///< warmed from a store
-  std::uint64_t atlases_skipped = 0;    ///< corrupt store files skipped
+  std::uint64_t atlases_skipped = 0;    ///< stale or unquarantinable
+                                        ///< store files skipped
   std::uint64_t measured_queries = 0;   ///< answers classified directly
   long long atlas_samples = 0;          ///< classifications spent building
   // Monotonic per-source answer counters and per-entry-point call counts.
@@ -245,7 +246,10 @@ class SelectionService {
   }
 
   /// Adopt every atlas in `atlas_store` built on this machine model with
-  /// this service's AtlasConfig; returns the number adopted.
+  /// this service's AtlasConfig; returns the number adopted. A corrupt file
+  /// is quarantined; a stale one (an older record format version) is left
+  /// in place and counted in atlases_skipped, its slice is rebuilt on first
+  /// query and the next checkpoint() overwrites it.
   std::size_t warm_from_store(const store::AtlasStore& atlas_store);
 
   /// Persist every published slice; returns the number written. The

@@ -19,11 +19,10 @@ void write_atlas(ByteWriter& w, const AtlasRecord& record) {
   w.i64(atlas.samples_used());
   w.u32(static_cast<std::uint32_t>(atlas.intervals().size()));
   for (const anomaly::AtlasInterval& interval : atlas) {
-    w.i32(interval.lo);
     w.i32(interval.hi);
     w.boolean(interval.anomalous);
-    w.u64(interval.recommended);
-    w.u64(interval.flop_minimal);
+    w.u32(interval.recommended);
+    w.u32(interval.flop_minimal);
     w.f64(interval.worst_time_score);
   }
 }
@@ -40,20 +39,19 @@ AtlasRecord read_atlas(ByteReader& r) {
   config.time_score_threshold = r.f64();
   const long long samples = r.i64();
   const std::uint32_t count = r.u32();
-  // 33 payload bytes per interval: reject counts the payload cannot hold
+  // 21 payload bytes per interval: reject counts the payload cannot hold
   // before reserving (a corrupt count must not turn into bad_alloc).
-  if (r.remaining() / 33 < count) {
+  if (r.remaining() / 21 < count) {
     throw SerialError("truncated record: interval count exceeds payload");
   }
   std::vector<anomaly::AtlasInterval> intervals;
   intervals.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     anomaly::AtlasInterval interval;
-    interval.lo = r.i32();
     interval.hi = r.i32();
     interval.anomalous = r.boolean();
-    interval.recommended = static_cast<std::size_t>(r.u64());
-    interval.flop_minimal = static_cast<std::size_t>(r.u64());
+    interval.recommended = r.u32();
+    interval.flop_minimal = r.u32();
     interval.worst_time_score = r.f64();
     intervals.push_back(interval);
   }

@@ -11,7 +11,11 @@
 
 namespace lamb::store {
 
-inline constexpr std::uint32_t kAtlasFormatVersion = 1;
+/// Version 2: intervals carry no lower bound (it is the previous upper
+/// bound + 1) and 32-bit algorithm indices; the tuple-refined scan with
+/// breakpoint samples wrote it. Version-1 records came from the
+/// flag-refined, majority-vote scan and are stale (StaleRecordError).
+inline constexpr std::uint32_t kAtlasFormatVersion = 2;
 
 /// An atlas plus the provenance needed to validate a lookup against it.
 struct AtlasRecord {
@@ -25,7 +29,8 @@ void write_atlas(ByteWriter& w, const AtlasRecord& record);
 /// not partition the config range — validated by the RegionAtlas ctor).
 AtlasRecord read_atlas(ByteReader& r);
 
-/// Framed-file convenience wrappers (kind kKindAtlas).
+/// Framed-file convenience wrappers (kind kKindAtlas). load_atlas throws
+/// StaleRecordError for an intact record of an older format version.
 void save_atlas(const std::string& path, const AtlasRecord& record);
 AtlasRecord load_atlas(const std::string& path);
 

@@ -244,6 +244,11 @@ std::string read_file(const std::string& path, std::uint32_t kind,
         got_kind, kind));
   }
   const std::uint32_t got_version = support::load_le32(p + 8);
+  if (got_version < expected_version) {
+    throw StaleRecordError(support::strf(
+        "stale format version %u in %s (this build reads %u)", got_version,
+        path.c_str(), expected_version));
+  }
   if (got_version != expected_version) {
     throw SerialError(support::strf(
         "unsupported format version %u in %s (this build reads %u)",

@@ -27,6 +27,14 @@ class SerialError : public std::runtime_error {
   explicit SerialError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// An intact header of a known kind with an older format version: a record
+/// an earlier build wrote correctly, not a corrupt one. Readers that can
+/// rebuild the contents skip such a file instead of quarantining it.
+class StaleRecordError : public SerialError {
+ public:
+  using SerialError::SerialError;
+};
+
 /// Append-only little-endian encoder.
 class ByteWriter {
  public:
@@ -95,7 +103,8 @@ void write_file(const std::string& path, std::uint32_t kind,
 
 /// Read and validate a framed file; returns the payload. `expected_version`
 /// is the newest version the caller understands — older or newer versions
-/// are rejected (the format carries no migration story yet, by design).
+/// are rejected (the format carries no migration story yet, by design);
+/// an older one with StaleRecordError.
 std::string read_file(const std::string& path, std::uint32_t kind,
                       std::uint32_t expected_version);
 

@@ -8,8 +8,12 @@
 namespace lamb::support {
 
 double median(std::span<const double> xs) {
-  LAMB_CHECK(!xs.empty(), "median of empty sample");
   std::vector<double> v(xs.begin(), xs.end());
+  return median_in_place(v);
+}
+
+double median_in_place(std::span<double> v) {
+  LAMB_CHECK(!v.empty(), "median of empty sample");
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
                    v.end());

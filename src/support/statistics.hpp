@@ -9,8 +9,13 @@
 
 namespace lamb::support {
 
-/// Median of a sample (copies and partially sorts). Requires non-empty input.
+/// Median of a sample (copies, then median_in_place). Requires non-empty
+/// input.
 double median(std::span<const double> xs);
+
+/// Median of a sample, reordering it (partial sort) instead of copying.
+/// Requires non-empty input.
+double median_in_place(std::span<double> xs);
 
 /// Arithmetic mean. Requires non-empty input.
 double mean(std::span<const double> xs);

@@ -35,8 +35,53 @@ TEST(Atlas, RecoversScriptedWindowExactly) {
   EXPECT_TRUE(atlas.intervals()[1].anomalous);
   EXPECT_FALSE(atlas.intervals()[2].anomalous);
   // Bisection refines the window to unit resolution.
-  EXPECT_EQ(atlas.intervals()[1].lo, 200);
+  EXPECT_EQ(atlas.interval_lo(atlas.intervals()[1]), 200);
   EXPECT_EQ(atlas.intervals()[1].hi, 400);
+}
+
+TEST(Atlas, RefinesAChangeOfTheFastestAlgorithmWithoutAFlagFlip) {
+  // Inside [300, 500] the expensive algorithm is 2% faster: the fastest
+  // algorithm changes twice while the flag stays "FLOPs are safe" (2% is
+  // under the 5% threshold). Each run of equal answers is its own interval.
+  lamb::testing::ScriptedFamily family;
+  lamb::testing::ScriptedMachine machine;
+  machine.window_lo = 300;
+  machine.window_hi = 500;
+  machine.window_cheap_seconds = 1.02;
+  const RegionAtlas atlas(family, machine, {300}, 0, scripted_config());
+  ASSERT_EQ(atlas.intervals().size(), 3u);
+  for (const auto& interval : atlas) {
+    EXPECT_FALSE(interval.anomalous);
+    EXPECT_EQ(interval.flop_minimal, 0u);
+  }
+  EXPECT_EQ(atlas.intervals()[0].hi, 299);
+  EXPECT_EQ(atlas.intervals()[1].hi, 500);
+  EXPECT_EQ(atlas.recommend(299), 0u);
+  EXPECT_EQ(atlas.recommend(300), 1u);
+  EXPECT_EQ(atlas.recommend(500), 1u);
+  EXPECT_EQ(atlas.recommend(501), 0u);
+}
+
+TEST(Atlas, SamplesEachBreakpointAndItsSuccessor) {
+  // A window [101, 110] between the coarse samples 100 and 140 is invisible
+  // to the grid alone; breakpoints at 100 and 110 put samples at 100, 101,
+  // 110 and 111, which fix both ends exactly.
+  lamb::testing::ScriptedFamily family;
+  lamb::testing::ScriptedMachine machine;
+  machine.window_lo = 101;
+  machine.window_hi = 110;
+  const RegionAtlas blind(family, machine, {300}, 0, scripted_config());
+  EXPECT_EQ(blind.intervals().size(), 1u);
+
+  machine.kernel_breakpoints = {100, 110, 1200, 5000};
+  const RegionAtlas atlas(family, machine, {300}, 0, scripted_config());
+  ASSERT_EQ(atlas.intervals().size(), 3u);
+  EXPECT_EQ(atlas.interval_lo(atlas.intervals()[1]), 101);
+  EXPECT_EQ(atlas.intervals()[1].hi, 110);
+  EXPECT_TRUE(atlas.intervals()[1].anomalous);
+  // 31 grid samples (20..1180 and 1200) plus 101, 110 and 111; 100 is on
+  // the grid, 1200 is the end and 1201 and 5000 lie outside the range.
+  EXPECT_EQ(atlas.samples_used(), blind.samples_used() + 3);
 }
 
 TEST(Atlas, LookupAndRecommendation) {
@@ -63,8 +108,8 @@ TEST(Atlas, IntervalsPartitionTheRange) {
   const RegionAtlas atlas(family, machine, {300}, 0, scripted_config());
   int expected_lo = 20;
   for (const auto& interval : atlas.intervals()) {
-    EXPECT_EQ(interval.lo, expected_lo);
-    EXPECT_GE(interval.hi, interval.lo);
+    EXPECT_EQ(atlas.interval_lo(interval), expected_lo);
+    EXPECT_GE(interval.hi, expected_lo);
     expected_lo = interval.hi + 1;
   }
   EXPECT_EQ(atlas.intervals().back().hi, 1200);
@@ -119,7 +164,7 @@ TEST(Atlas, LookupClampSemanticsAreExplicit) {
   EXPECT_EQ(&atlas.lookup(1 << 30), &atlas.intervals().back());
   // Interior boundaries land on the covering interval, inclusive both ends.
   for (const auto& interval : atlas.intervals()) {
-    EXPECT_EQ(&atlas.lookup(interval.lo), &interval);
+    EXPECT_EQ(&atlas.lookup(atlas.interval_lo(interval)), &interval);
     EXPECT_EQ(&atlas.lookup(interval.hi), &interval);
   }
 }
@@ -143,18 +188,25 @@ TEST(Atlas, DirectConstructionValidatesThePartition) {
   AtlasConfig cfg;
   cfg.lo = 10;
   cfg.hi = 30;
-  const AtlasInterval first{10, 19, false, 0, 0, 0.0};
-  const AtlasInterval second{20, 30, true, 1, 0, 0.5};
+  const AtlasInterval first{19, false, 0, 0, 0.0};
+  const AtlasInterval second{30, true, 1, 0, 0.5};
 
   const RegionAtlas ok({5}, 0, cfg, {first, second}, 42);
   EXPECT_EQ(ok.samples_used(), 42);
   EXPECT_EQ(ok.recommend(25), 1u);
   EXPECT_FALSE(ok.flops_reliable_at(25));
+  EXPECT_EQ(ok.interval_lo(ok.lookup(25)), 20);
 
-  // Gap, overlap, wrong ends, empty: all rejected.
+  // Short of config.hi, past it, descending, repeated, below config.lo,
+  // empty: all rejected.
   EXPECT_THROW(RegionAtlas({5}, 0, cfg, {first}, 1), support::CheckError);
-  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {second}, 1), support::CheckError);
-  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {first, {21, 30, true, 1, 0, 0.5}}, 1),
+  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {first, {31, true, 1, 0, 0.5}}, 1),
+               support::CheckError);
+  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {second, first}, 1),
+               support::CheckError);
+  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {first, first, second}, 1),
+               support::CheckError);
+  EXPECT_THROW(RegionAtlas({5}, 0, cfg, {{9, false, 0, 0, 0.0}, second}, 1),
                support::CheckError);
   EXPECT_THROW(RegionAtlas({5}, 0, cfg, {}, 1), support::CheckError);
   EXPECT_THROW(RegionAtlas({5}, 1, cfg, {first, second}, 1),
@@ -179,7 +231,7 @@ TEST(Atlas, IterationCoversAllIntervals) {
   const RegionAtlas atlas(family, machine, {300}, 0, scripted_config());
   std::size_t seen = 0;
   for (const auto& interval : atlas) {
-    EXPECT_LE(interval.lo, interval.hi);
+    EXPECT_LE(atlas.interval_lo(interval), interval.hi);
     ++seen;
   }
   EXPECT_EQ(seen, atlas.intervals().size());

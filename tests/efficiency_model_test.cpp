@@ -130,6 +130,18 @@ TEST(Efficiency, FlatProfileIsConstant) {
   }
 }
 
+TEST(Efficiency, BreakpointsAreTheVariantStepLimits) {
+  const EfficiencyParams p = EfficiencyParams::xeon_like();
+  EXPECT_EQ(efficiency_breakpoints(p),
+            (std::vector<int>{24, 32, 64, 96, 160, 300}));
+  // A flat machine has none, and a factor of 1 is no step.
+  EXPECT_TRUE(efficiency_breakpoints(EfficiencyParams::flat(0.7)).empty());
+  EfficiencyParams q = p;
+  q.syrk.mid_m_factor = 1.0;
+  EXPECT_EQ(efficiency_breakpoints(q),
+            (std::vector<int>{24, 32, 64, 96, 160}));
+}
+
 TEST(Efficiency, FlatProfileValidatesRange) {
   EXPECT_THROW(EfficiencyParams::flat(0.0), lamb::support::CheckError);
   EXPECT_THROW(EfficiencyParams::flat(1.5), lamb::support::CheckError);

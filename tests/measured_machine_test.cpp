@@ -2,6 +2,7 @@
 // kept tiny so the suite runs quickly; this validates plumbing, not speed.
 #include <gtest/gtest.h>
 
+#include "blas/blas.hpp"
 #include "expr/aatb.hpp"
 #include "model/measured_machine.hpp"
 
@@ -25,6 +26,16 @@ TEST(MeasuredMachine, IsolatedCallTimesArePositive) {
         make_syrk(24, 16), make_symm(24, 16), make_tricopy(32)}) {
     EXPECT_GT(m.time_call_isolated(call), 0.0) << call.to_string();
   }
+}
+
+TEST(MeasuredMachine, BreakpointsAreTheBlasPathSwitches) {
+  const MeasuredMachine m(fast_config());
+  const lamb::blas::BlockSizes blocks;
+  EXPECT_EQ(m.breakpoints(),
+            (std::vector<int>{static_cast<int>(lamb::blas::kSmallKLimit),
+                              static_cast<int>(lamb::blas::kNaiveLimit),
+                              static_cast<int>(blocks.mc),
+                              static_cast<int>(blocks.kc)}));
 }
 
 TEST(MeasuredMachine, IsolatedCallsAreMemoised) {

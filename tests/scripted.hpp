@@ -51,14 +51,19 @@ class ScriptedFamily final : public expr::ExpressionFamily {
 };
 
 /// Machine with a scripted anomaly window [window_lo, window_hi]: inside it
-/// the cheap algorithm takes 2s vs the expensive algorithm's 1s (a 50% time
-/// score); outside, the cheap algorithm wins. Coordinates in `holes` behave
-/// as non-anomalous even inside the window.
+/// the cheap algorithm takes `window_cheap_seconds` (2 s: a 50% time score)
+/// vs the expensive algorithm's 1 s; outside, the cheap algorithm wins.
+/// Coordinates in `holes` behave as non-anomalous even inside the window.
 class ScriptedMachine final : public model::MachineModel {
  public:
   int window_lo = 200;
   int window_hi = 400;
+  /// Between 1 s and 1 / 0.95 s the expensive algorithm is fastest inside
+  /// the window without the time score passing the 5% threshold.
+  double window_cheap_seconds = 2.0;
   std::set<int> holes;
+  /// What breakpoints() reports.
+  std::vector<int> kernel_breakpoints;
   /// When set, isolated benchmarks see this window instead (lets tests
   /// script divergence between Experiment 2 truth and Experiment 3
   /// prediction).
@@ -72,6 +77,10 @@ class ScriptedMachine final : public model::MachineModel {
 
   std::vector<double> time_steps(const model::Algorithm& alg) override {
     return {time_for(alg.steps().at(0).call, window_lo, window_hi, true)};
+  }
+
+  std::vector<int> breakpoints() const override {
+    return kernel_breakpoints;
   }
 
   double time_call_isolated(const model::KernelCall& call) override {
@@ -90,7 +99,7 @@ class ScriptedMachine final : public model::MachineModel {
       anomalous_zone = false;
     }
     if (cheap) {
-      return anomalous_zone ? 2.0 : 1.0;
+      return anomalous_zone ? window_cheap_seconds : 1.0;
     }
     return anomalous_zone ? 1.0 : 1.5;
   }

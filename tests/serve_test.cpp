@@ -397,6 +397,70 @@ TEST(SelectionService, WarmFromStoreQuarantinesCorruptFilesWithoutAborting) {
   }
 }
 
+TEST(SelectionService, WarmFromStoreRebuildsStaleVersionRecords) {
+  const std::string dir = temp_dir();
+  model::SimulatedMachine machine;
+  const ServiceConfig cfg = scripted_config();
+  store::AtlasStore atlas_store(dir);
+  const Query q{"aatb", {300, 260, 549}, 0, false};
+  const std::string path = atlas_store.path_for(
+      store::AtlasKey{"aatb", machine.name(), 0, q.dims, cfg.atlas});
+
+  // A healthy version-1 record, as the flag-refined scan stored it:
+  // intervals with a stored lower bound and 64-bit algorithm indices. Its
+  // one interval answers algorithm 4 everywhere.
+  store::ByteWriter w;
+  w.str("aatb");
+  w.str(machine.name());
+  w.i32(0);
+  w.vec_i32(q.dims);
+  w.i32(cfg.atlas.lo);
+  w.i32(cfg.atlas.hi);
+  w.i32(cfg.atlas.coarse_step);
+  w.f64(cfg.atlas.time_score_threshold);
+  w.i64(31);
+  w.u32(1);
+  w.i32(cfg.atlas.lo);
+  w.i32(cfg.atlas.hi);
+  w.boolean(true);
+  w.u64(4);
+  w.u64(4);
+  w.f64(0.5);
+  store::write_file(path, store::kKindAtlas, 1, w.bytes());
+  EXPECT_THROW(store::load_atlas(path), store::StaleRecordError);
+
+  // Stale, not corrupt: skipped and counted, left in place, not
+  // quarantined.
+  SelectionService service(machine, cfg);
+  EXPECT_EQ(service.warm_from_store(atlas_store), 0u);
+  EXPECT_EQ(service.stats().atlases_skipped, 1u);
+  EXPECT_EQ(service.stats().atlases_quarantined, 0u);
+  EXPECT_EQ(service.stats().atlases_loaded, 0u);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".corrupt"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/quarantine.journal"));
+
+  // Rebuilt on first query: the answer is the current scan's.
+  const auto family = expr::make_family("aatb");
+  const anomaly::RegionAtlas direct(*family, machine, q.dims, 0, cfg.atlas);
+  const anomaly::AtlasInterval& want = direct.lookup(300);
+  const Recommendation rec = service.query(q);
+  EXPECT_EQ(rec.algorithm, want.recommended);
+  EXPECT_EQ(rec.flop_minimal, want.flop_minimal);
+  EXPECT_EQ(rec.flops_reliable, !want.anomalous);
+  EXPECT_EQ(service.stats().atlases_built, 1u);
+
+  // The next checkpoint overwrites the stale record, which a fresh service
+  // then adopts.
+  EXPECT_EQ(service.checkpoint(atlas_store), 1u);
+  EXPECT_EQ(atlas_store.list(), std::vector<std::string>{path});
+  EXPECT_EQ(store::load_atlas(path).atlas.to_csv(), direct.to_csv());
+  SelectionService again(machine, cfg);
+  EXPECT_EQ(again.warm_from_store(atlas_store), 1u);
+  EXPECT_EQ(again.stats().atlases_skipped, 0u);
+  EXPECT_EQ(again.query(q), rec);
+}
+
 TEST(SelectionService, WarmFromStoreSkipsForeignRecords) {
   const std::string dir = temp_dir();
   store::AtlasStore atlas_store(dir);

@@ -180,6 +180,17 @@ TEST(SimulatedMachine, InvalidConfigRejected) {
   SimulatedMachineConfig bad3;
   bad3.repetitions = 0;
   EXPECT_THROW(SimulatedMachine m(bad3), lamb::support::CheckError);
+  SimulatedMachineConfig bad4;
+  bad4.repetitions = kMaxSimulatedRepetitions + 1;
+  EXPECT_THROW(SimulatedMachine m(bad4), lamb::support::CheckError);
+}
+
+TEST(SimulatedMachine, BreakpointsComeFromTheEfficiencyParams) {
+  EXPECT_EQ(SimulatedMachine().breakpoints(),
+            (std::vector<int>{24, 32, 64, 96, 160, 300}));
+  SimulatedMachineConfig flat;
+  flat.efficiency = EfficiencyParams::flat();
+  EXPECT_TRUE(SimulatedMachine(flat).breakpoints().empty());
 }
 
 TEST(SimulatedMachine, NameIsStable) {

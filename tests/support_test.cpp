@@ -2,6 +2,7 @@
 // tables, CLI parsing, endian/hash helpers, LRU cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -144,6 +145,22 @@ TEST(Statistics, MedianSingle) {
 TEST(Statistics, MedianEmptyThrows) {
   const std::vector<double> xs;
   EXPECT_THROW(median(xs), CheckError);
+}
+
+TEST(Statistics, MedianInPlaceMatchesTheCopyingMedian) {
+  using Sample = std::vector<double>;
+  for (const Sample& xs :
+       {Sample{5.0, 1.0, 3.0}, Sample{4.0, 1.0, 3.0, 2.0}, Sample{7.0},
+        Sample{2.0, 2.0, 9.0, -1.0, 0.5, 3.0}}) {
+    std::vector<double> scratch = xs;
+    EXPECT_EQ(median_in_place(scratch), median(xs));
+    std::sort(scratch.begin(), scratch.end());
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(scratch, sorted);  // reordered, not changed
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(median_in_place(empty), CheckError);
 }
 
 TEST(Statistics, MeanAndStddev) {
