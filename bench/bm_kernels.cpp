@@ -10,10 +10,10 @@
 //             plus the transposed blocked path, on the auto-dispatched tier
 //   level3    syrk / symm on GEMM's packed path, and trsm, whose block
 //             updates call the dispatched GEMM
-//   pack      pack_a / pack_b throughput (GB/s) into a grow-only,
-//             uninitialised PackBuffer, against a baseline that zero-fills
-//             the whole buffer per block the way the packing layer used to
-//             (buf.assign), and pack_a of a symmetric A (SYMM's rule)
+//   pack      packing throughput (GB/s) into a grow-only, uninitialised
+//             PackBuffer for every path the level-3 kernels pack through:
+//             pack_a of a plain and a symmetric A (SYMM's rule), pack_b of
+//             B and of B^T (SYRK's and A*A^T's B operand)
 //   parallel  column-stripe and row-block pool splits (with --threads > 1)
 //
 // --roofline replaces the sections with the arithmetic-intensity sweep of
@@ -207,26 +207,6 @@ void bench_level3() {
   }
 }
 
-/// Baseline replicating the packing layer's old behaviour: zero-fill the
-/// whole panel buffer with assign() on every block, then write the interior.
-void pack_a_zerofill(bool trans, la::ConstMatrixView a, index_t ic,
-                     index_t pc, index_t mc, index_t kc, index_t mr,
-                     std::vector<double>& buf) {
-  const index_t panels = (mc + mr - 1) / mr;
-  buf.assign(static_cast<std::size_t>(panels * mr * kc), 0.0);
-  double* dst = buf.data();
-  for (index_t ip = 0; ip < panels; ++ip) {
-    const index_t i0 = ip * mr;
-    const index_t rows = std::min(mr, mc - i0);
-    for (index_t p = 0; p < kc; ++p) {
-      for (index_t i = 0; i < rows; ++i) {
-        dst[p * mr + i] = trans ? a(pc + p, ic + i0 + i) : a(ic + i0 + i, pc + p);
-      }
-    }
-    dst += mr * kc;
-  }
-}
-
 void bench_pack() {
   const blas::Microkernel& mk = blas::active_microkernel();
   const blas::BlockSizes bs;
@@ -250,15 +230,6 @@ void bench_pack() {
            a_bytes, seconds, iters);
   }
   {
-    std::vector<double> zeroed;
-    const auto [seconds, iters] = run_timed([&] {
-      pack_a_zerofill(false, a.view(), 0, 0, mc, kc, mk.mr, zeroed);
-    });
-    report(Row{"pack", "pack_a_zerofill_base", mk.name, "-", mc, 0, kc, 0.0,
-               "gbps"},
-           a_bytes, seconds, iters);
-  }
-  {
     // The diagonal block of a symmetric A: half the panel is gathered from
     // the rows of the stored lower triangle.
     const Matrix s = la::random_symmetric(kc, rng);
@@ -274,6 +245,13 @@ void bench_pack() {
     const auto [seconds, iters] = run_timed(
         [&] { blas::pack_b(false, b.view(), 0, 0, kc, nc, mk.nr, buf); });
     report(Row{"pack", "pack_b", mk.name, "-", 0, nc, kc, 0.0, "gbps"},
+           b_bytes, seconds, iters);
+  }
+  {
+    const Matrix bt = la::transposed(b.view());
+    const auto [seconds, iters] = run_timed(
+        [&] { blas::pack_b(true, bt.view(), 0, 0, kc, nc, mk.nr, buf); });
+    report(Row{"pack", "pack_b_trans", mk.name, "-", 0, nc, kc, 0.0, "gbps"},
            b_bytes, seconds, iters);
   }
 }

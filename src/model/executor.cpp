@@ -1,5 +1,7 @@
 #include "model/executor.hpp"
 
+#include <utility>
+
 #include "blas/symm.hpp"
 #include "blas/syrk.hpp"
 #include "la/triangle.hpp"
@@ -19,6 +21,8 @@ ExecutionWorkspace::ExecutionWorkspace(const Algorithm& alg,
     LAMB_CHECK(ext.rows() == op.rows && ext.cols() == op.cols,
                "external operand shape mismatch: " + op.name);
   }
+  // Temps start zeroed: the upper triangle of a SYRK output, which no step
+  // writes, stays deterministic.
   temps_.resize(operands.size());
   for (std::size_t id = static_cast<std::size_t>(alg.num_externals());
        id < operands.size(); ++id) {
@@ -39,6 +43,11 @@ la::ConstMatrixView ExecutionWorkspace::result() const {
   return operand_view(alg_.result_id());
 }
 
+la::Matrix ExecutionWorkspace::take_result() && {
+  // The result is always a step's output, so a temp.
+  return std::move(temps_[static_cast<std::size_t>(alg_.result_id())]);
+}
+
 void ExecutionWorkspace::run_step(std::size_t step_index,
                                   const blas::GemmOptions& opts) {
   LAMB_CHECK(step_index < alg_.steps().size(), "step index out of range");
@@ -54,7 +63,6 @@ void ExecutionWorkspace::run_step(std::size_t step_index,
     }
     case KernelKind::kSyrk: {
       const auto a = operand_view(s.inputs[0]);
-      out.set_zero();  // keep the unreferenced upper triangle deterministic
       blas::syrk(1.0, a, 0.0, out.view(), opts);
       break;
     }
@@ -89,14 +97,7 @@ la::Matrix execute(const Algorithm& alg,
                    const blas::GemmOptions& opts) {
   ExecutionWorkspace ws(alg, externals);
   ws.run_all(opts);
-  const auto r = ws.result();
-  la::Matrix out(r.rows(), r.cols());
-  for (la::index_t j = 0; j < r.cols(); ++j) {
-    for (la::index_t i = 0; i < r.rows(); ++i) {
-      out(i, j) = r(i, j);
-    }
-  }
-  return out;
+  return std::move(ws).take_result();
 }
 
 }  // namespace lamb::model

@@ -21,7 +21,8 @@ class ExecutionWorkspace {
   ExecutionWorkspace(const Algorithm& alg,
                      const std::vector<la::Matrix>& externals);
 
-  /// Run a single step (overwrites that step's output operand).
+  /// Run a single step (overwrites that step's output operand; a SYRK step
+  /// only its lower triangle).
   void run_step(std::size_t step_index, const blas::GemmOptions& opts);
 
   /// Run all steps in order.
@@ -33,13 +34,16 @@ class ExecutionWorkspace {
   /// The final result operand.
   la::ConstMatrixView result() const;
 
+  /// The final result operand, moved out of a workspace that is done with.
+  la::Matrix take_result() &&;
+
  private:
   const Algorithm& alg_;
   const std::vector<la::Matrix>& externals_;
   std::vector<la::Matrix> temps_;  ///< indexed by operand id; empty for externals
 };
 
-/// One-shot: execute `alg` on `externals` and return a copy of the result.
+/// One-shot: execute `alg` on `externals` and return the result.
 la::Matrix execute(const Algorithm& alg,
                    const std::vector<la::Matrix>& externals,
                    const blas::GemmOptions& opts = {});

@@ -2,10 +2,13 @@
 // produce the same numerical result, equal to a naive ground truth.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "chain/chain.hpp"
 #include "blas/ref_blas.hpp"
 #include "expr/aatb.hpp"
 #include "expr/family.hpp"
+#include "expr/registry.hpp"
 #include "la/generators.hpp"
 #include "la/norms.hpp"
 #include "model/executor.hpp"
@@ -161,6 +164,68 @@ TEST(Executor, RerunningStepsIsIdempotent) {
   }
   ws.run_all({});  // second pass, e.g. another timing repetition
   EXPECT_TRUE(la::approx_equal(ws.result(), first.view(), 0.0));
+}
+
+/// Seeded instances of the families blas-exec runs.
+struct FamilyCase {
+  const char* family;
+  expr::Instance dims;
+};
+const FamilyCase kFamilyCases[] = {
+    {"aatb", {37, 29, 45}},
+    {"chain4", {21, 34, 17, 40, 26}},
+    {"gram", {53, 38}},
+};
+
+TEST(Executor, SyrkOutputKeepsAZeroUpperTriangleAcrossRuns) {
+  support::Rng rng(107);
+  int syrk_steps = 0;
+  for (const FamilyCase& c : kFamilyCases) {
+    const auto family = expr::make_family(c.family);
+    const auto externals = family->make_externals(c.dims, rng);
+    for (const model::Algorithm& alg : family->algorithms(c.dims)) {
+      model::ExecutionWorkspace ws(alg, externals);
+      ws.run_all({});
+      ws.run_all({});  // a second timing repetition writes the same temps
+      for (const model::Step& step : alg.steps()) {
+        if (step.call.kind != model::KernelKind::kSyrk) {
+          continue;
+        }
+        ++syrk_steps;
+        const la::ConstMatrixView out = ws.operand_view(step.output);
+        for (index_t j = 1; j < out.cols(); ++j) {
+          for (index_t i = 0; i < j; ++i) {
+            ASSERT_EQ(out(i, j), 0.0) << c.family << " " << alg.name()
+                                      << " at (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(syrk_steps, 0);
+}
+
+TEST(Executor, ExecuteReturnsTheWorkspaceResultBitForBit) {
+  support::Rng rng(108);
+  for (const FamilyCase& c : kFamilyCases) {
+    const auto family = expr::make_family(c.family);
+    const auto externals = family->make_externals(c.dims, rng);
+    for (const model::Algorithm& alg : family->algorithms(c.dims)) {
+      model::ExecutionWorkspace ws(alg, externals);
+      ws.run_all({});
+      const la::ConstMatrixView expected = ws.result();
+      const Matrix got = model::execute(alg, externals);
+      ASSERT_EQ(got.rows(), expected.rows()) << c.family << " " << alg.name();
+      ASSERT_EQ(got.cols(), expected.cols()) << c.family << " " << alg.name();
+      for (index_t j = 0; j < got.cols(); ++j) {
+        EXPECT_EQ(std::memcmp(&got(0, j), &expected(0, j),
+                              static_cast<std::size_t>(got.rows()) *
+                                  sizeof(double)),
+                  0)
+            << c.family << " " << alg.name() << " column " << j;
+      }
+    }
+  }
 }
 
 }  // namespace
