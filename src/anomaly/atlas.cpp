@@ -72,11 +72,14 @@ RegionAtlas::RegionAtlas(const expr::ExpressionFamily& family,
   std::sort(coords.begin(), coords.end());
   coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
 
+  // One algorithm set for the whole scan, re-bound in place per sample.
   expr::Instance dims = base_;
+  std::vector<model::Algorithm> algs;
   const auto classify_at = [&](int coord) {
     dims[static_cast<std::size_t>(dim_)] = coord;
-    const InstanceResult r = classify_instance(family, machine, dims,
-                                               config_.time_score_threshold);
+    family.bind(dims, algs);
+    const InstanceResult r = classify_algorithms(
+        algs, machine, dims, config_.time_score_threshold);
     return ScanPoint{coord, r.anomaly,
                      static_cast<std::uint32_t>(r.fastest.front()),
                      static_cast<std::uint32_t>(r.cheapest.front()),

@@ -68,11 +68,10 @@ InstanceResult classify_from_times(const expr::Instance& dims,
   return r;
 }
 
-InstanceResult classify_instance(const expr::ExpressionFamily& family,
-                                 model::MachineModel& machine,
-                                 const expr::Instance& dims,
-                                 double time_score_threshold) {
-  const std::vector<model::Algorithm> algs = family.algorithms(dims);
+InstanceResult classify_algorithms(std::span<const model::Algorithm> algs,
+                                   model::MachineModel& machine,
+                                   const expr::Instance& dims,
+                                   double time_score_threshold) {
   std::vector<long long> flops;
   std::vector<double> times;
   std::vector<std::vector<double>> step_times;
@@ -94,6 +93,14 @@ InstanceResult classify_instance(const expr::ExpressionFamily& family,
                                          time_score_threshold);
   r.step_times = std::move(step_times);
   return r;
+}
+
+InstanceResult classify_instance(const expr::ExpressionFamily& family,
+                                 model::MachineModel& machine,
+                                 const expr::Instance& dims,
+                                 double time_score_threshold) {
+  return classify_algorithms(family.algorithms(dims), machine, dims,
+                             time_score_threshold);
 }
 
 InstanceResult classify_instance_predicted(

@@ -13,6 +13,7 @@
 //           F_fastest  = min FLOP count among the fastest algorithms.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "expr/family.hpp"
@@ -40,7 +41,16 @@ InstanceResult classify_from_times(const expr::Instance& dims,
                                    std::vector<double> times,
                                    double time_score_threshold);
 
-/// Classify an instance by timing every algorithm on `machine`.
+/// Classify an instance by timing every algorithm of `algs`, the family's
+/// set bound to `dims` (ExpressionFamily::bind), on `machine`. A scan binds
+/// each sample into one set and calls this.
+InstanceResult classify_algorithms(std::span<const model::Algorithm> algs,
+                                   model::MachineModel& machine,
+                                   const expr::Instance& dims,
+                                   double time_score_threshold);
+
+/// Classify an instance by timing every algorithm on `machine`
+/// (classify_algorithms on a freshly bound set).
 InstanceResult classify_instance(const expr::ExpressionFamily& family,
                                  model::MachineModel& machine,
                                  const expr::Instance& dims,

@@ -52,11 +52,12 @@ std::vector<InstanceResult> ExperimentDriver::classify_batch(
     const std::vector<expr::Instance>& batch, double time_score_threshold) {
   std::vector<InstanceResult> results(batch.size());
   const auto classify_range = [&](std::ptrdiff_t begin, std::ptrdiff_t end) {
+    std::vector<model::Algorithm> algs;  // re-bound in place per instance
     for (std::ptrdiff_t i = begin; i < end; ++i) {
+      const expr::Instance& dims = batch[static_cast<std::size_t>(i)];
+      family_->bind(dims, algs);
       results[static_cast<std::size_t>(i)] =
-          classify_instance(*family_, machine_,
-                            batch[static_cast<std::size_t>(i)],
-                            time_score_threshold);
+          classify_algorithms(algs, machine_, dims, time_score_threshold);
     }
   };
   if (parallel_enabled()) {

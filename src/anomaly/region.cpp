@@ -27,11 +27,14 @@ LineTraversal traverse_line(const expr::ExpressionFamily& family,
   LAMB_CHECK(c0 >= config.lo && c0 <= config.hi,
              "origin outside the search space");
 
+  // One algorithm set for the whole line, re-bound in place per sample.
+  expr::Instance dims = origin;
+  std::vector<model::Algorithm> algs;
   const auto classify_at = [&](int coord) {
-    expr::Instance dims = origin;
     dims[static_cast<std::size_t>(dim)] = coord;
-    return classify_instance(family, machine, dims,
-                             config.time_score_threshold);
+    family.bind(dims, algs);
+    return classify_algorithms(algs, machine, dims,
+                               config.time_score_threshold);
   };
 
   const InstanceResult origin_result = classify_at(c0);

@@ -15,6 +15,7 @@ RandomSearchResult random_search(const expr::ExpressionFamily& family,
   support::Rng rng(config.seed);
   RandomSearchResult result;
   std::set<expr::Instance> seen_anomalies;
+  std::vector<model::Algorithm> algs;  // re-bound in place per sample
 
   while (static_cast<int>(result.anomalies.size()) < config.target_anomalies &&
          result.samples < config.max_samples) {
@@ -23,8 +24,9 @@ RandomSearchResult random_search(const expr::ExpressionFamily& family,
       d = rng.uniform_int(config.lo, config.hi);
     }
     ++result.samples;
-    InstanceResult r = classify_instance(family, machine, dims,
-                                         config.time_score_threshold);
+    family.bind(dims, algs);
+    InstanceResult r = classify_algorithms(algs, machine, dims,
+                                           config.time_score_threshold);
     if (observer) {
       observer(result.samples, r);
     }

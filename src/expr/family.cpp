@@ -19,6 +19,13 @@ std::vector<std::string> ExpressionFamily::dimension_names() const {
   return names;
 }
 
+std::vector<model::Algorithm> ExpressionFamily::algorithms(
+    const Instance& dims) const {
+  std::vector<model::Algorithm> out;
+  bind(dims, out);
+  return out;
+}
+
 void ExpressionFamily::check_instance(const Instance& dims) const {
   LAMB_CHECK(static_cast<int>(dims.size()) == dimension_count(),
              "instance arity mismatch for family " + name());
@@ -45,6 +52,11 @@ DslFamily::DslFamily(std::string name, ExprPtr expression,
              support::strf("family '%s' has %d dimensions; at most %d are "
                            "supported",
                            name_.c_str(), dimension_count_, kMaxArity));
+  LAMB_CHECK(flat_.externals.size() <= static_cast<std::size_t>(kMaxExternals),
+             support::strf("family '%s' has %zu operands; at most %d are "
+                           "supported",
+                           name_.c_str(), flat_.externals.size(),
+                           kMaxExternals));
   // Distinct sizes make two dimensions equal only where their indices are:
   // factors that conform here conform at every instance.
   Instance distinct(static_cast<std::size_t>(dimension_count_));
@@ -53,31 +65,38 @@ DslFamily::DslFamily(std::string name, ExprPtr expression,
                                    options);
 }
 
-std::vector<model::Shape> DslFamily::external_shapes(
-    const Instance& dims) const {
+std::span<const model::Shape> DslFamily::external_shapes(
+    const Instance& dims, ExternalShapes& out) const {
   check_instance(dims);
-  std::vector<model::Shape> shapes;
-  shapes.reserve(flat_.externals.size());
-  for (const ExternalSpec& e : flat_.externals) {
-    shapes.push_back({dims[static_cast<std::size_t>(e.rows_dim)],
-                      dims[static_cast<std::size_t>(e.cols_dim)]});
+  for (std::size_t i = 0; i < flat_.externals.size(); ++i) {
+    const ExternalSpec& e = flat_.externals[i];
+    out[i] = {dims[static_cast<std::size_t>(e.rows_dim)],
+              dims[static_cast<std::size_t>(e.cols_dim)]};
   }
-  return shapes;
+  return {out.data(), flat_.externals.size()};
 }
 
-std::vector<model::Algorithm> DslFamily::algorithms(
-    const Instance& dims) const {
-  const std::vector<model::Shape> shapes = external_shapes(dims);
-  std::vector<model::Algorithm> out = compiled_;
-  for (model::Algorithm& alg : out) {
-    alg.rebind(shapes);
+void DslFamily::bind(const Instance& dims,
+                     std::vector<model::Algorithm>& algs) const {
+  ExternalShapes buffer;
+  const std::span<const model::Shape> shapes = external_shapes(dims, buffer);
+  if (algs.empty()) {
+    algs = compiled_;
   }
-  return out;
+  LAMB_CHECK(algs.size() == compiled_.size(),
+             "bind: the algorithms belong to another family");
+  for (std::size_t i = 0; i < algs.size(); ++i) {
+    LAMB_CHECK(algs[i].signature_hash() == compiled_[i].signature_hash() &&
+                   algs[i].name() == compiled_[i].name(),
+               "bind: the algorithms belong to another family");
+    algs[i].rebind(shapes);
+  }
 }
 
 std::vector<la::Matrix> DslFamily::make_externals(const Instance& dims,
                                                   support::Rng& rng) const {
-  const std::vector<model::Shape> shapes = external_shapes(dims);
+  ExternalShapes buffer;
+  const std::span<const model::Shape> shapes = external_shapes(dims, buffer);
   std::vector<la::Matrix> out;
   out.reserve(shapes.size());
   for (const model::Shape& s : shapes) {

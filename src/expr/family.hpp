@@ -7,10 +7,13 @@
 // enumerates the algorithm set generically from an expression, so a new
 // family is one expression plus a registry entry (expr/registry.hpp) —
 // ChainFamily and AatbFamily below are exactly that. The set is enumerated
-// once per family and bound to each instance's sizes on request.
+// once per family and bound to each instance's sizes on request; a scan
+// that classifies many sizes binds each one into the same set in place.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,9 +46,15 @@ class ExpressionFamily {
   /// Names for reports: "d0", "d1", ...
   std::vector<std::string> dimension_names() const;
 
-  /// The set of algorithms for an instance, in the paper's canonical order.
-  virtual std::vector<model::Algorithm> algorithms(
-      const Instance& dims) const = 0;
+  /// The set of algorithms for an instance, in the paper's canonical order
+  /// (a fresh set, bound by bind()).
+  std::vector<model::Algorithm> algorithms(const Instance& dims) const;
+
+  /// Bind `dims` into `algs`: an empty `algs` receives the set for `dims`;
+  /// a non-empty one must hold this family's set from an earlier bind and
+  /// gets the new sizes. Throws support::CheckError on a bad instance.
+  virtual void bind(const Instance& dims,
+                    std::vector<model::Algorithm>& algs) const = 0;
 
   /// Random external operands matching the algorithms' external table.
   virtual std::vector<la::Matrix> make_externals(const Instance& dims,
@@ -59,29 +68,40 @@ class ExpressionFamily {
 /// A family defined entirely by a DSL expression. The constructor enumerates
 /// the algorithm set once (schedules + symmetric rank-k rewrites, via
 /// enumerate_algorithms) at the instance (1, 2, ..., n), where every
-/// dimension has a distinct size; algorithms() returns a copy with the
-/// instance's sizes bound in (model::Algorithm::rebind). The enumerator never
-/// branches on a size, so the bound set equals a fresh enumeration at that
-/// instance. Factors that conform only when two dimensions coincide, such as
-/// A(d0 x d1) * B(d2 x d0), are rejected at construction, as are
-/// expressions with more than kMaxArity dimensions. The externals follow the
-/// expression's operand table.
+/// dimension has a distinct size; bind() copies that set into an empty
+/// vector and then binds the instance's sizes in (model::Algorithm::rebind),
+/// which allocates nothing. The enumerator never branches on a size, so the
+/// bound set equals a fresh enumeration at that instance. Factors that
+/// conform only when two dimensions coincide, such as A(d0 x d1) *
+/// B(d2 x d0), are rejected at construction, as are expressions with more
+/// than kMaxArity dimensions or kMaxExternals operands. The externals follow
+/// the expression's operand table.
 class DslFamily : public ExpressionFamily {
  public:
+  /// Most distinct operands an expression may have: their shapes are
+  /// derived on the stack. A product of this many factors has 15!
+  /// multiplication schedules, far more than any family can enumerate.
+  static constexpr int kMaxExternals = 16;
+
   DslFamily(std::string name, ExprPtr expression,
             EnumerationOptions options = {});
 
   std::string name() const override { return name_; }
   int dimension_count() const override { return dimension_count_; }
-  std::vector<model::Algorithm> algorithms(const Instance& dims) const override;
+  void bind(const Instance& dims,
+            std::vector<model::Algorithm>& algs) const override;
   std::vector<la::Matrix> make_externals(const Instance& dims,
                                          support::Rng& rng) const override;
 
   const ExprPtr& expression() const { return expression_; }
 
  private:
-  /// Shapes of the expression's externals at `dims`, in operand-table order.
-  std::vector<model::Shape> external_shapes(const Instance& dims) const;
+  using ExternalShapes = std::array<model::Shape, kMaxExternals>;
+
+  /// Shapes of the expression's externals at `dims`, in operand-table
+  /// order, written to the front of `out`.
+  std::span<const model::Shape> external_shapes(const Instance& dims,
+                                                ExternalShapes& out) const;
 
   std::string name_;
   ExprPtr expression_;

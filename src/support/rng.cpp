@@ -19,11 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
-  return mix64(seed ^ (mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                       (seed >> 2)));
-}
-
 std::uint64_t hash_string(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : s) {

@@ -13,7 +13,10 @@ namespace lamb::support {
 /// input.
 double median(std::span<const double> xs);
 
-/// Median of a sample, reordering it (partial sort) instead of copying.
+/// Median of a sample, reordering it instead of copying: up to 32 values
+/// are sorted by a branchless insertion sort, longer samples partially
+/// sorted by std::nth_element. Either way the result is the middle order
+/// statistic, or 0.5 * (lo + hi) of the two middle ones for an even size.
 /// Requires non-empty input.
 double median_in_place(std::span<double> xs);
 

@@ -15,6 +15,7 @@
 
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>

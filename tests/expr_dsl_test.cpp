@@ -1,9 +1,13 @@
 // The expression DSL: flattening rewrites, generic schedule enumeration, the
 // symmetric rank-k variant expansion, exact parity with the hand-rolled
 // chain/aatb enumerations the DSL replaced, and a differential test of
-// DslFamily's enumerate-once-and-bind path against fresh enumeration.
+// DslFamily's enumerate-once-and-bind path against fresh enumeration,
+// including the allocation-free re-bind a scan makes per sample.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "alloc_counter.hpp"
 #include "chain/chain.hpp"
 #include "expr/aatb.hpp"
 #include "expr/expr.hpp"
@@ -12,6 +16,7 @@
 #include "scripted.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 
 namespace {
 
@@ -243,6 +248,57 @@ TEST(DslFamily, BoundAlgorithmsMatchFreshEnumeration) {
   }
 }
 
+// A scan binds every sample into one set: binding in place must give what a
+// fresh set gives, and once the set exists it allocates nothing.
+TEST(DslFamily, BindInPlaceMatchesAFreshSetWithoutAllocating) {
+  support::Rng rng(2025);
+  for (const char* name : {"aatb", "chain4", "gram", "aatbc", "chain8"}) {
+    const auto family = expr::make_family(name);
+    std::vector<model::Algorithm> algs;
+    for (int i = 0; i < 20; ++i) {
+      expr::Instance dims(
+          static_cast<std::size_t>(family->dimension_count()));
+      for (int& d : dims) {
+        d = rng.uniform_int(1, 1200);
+      }
+      const std::uint64_t before = lamb::testing::thread_alloc_count();
+      family->bind(dims, algs);
+      if (i > 0) {
+        EXPECT_EQ(lamb::testing::thread_alloc_count(), before) << name;
+      }
+      const auto fresh = family->algorithms(dims);
+      ASSERT_EQ(algs.size(), fresh.size()) << name;
+      for (std::size_t a = 0; a < algs.size(); ++a) {
+        expect_same_algorithm(algs[a], fresh[a],
+                              std::string(name) + " instance " +
+                                  std::to_string(i) + " alg " +
+                                  std::to_string(a));
+      }
+    }
+  }
+}
+
+TEST(DslFamily, BindRejectsAnotherFamilysSet) {
+  std::vector<model::Algorithm> algs;
+  expr::make_family("chain4")->bind({10, 20, 30, 40, 50}, algs);
+  const auto aatb = expr::make_family("aatb");
+  EXPECT_THROW(aatb->bind({10, 20, 30}, algs), support::CheckError);
+  // As many algorithms, other signatures.
+  algs.clear();
+  expr::make_family("chain3")->bind({10, 20, 30, 40}, algs);
+  EXPECT_THROW(expr::make_family("gram")->bind({10, 20}, algs),
+               support::CheckError);
+  // The same expression under another name.
+  algs.clear();
+  const ExprPtr a = Expr::operand("A", 0, 1);
+  const ExprPtr b = Expr::operand("B", 0, 2);
+  expr::DslFamily("twin", a * t(a) * b).bind({10, 20, 30}, algs);
+  EXPECT_THROW(aatb->bind({10, 20, 30}, algs), support::CheckError);
+  algs.clear();
+  aatb->bind({10, 20, 30}, algs);
+  EXPECT_NO_THROW(aatb->bind({40, 50, 60}, algs));
+}
+
 TEST(Algorithm, SignatureHashOfHandBuiltAlgorithms) {
   for (int n = 2; n <= 6; ++n) {
     chain::ChainDims dims(static_cast<std::size_t>(n) + 1);
@@ -303,6 +359,16 @@ TEST(DslFamily, ArityIsBoundedAtConstruction) {
                support::CheckError);
   EXPECT_EQ(expr::DslFamily("narrow", chain(3)).dimension_count(), 4);
   EXPECT_EQ(expr::make_family("chain8")->dimension_count(), expr::kMaxArity);
+}
+
+TEST(DslFamily, OperandCountIsBoundedAtConstruction) {
+  // One operand past the bound, all square over d0: rejected before its
+  // 16! schedules would be enumerated.
+  ExprPtr e = Expr::operand("A0", 0, 0);
+  for (int i = 1; i <= expr::DslFamily::kMaxExternals; ++i) {
+    e = e * Expr::operand(support::strf("A%d", i), 0, 0);
+  }
+  EXPECT_THROW(expr::DslFamily("long", e), support::CheckError);
 }
 
 TEST(DslFamily, DimensionCountDerivedFromExpression) {

@@ -19,10 +19,10 @@ class ScriptedFamily final : public expr::ExpressionFamily {
   std::string name() const override { return "scripted"; }
   int dimension_count() const override { return 1; }
 
-  std::vector<model::Algorithm> algorithms(
-      const expr::Instance& dims) const override {
+  void bind(const expr::Instance& dims,
+            std::vector<model::Algorithm>& out) const override {
     const la::index_t d = dims.at(0);
-    std::vector<model::Algorithm> out;
+    out.clear();
     {
       model::Algorithm cheap("cheap");
       const int a = cheap.add_external(d, 10, "A");
@@ -37,7 +37,6 @@ class ScriptedFamily final : public expr::ExpressionFamily {
       expensive.add_gemm(a, b);
       out.push_back(std::move(expensive));
     }
-    return out;
   }
 
   std::vector<la::Matrix> make_externals(const expr::Instance& dims,

@@ -74,8 +74,8 @@ class BoomFamily final : public expr::ExpressionFamily {
  public:
   std::string name() const override { return "boom"; }
   int dimension_count() const override { return 1; }
-  std::vector<model::Algorithm> algorithms(
-      const expr::Instance&) const override {
+  void bind(const expr::Instance&,
+            std::vector<model::Algorithm>&) const override {
     throw std::runtime_error("boom: scripted build failure");
   }
   std::vector<la::Matrix> make_externals(const expr::Instance&,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "model/simulated_machine.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -161,6 +164,52 @@ TEST(Statistics, MedianInPlaceMatchesTheCopyingMedian) {
   }
   std::vector<double> empty;
   EXPECT_THROW(median_in_place(empty), CheckError);
+}
+
+/// The nth_element median median_in_place used for every size before short
+/// spans got the insertion sort: the oracle its order statistics must match.
+double nth_element_median(std::vector<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
+                   v.end());
+  if (v.size() % 2 == 1) {
+    return v[mid];
+  }
+  const double hi = v[mid];
+  const double lo =
+      *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
+  return 0.5 * (lo + hi);
+}
+
+TEST(Statistics, MedianInPlaceMatchesNthElementBitForBit) {
+  Rng rng(31);
+  // Every repetition count the simulated machine accepts.
+  for (std::size_t n = 1;
+       n <= static_cast<std::size_t>(lamb::model::kMaxSimulatedRepetitions);
+       ++n) {
+    std::vector<std::vector<double>> inputs;
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> random(n);
+      std::vector<double> ties(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        random[i] = rng.uniform(-1.0, 1.0) * 1e3;
+        ties[i] = static_cast<double>(rng.uniform_int(0, 3)) * 0.25 + 1.0;
+      }
+      inputs.push_back(random);
+      inputs.push_back(ties);
+    }
+    std::vector<double> sorted = inputs.front();
+    std::sort(sorted.begin(), sorted.end());
+    inputs.push_back(sorted);
+    inputs.emplace_back(sorted.rbegin(), sorted.rend());
+    for (const std::vector<double>& xs : inputs) {
+      std::vector<double> scratch = xs;
+      const double got = median_in_place(scratch);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(nth_element_median(xs)))
+          << "n = " << n << ": " << got;
+    }
+  }
 }
 
 TEST(Statistics, MeanAndStddev) {
