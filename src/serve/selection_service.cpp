@@ -33,13 +33,11 @@ bool same_config(const anomaly::AtlasConfig& a, const anomaly::AtlasConfig& b) {
          a.time_score_threshold == b.time_score_threshold;
 }
 
-/// Shape checks shared by every entry point; the family is resolved by the
-/// caller (so batch loops can memoise the registry lookup per name).
-void validate_query(const Query& q, const expr::ExpressionFamily& family) {
-  family.check_instance(q.dims);
-  LAMB_CHECK(q.dim >= 0 && q.dim < family.dimension_count(),
-             "query dimension out of range");
-}
+/// The bound validation puts on every size. The warm path and the batch
+/// group loop check it themselves on the scanned coordinate: a published
+/// slice has proven every other field of a query that matches it (see the
+/// header), but not that one.
+bool size_in_bounds(int c) { return c >= 1 && c <= expr::kMaxDimension; }
 
 /// Same atlas slice: same family, same scanned dimension, same base line
 /// (all coordinates equal except the scanned one). Cheaper than comparing
@@ -81,12 +79,17 @@ std::uint64_t steady_now_ns() {
 
 }  // namespace
 
+std::size_t SelectionService::hash_fields(std::string_view family,
+                                         std::span<const int> dims, int dim,
+                                         bool exact) {
+  return static_cast<std::size_t>(support::hash_name_ints(
+      family, dims,
+      static_cast<std::uint32_t>(dim) | std::uint64_t{exact} << 32));
+}
+
 std::size_t SelectionService::KeyHash::operator()(const Key& key) const {
-  std::uint64_t h = support::fnv1a64(key.family_name());
-  h = support::fnv1a64(key.dims.data(), key.arity * sizeof(int), h);
-  const int tail[2] = {key.dim, key.exact ? 1 : 0};
-  h = support::fnv1a64(tail, sizeof(tail), h);
-  return static_cast<std::size_t>(h);
+  return hash_fields(key.family_name(), {key.dims.data(), key.arity}, key.dim,
+                     key.exact);
 }
 
 bool SelectionService::make_key(std::string_view family,
@@ -185,8 +188,30 @@ const expr::ExpressionFamily& SelectionService::resolve_family(
 
 const expr::ExpressionFamily& SelectionService::family_for(const Query& q) {
   const expr::ExpressionFamily& family = resolve_family(q.family);
-  validate_query(q, family);
+  family.check_instance(q.dims);
+  LAMB_CHECK(q.dim >= 0 && q.dim < family.dimension_count(),
+             "query dimension out of range");
   return family;
+}
+
+bool SelectionService::adoptable(const store::AtlasKey& key) {
+  const expr::ExpressionFamily* family = nullptr;
+  try {
+    family = &resolve_family(key.family);
+  } catch (const std::exception&) {
+    return false;  // a family this registry does not make
+  }
+  if (static_cast<int>(key.base.size()) != family->dimension_count() ||
+      key.dim < 0 || key.dim >= family->dimension_count()) {
+    return false;
+  }
+  for (std::size_t d = 0; d < key.base.size(); ++d) {
+    if (d != static_cast<std::size_t>(key.dim) &&
+        !size_in_bounds(key.base[d])) {
+      return false;  // a fixed coordinate no query could carry
+    }
+  }
+  return true;
 }
 
 std::unique_lock<std::mutex> SelectionService::timing_guard() {
@@ -199,6 +224,60 @@ SelectionService::AtlasPtr SelectionService::find_slice(
   const std::lock_guard<std::mutex> lock(slices_mutex_);
   const auto it = slices_.find(id);
   return it == slices_.end() ? nullptr : it->second;
+}
+
+void SelectionService::keyed_query(const Query& q, std::uint32_t generation,
+                                   KeyedQuery& k) {
+  k.keyed = query_key(q, generation, k.key);
+  k.hash = k.keyed ? hash_fields(q.family, q.dims, q.dim, q.exact) : 0;
+}
+
+bool SelectionService::probe_lru(const Query& q, std::uint32_t generation,
+                                 KeyedQuery& k, Recommendation& out) {
+  // The key and the Recommendation are trivially copyable and
+  // ShardedLruCache::get allocates nothing, so the whole probe is
+  // allocation-free.
+  const obs::SpanScope lru_span(obs::Stage::kLru);
+  keyed_query(q, generation, k);
+  if (!k.keyed) {
+    return false;  // cannot be cached; validation rejects it
+  }
+  if (auto hit = cache_.get(k.key, k.hash)) {
+    hit->source = Source::kCache;
+    cache_answers_.fetch_add(1);
+    out = *hit;
+    return true;
+  }
+  return false;
+}
+
+bool SelectionService::to_warm_slice(Key& key) {
+  if (key.exact || key.dim < 0 || key.dim >= key.arity ||
+      !size_in_bounds(key.dims[static_cast<std::size_t>(key.dim)])) {
+    return false;
+  }
+  key.dims[static_cast<std::size_t>(key.dim)] = 0;
+  key.generation = 0;
+  return true;
+}
+
+bool SelectionService::answer_published(const Key& key,
+                                        Recommendation& out) const {
+  SliceId id = key;
+  if (!to_warm_slice(id)) {
+    return false;
+  }
+  anomaly::AtlasInterval interval;
+  {
+    const std::lock_guard<std::mutex> lock(slices_mutex_);
+    const auto it = slices_.find(id);
+    if (it == slices_.end()) {
+      return false;
+    }
+    interval = it->second->lookup(key.dims[static_cast<std::size_t>(key.dim)]);
+  }
+  out = recommendation_from(interval);
+  return true;
 }
 
 SelectionService::AtlasPtr SelectionService::build_slice(const SliceId& id) {
@@ -394,9 +473,9 @@ std::size_t SelectionService::async_queue_depth() const {
   return async_order_.size();
 }
 
-Recommendation SelectionService::classify_exact(const Query& q) {
+Recommendation SelectionService::classify_exact(
+    const Query& q, const expr::ExpressionFamily& family) {
   const obs::SpanScope build_span(obs::Stage::kBuild);
-  const expr::ExpressionFamily& family = family_for(q);
   const auto timing_lock = timing_guard();
   const anomaly::InstanceResult result = anomaly::classify_instance(
       family, machine_, q.dims, config_.atlas.time_score_threshold);
@@ -432,57 +511,46 @@ Recommendation SelectionService::fallback_answer(const Query& q) {
   return rec;
 }
 
-Recommendation SelectionService::answer(const Query& q,
-                                        std::uint32_t generation,
+Recommendation SelectionService::answer(const Query& q, const KeyedQuery& k,
                                         std::optional<AtlasPtr> atlas) {
   Recommendation rec;
   if (q.exact) {
-    rec = classify_exact(q);
+    rec = classify_exact(q, family_for(q));
   } else {
     const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-    if (!atlas) {
-      atlas = obtain_atlas(slice_id(q));
+    if (atlas || !k.keyed || !answer_published(k.key, rec)) {
+      if (!atlas) {
+        family_for(q);  // throws for an invalid query, before any build
+        atlas = obtain_atlas(slice_id(q));
+      }
+      if (*atlas == nullptr) {
+        // degrade_on_failure: the build failed, timed out or is breakered.
+        // Never cached, so the next miss retries (or the breaker gates it).
+        return fallback_answer(q);
+      }
+      rec = recommendation_from(
+          (*atlas)->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
     }
-    if (*atlas == nullptr) {
-      // degrade_on_failure: the build failed, timed out or is breakered.
-      // Never cached, so the next miss retries (or the breaker gates it).
-      return fallback_answer(q);
-    }
-    rec = recommendation_from(
-        (*atlas)->lookup(q.dims[static_cast<std::size_t>(q.dim)]));
     atlas_answers_.fetch_add(1);
   }
-  if (Key key; query_key(q, generation, key)) {
-    cache_.put(key, rec);
+  if (k.keyed) {
+    cache_.put(k.key, k.hash, rec);
   }
   return rec;
 }
 
 Recommendation SelectionService::query(const Query& q) {
+  KeyedQuery k;
   Recommendation rec;
-  if (try_cached(q, rec)) {
+  if (probe_lru(q, generation(), k, rec)) {
     return rec;
   }
-  family_for(q);  // validate family, arity and dimension before working
-  return answer(q, generation());
+  return answer(q, k);
 }
 
 bool SelectionService::try_cached(const Query& q, Recommendation& out) {
-  // The key and the Recommendation are trivially copyable and
-  // ShardedLruCache::get allocates nothing, so the whole probe is
-  // allocation-free.
-  const obs::SpanScope lru_span(obs::Stage::kLru);
-  Key key;
-  if (!query_key(q, generation(), key)) {
-    return false;  // cannot be cached; validation rejects it
-  }
-  if (auto hit = cache_.get(key)) {
-    hit->source = Source::kCache;
-    cache_answers_.fetch_add(1);
-    out = *hit;
-    return true;
-  }
-  return false;
+  KeyedQuery k;
+  return probe_lru(q, generation(), k, out);
 }
 
 std::vector<Recommendation> SelectionService::query_batch(
@@ -524,30 +592,26 @@ std::vector<Recommendation> SelectionService::query_batch(
 
   // Validate, group by slice, and answer everything already servable, in
   // one sweep. Consecutive queries usually share a slice (batches are
-  // sweeps), so the hot case is one slice comparison plus one positivity
-  // check — the other coordinates were validated on the group's
-  // representative, and same_slice pins them equal. Distinct slices per
-  // batch are few, so the cold case is a linear group scan; brand-new
-  // groups resolve their slice in the slice map once. Queries whose slice
-  // is not built yet are deferred.
-  const expr::ExpressionFamily* family = nullptr;
-  const std::string* family_name = nullptr;
+  // sweeps), so the hot case is one slice comparison plus the scanned
+  // coordinate's bound check — the other coordinates were proven on the
+  // group's representative, and same_slice pins them equal. Distinct
+  // slices per batch are few, so the cold case is a linear group scan. A
+  // brand-new group opens through the warm path's one slice-map hold; only
+  // an unpublished slice or an exact query is validated through
+  // family_for(), and the unpublished group is deferred.
   std::uint32_t last_group = kNoGroup;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
     std::uint32_t g;
     if (!q.exact && last_group != kNoGroup &&
         same_slice(q, batch[groups[last_group].rep])) {
-      LAMB_CHECK(q.dims[static_cast<std::size_t>(q.dim)] >= 1,
-                 "query dimensions must be positive");
+      if (!size_in_bounds(q.dims[static_cast<std::size_t>(q.dim)])) {
+        family_for(q);  // throws the error a lone query would get
+      }
       g = last_group;
     } else {
-      if (family_name == nullptr || *family_name != q.family) {
-        family = &resolve_family(q.family);
-        family_name = &q.family;
-      }
-      validate_query(q, *family);
       if (q.exact) {
+        family_for(q);
         exact_queries.push_back(static_cast<std::uint32_t>(i));
         continue;  // answered on the query() path below
       }
@@ -558,8 +622,20 @@ std::vector<Recommendation> SelectionService::query_batch(
           break;
         }
       }
-      if (g == kNoGroup) {
-        groups.push_back(Group{i, find_slice(slice_id(q))});
+      if (g != kNoGroup) {
+        if (!size_in_bounds(q.dims[static_cast<std::size_t>(q.dim)])) {
+          family_for(q);
+        }
+      } else {
+        SliceId id;
+        AtlasPtr atlas;
+        if (query_key(q, 0, id) && to_warm_slice(id)) {
+          atlas = find_slice(id);
+        }
+        if (atlas == nullptr) {
+          family_for(q);  // not published: validate before it is built
+        }
+        groups.push_back(Group{i, std::move(atlas)});
         g = static_cast<std::uint32_t>(groups.size() - 1);
       }
       last_group = g;
@@ -609,25 +685,31 @@ std::vector<Recommendation> SelectionService::query_batch(
 }
 
 std::future<Recommendation> SelectionService::query_async(Query q) {
-  family_for(q);  // invalid queries throw here, synchronously, like query()
-  async_calls_.fetch_add(1);
   std::promise<Recommendation> ready;
-  Recommendation cached;
-  if (try_cached(q, cached)) {
-    ready.set_value(cached);
+  KeyedQuery k;
+  Recommendation rec;
+  bool answered = probe_lru(q, generation(), k, rec);
+  if (!answered && !q.exact && k.keyed) {
+    const obs::SpanScope atlas_span(obs::Stage::kAtlas);
+    answered = answer_published(k.key, rec);
+    if (answered) {
+      atlas_answers_.fetch_add(1);
+      cache_.put(k.key, k.hash, rec);
+    }
+  }
+  if (answered) {
+    async_calls_.fetch_add(1);
+    ready.set_value(rec);
     return ready.get_future();
   }
+  family_for(q);  // invalid queries throw here, synchronously, like query()
+  async_calls_.fetch_add(1);
   // Exact queries queue under their own instance.
   SliceId id;
   if (q.exact) {
     LAMB_CHECK(query_key(q, 0, id), "bucket of an unvalidated query");
   } else {
     id = slice_id(q);
-    const std::uint32_t generation = this->generation();
-    if (AtlasPtr atlas = find_slice(id)) {
-      ready.set_value(answer(q, generation, std::move(atlas)));
-      return ready.get_future();
-    }
   }
   std::future<Recommendation> fut;
   {
@@ -696,7 +778,9 @@ void SelectionService::async_worker_loop() {
         const obs::ContextGuard guard(waiter.ctx);
         Recommendation rec;
         if (!try_cached(waiter.query, rec)) {
-          rec = answer(waiter.query, generation, atlas);
+          KeyedQuery k;
+          keyed_query(waiter.query, generation, k);
+          rec = answer(waiter.query, k, atlas);
         }
         waiter.promise.set_value(rec);
       } catch (...) {
@@ -791,11 +875,15 @@ std::size_t SelectionService::warm_from_store(
     }
     // Store keys may carry any value at the scanned coordinate (canonical()
     // zeroes it only when printing); normalise here (load_atlas has checked
-    // that dim indexes the base). A record no registered family could have
-    // written, its name or arity past the key bounds, is skipped like a
-    // foreign one.
+    // that dim indexes the base). A record this service could not have
+    // built — its name or arity past the key bounds, a family the registry
+    // does not make, the wrong arity, a fixed coordinate out of range — is
+    // skipped like a foreign one: every published slice must name a valid
+    // line, or the warm path would answer queries validation rejects and
+    // refresh_slices() would fail on it.
     SliceId id;
-    if (!make_key(key.family, key.base, key.dim, false, 0, id)) {
+    if (!make_key(key.family, key.base, key.dim, false, 0, id) ||
+        !adoptable(key)) {
       continue;
     }
     id.dims[static_cast<std::size_t>(key.dim)] = 0;

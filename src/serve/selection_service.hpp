@@ -14,20 +14,38 @@
 // axis-aligned line shares one atlas, and any dimension of any instance can
 // be served.
 //
-// One private answer core serves every entry point. It resolves the query's
-// slice atlas — already published, being built by another thread (builds
-// are deduplicated per slice), or built here — and answers with
+// The warm path. query() reads the LRU generation once, builds the query's
+// value key once and hashes it once; that hash serves the LRU probe and the
+// put after a miss. On a miss, one hold of the slice map's mutex finds the
+// published slice and answers the scanned coordinate from it, copying the
+// matched interval out; it resolves no family and copies no shared_ptr.
+// query_async() answers an already-published slice the same way, and
+// query_batch() opens a new slice group with one hold that finds its
+// published slice, again resolving no family. Only an unpublished slice,
+// an exact query or a query that cannot form a key goes through
+// family_for() — which validates the query and throws for an invalid one —
+// and then obtain_atlas(): the slice is built here, or by another thread
+// (builds are deduplicated per slice), and answered with
 // RegionAtlas::lookup. Exact queries are classified directly; with
-// degrade_on_failure a failed build answers from the analytical flop-minimal
-// ranking. query() and query_async() probe the LRU through try_cached()
-// and then call the core; query_batch() resolves each slice group once and
-// answers it through lookup() without the LRU; warm() and refresh_slices()
-// build slices on the ThreadPool when the machine's timing is thread-safe.
+// degrade_on_failure a failed build answers from the analytical
+// flop-minimal ranking. warm() and refresh_slices() build slices on the
+// ThreadPool when the machine's timing is thread-safe.
+//
+// Validity is proven at publication. Every published slice id names a
+// family this service's registry makes, with that family's arity, a dim in
+// range, and every fixed coordinate in [1, expr::kMaxDimension]: a build
+// publishes only after family_for() accepted its query, and
+// warm_from_store() adopts only records that pass the same checks. A query
+// that matches a published slice id is therefore valid as soon as its dim
+// indexes its instance and its scanned coordinate lies in
+// [1, expr::kMaxDimension] — the only checks the warm path and the batch
+// group loop make themselves. Anything else falls through to family_for(),
+// so every entry point rejects an invalid query with the same error.
 //
 // Slice map semantics: the published atlases live in one map, guarded with
-// the builds in flight by one mutex. A warm query holds it for one find and
-// one shared_ptr copy; writers hold it for an insert, a swap or a copy of
-// the map's entries — never across a build or store I/O. A warm query
+// the builds in flight by one mutex. A warm answer holds it for one find
+// and one interval lookup; writers hold it for an insert, a swap or a copy
+// of the map's entries — never across a build or store I/O. A warm query
 // therefore never waits on a build. A builder publishes its atlas and
 // unregisters its build under one hold, so every slice is published, in
 // flight, or neither. refresh_slices() swaps all its rebuilt slices under
@@ -41,8 +59,11 @@
 // sizes) are held inline, so the LRU and the slice maps hash and compare
 // keys without touching the heap, and a warm query() — LRU hit or atlas
 // answer, an eviction included — allocates nothing (serve_test audits
-// this). A query whose name or arity cannot form a key is an LRU miss, and
-// validation then rejects it.
+// this). The key hash (support::hash_name_ints) mixes word-sized pieces of
+// the name and the sizes independently, and the warm path takes it from
+// the query's own fields rather than reading back the key it has just
+// written. A query whose name or arity cannot form a key is an LRU miss,
+// and validation then rejects it.
 //
 // Answers are bit-identical to what the underlying RegionAtlas / classifier
 // would produce directly, from every entry point (tests/serve_test.cpp
@@ -196,20 +217,22 @@ class SelectionService {
   const ServiceConfig& config() const { return config_; }
 
   /// Answer one query. Safe for concurrent callers: the cache is sharded,
-  /// the slice is found in the slice map under a mutex held for that find
-  /// and one shared_ptr copy, atlas builds are deduplicated per slice, and
-  /// machines whose timing is not thread-safe are serialised behind one
-  /// timing mutex.
+  /// a published slice answers under one hold of the slice map's mutex,
+  /// atlas builds are deduplicated per slice, and machines whose timing is
+  /// not thread-safe are serialised behind one timing mutex.
   Recommendation query(const Query& q);
 
   /// Answer a batch, results in input order. Queries are grouped by atlas
-  /// slice in one pass, each missing slice is built exactly once (on the
-  /// ThreadPool when the machine's timing is thread-safe), and each group is
-  /// answered through RegionAtlas::lookup behind a memo of the last interval
-  /// it answered. The per-query LRU is neither consulted nor populated for
-  /// grouped queries, which is what makes a warm batch several times faster
-  /// than repeated query() calls; the payloads are identical either way,
-  /// since the LRU only ever caches atlas answers for non-exact queries.
+  /// slice in one pass; a new group whose slice is published opens through
+  /// the warm path's one hold, without resolving its family, and a query
+  /// joining a group has only its scanned coordinate checked. Each missing
+  /// slice is built exactly once (on the ThreadPool when the machine's
+  /// timing is thread-safe), and each group is answered through
+  /// RegionAtlas::lookup behind a memo of the last interval it answered.
+  /// The per-query LRU is neither consulted nor populated for grouped
+  /// queries, which is what makes a warm batch several times faster than
+  /// repeated query() calls; the payloads are identical either way, since
+  /// the LRU only ever caches atlas answers for non-exact queries.
   /// Exact queries take the query() path. A slice-build failure propagates
   /// to the caller (first error wins); with degrade_on_failure the failed
   /// group answers from fallback instead.
@@ -246,9 +269,14 @@ class SelectionService {
   }
 
   /// Adopt every atlas in `atlas_store` built on this machine model with
-  /// this service's AtlasConfig; returns the number adopted. A corrupt file
-  /// is quarantined; a stale one (an older record format version) is left
-  /// in place and counted in atlases_skipped, its slice is rebuilt on first
+  /// this service's AtlasConfig that this service could have built itself:
+  /// its family is one the registry makes (resolved here, once per name),
+  /// its base has that family's arity, its dim is in range and its fixed
+  /// coordinates lie in [1, expr::kMaxDimension]. A record that fails these
+  /// checks is skipped like a foreign one: not adopted, not quarantined,
+  /// left on disk. Returns the number adopted. A corrupt file is
+  /// quarantined; a stale one (an older record format version) is left in
+  /// place and counted in atlases_skipped, its slice is rebuilt on first
   /// query and the next checkpoint() overwrites it.
   std::size_t warm_from_store(const store::AtlasStore& atlas_store);
 
@@ -302,14 +330,17 @@ class SelectionService {
   ///    coordinate zeroed, exact false and generation 0. checkpoint()
   ///    derives the store::AtlasKey at the store boundary. An exact query's
   ///    async bucket is its query_key at generation 0.
+  ///
+  /// Only make_key() fills a Key: a declared one starts indeterminate, so a
+  /// warm query writes its key once.
   struct Key {
-    std::array<char, expr::kMaxFamilyName> family{};  ///< zero-padded
-    std::uint8_t family_size = 0;
-    std::uint8_t arity = 0;
-    bool exact = false;
-    int dim = 0;
-    std::uint32_t generation = 0;
-    std::array<int, expr::kMaxArity> dims{};  ///< zero past `arity`
+    std::array<char, expr::kMaxFamilyName> family;  ///< zero-padded
+    std::uint8_t family_size;
+    std::uint8_t arity;
+    bool exact;
+    int dim;
+    std::uint32_t generation;
+    std::array<int, expr::kMaxArity> dims;  ///< zero past `arity`
 
     std::string_view family_name() const {
       return {family.data(), family_size};
@@ -320,12 +351,19 @@ class SelectionService {
     friend bool operator==(const Key&, const Key&) = default;
   };
   static_assert(std::is_trivially_copyable_v<Key>);
-  /// FNV-1a over the name, the instance, dim and exact. The generation is
-  /// left out: keys that differ only in it are rare (an answer that straddled
-  /// a refresh) and share a probe run.
+  /// hash_fields() of the key's fields. The generation is left out: keys
+  /// that differ only in it are rare (an answer that straddled a refresh)
+  /// and share a probe run.
   struct KeyHash {
     std::size_t operator()(const Key& key) const;
   };
+  /// support::hash_name_ints over a key's fields: the name, the sizes up to
+  /// the arity, and dim and exact in the tag. The warm path takes it
+  /// straight from the query's own fields, never from the key it has just
+  /// written.
+  static std::size_t hash_fields(std::string_view family,
+                                 std::span<const int> dims, int dim,
+                                 bool exact);
   /// Fills `out`; false when the name or the arity exceeds the inline bounds.
   static bool make_key(std::string_view family, std::span<const int> dims,
                        int dim, bool exact, std::uint32_t generation, Key& out);
@@ -336,6 +374,13 @@ class SelectionService {
   static Key slice_id(const Query& q);
   /// An alias that says which shape a Key holds.
   using SliceId = Key;
+  /// A query's LRU key at the generation its caller read, built and hashed
+  /// once for the LRU probe and for the put after a miss.
+  struct KeyedQuery {
+    Key key;
+    std::size_t hash = 0;
+    bool keyed = false;  ///< false: the name or the arity is past the bounds
+  };
 
   struct AsyncWaiter {
     Query query;
@@ -350,9 +395,32 @@ class SelectionService {
   const expr::ExpressionFamily& resolve_family(const std::string& name);
   /// Validates the query shape and resolves the family (cached per name).
   const expr::ExpressionFamily& family_for(const Query& q);
+  /// warm_from_store()'s adoption rule: whether this service could have
+  /// built the record's slice (see the header's validity invariant).
+  bool adoptable(const store::AtlasKey& key);
 
   /// The published atlas for a slice, or null.
   AtlasPtr find_slice(const SliceId& id) const;
+  /// Fills `k` with `q`'s key at `generation`, hashed when the query forms
+  /// one.
+  static void keyed_query(const Query& q, std::uint32_t generation,
+                          KeyedQuery& k);
+  /// The LRU probe, under one kLru span: fills `k` through keyed_query();
+  /// on a hit fills `out` (source kCache, counted as a cache answer) and
+  /// returns true.
+  bool probe_lru(const Query& q, std::uint32_t generation, KeyedQuery& k,
+                 Recommendation& out);
+  /// The warm path's own checks: a non-exact query key whose dim indexes
+  /// its instance and whose scanned coordinate lies in
+  /// [1, expr::kMaxDimension] becomes its slice id, in place, and true is
+  /// returned. Anything else is left as it is, for family_for() to judge.
+  static bool to_warm_slice(Key& key);
+  /// The warm answer: when to_warm_slice() accepts `key` and its slice is
+  /// published, one hold of slices_mutex_ finds the slice and copies the
+  /// interval that answers the scanned coordinate into `out`. False
+  /// otherwise, with `out` untouched: the caller validates through
+  /// family_for(). Counts nothing and stores nothing in the LRU.
+  bool answer_published(const Key& key, Recommendation& out) const;
   /// The slice's atlas: published, in flight (waits for the builder), or
   /// built here and published. One hold of slices_mutex_ finds the slice,
   /// consults the breaker and joins or registers the build; the builder
@@ -366,19 +434,22 @@ class SelectionService {
   /// Holds timing_mutex_ when the machine's timing is not thread-safe.
   std::unique_lock<std::mutex> timing_guard();
 
-  /// The answer core. An exact query is classified directly. Any other is
-  /// answered from its slice with RegionAtlas::lookup: `atlas` when the
-  /// caller has already resolved the slice, else what obtain_atlas()
+  /// The answer core after an LRU miss. An exact query is validated and
+  /// classified directly. Any other is answered from its slice with
+  /// RegionAtlas::lookup: `atlas` when the caller has already resolved the
+  /// slice, else the published slice through answer_published(), else —
+  /// after family_for() has validated the query — what obtain_atlas()
   /// returns; a null atlas (degraded build) means fallback_answer(). Every
-  /// answer but a fallback goes into the LRU under `generation`, which the
-  /// caller read before it resolved the slice.
-  Recommendation answer(const Query& q, std::uint32_t generation,
+  /// answer but a fallback goes into the LRU under `k`, keyed at the
+  /// generation the caller read before it resolved the slice.
+  Recommendation answer(const Query& q, const KeyedQuery& k,
                         std::optional<AtlasPtr> atlas = std::nullopt);
   /// The LRU generation; refresh_slices() advances it after its swap.
   std::uint32_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  Recommendation classify_exact(const Query& q);
+  Recommendation classify_exact(const Query& q,
+                                const expr::ExpressionFamily& family);
 
   /// The degraded answer: the analytical flop-minimal algorithm, no timing
   /// involved (the paper's premise — a cheap cost-model answer always
@@ -411,11 +482,12 @@ class SelectionService {
   std::unordered_map<std::string, std::unique_ptr<const expr::ExpressionFamily>>
       families_;
 
-  /// Guards the three members below. Held for a find plus one shared_ptr
-  /// copy, an insert, a swap, or a copy of the map's entries (checkpoint(),
-  /// refresh_slices()) — never across a build or store I/O. obtain_atlas()
-  /// consults the breaker inside it: breakers_mutex_ may be taken under
-  /// this mutex, never the other way round.
+  /// Guards the three members below. Held for a find plus one interval
+  /// lookup or one shared_ptr copy, an insert, a swap, or a copy of the
+  /// map's entries (checkpoint(), refresh_slices()) — never across a build
+  /// or store I/O. obtain_atlas() consults the breaker inside it:
+  /// breakers_mutex_ may be taken under this mutex, never the other way
+  /// round.
   mutable std::mutex slices_mutex_;
   /// The published atlases; entries are added or replaced, never erased.
   std::unordered_map<SliceId, AtlasPtr, KeyHash> slices_;

@@ -6,11 +6,14 @@
 // the requested bound.
 //
 // Each call hashes its key once and hands the hash to the shard, whose flat
-// slot array and open-addressing index mix it again before use. A get or a
-// put on a full shard allocates nothing beyond copying the key and value, so
-// with trivially copyable ones (serve::SelectionService's value keys) a warm
-// service query stays off the heap. `lambbench/run.py --workload warm-serve
-// --trace 1` times it as serve.cache_hit_ns and serve.atlas_answer_ns.
+// slot array and open-addressing index mix it again before use; a caller
+// that probes and then stores the same key (serve::SelectionService's warm
+// path) hashes it once for both through the get/put overloads that take the
+// hash. A get or a put on a full shard allocates nothing beyond copying the
+// key and value, so with trivially copyable ones (the service's value keys)
+// a warm service query stays off the heap. `lambbench/run.py --workload
+// warm-serve --trace 1` times it as serve.cache_hit_ns and
+// serve.atlas_answer_ns.
 #pragma once
 
 #include <cstdint>
@@ -44,15 +47,19 @@ class ShardedLruCache {
     }
   }
 
-  std::optional<Value> get(const Key& key) {
-    const std::size_t hash = Hash{}(key);
+  std::optional<Value> get(const Key& key) { return get(key, Hash{}(key)); }
+  /// As get(key), with `hash` == Hash{}(key) already computed.
+  std::optional<Value> get(const Key& key, std::size_t hash) {
     Shard& shard = shard_for(hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
     return shard.cache.get(key, hash);
   }
 
   void put(const Key& key, Value value) {
-    const std::size_t hash = Hash{}(key);
+    put(key, Hash{}(key), std::move(value));
+  }
+  /// As put(key, value), with `hash` == Hash{}(key) already computed.
+  void put(const Key& key, std::size_t hash, Value value) {
     Shard& shard = shard_for(hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
     shard.cache.put(key, hash, std::move(value));

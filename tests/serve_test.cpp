@@ -265,6 +265,38 @@ TEST(SelectionService, DimensionsAboveTheBoundAreRejected) {
       Query{"chain4", {100, expr::kMaxDimension, 100, 100, 100}, 0, true}));
 }
 
+TEST(SelectionService, BatchGroupsBoundTheScannedCoordinateLikeALoneQuery) {
+  // A query that joins a published group is checked only at its scanned
+  // coordinate, with the bound a lone query gets: above kMaxDimension it is
+  // rejected, not clamped into the last interval, and at zero it fails
+  // with the lone query's error.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  const Query ok{"aatb", {300, 260, 549}, 0, false};
+  ASSERT_EQ(service.warm({ok}), 1u);
+  for (const int c : {600000, expr::kMaxDimension + 1, 0, -1}) {
+    const Query bad{"aatb", {c, 260, 549}, 0, false};
+    std::string lone;
+    try {
+      service.query(bad);
+    } catch (const support::CheckError& e) {
+      lone = e.what();
+    }
+    ASSERT_FALSE(lone.empty()) << c;
+    for (const std::vector<Query>& batch :
+         {std::vector<Query>{bad}, std::vector<Query>{ok, bad},
+          std::vector<Query>{ok, ok, bad, ok}}) {
+      try {
+        service.query_batch(batch);
+        ADD_FAILURE() << "batch of " << batch.size() << " answered c = " << c;
+      } catch (const support::CheckError& e) {
+        EXPECT_EQ(e.what(), lone) << c;
+      }
+    }
+  }
+  EXPECT_EQ(service.stats().atlases_built, 1u);
+}
+
 TEST(SelectionService, OverlongChainIsRejectedBeforeEnumerating) {
   // chain13 would enumerate 12! = 479,001,600 schedules while resolving.
   model::SimulatedMachine machine;
@@ -485,6 +517,47 @@ TEST(SelectionService, WarmFromStoreSkipsForeignRecords) {
   EXPECT_EQ(service.warm_from_store(atlas_store), 0u);
   EXPECT_EQ(service.atlas_count(), 0u);
   EXPECT_EQ(service.stats().atlases_quarantined, 0u);
+}
+
+TEST(SelectionService, WarmFromStoreSkipsRecordsTheServiceCannotServe) {
+  // Records on this machine and scan config that no query of this service
+  // could have built: a family the registry does not make, a base of the
+  // wrong arity, and fixed coordinates out of [1, kMaxDimension]. Adopting
+  // them would publish slices the warm path trusts, and every later
+  // refresh_slices() would fail on the unknown family.
+  const std::string dir = temp_dir();
+  store::AtlasStore atlas_store(dir);
+  model::SimulatedMachine machine;
+  const ServiceConfig cfg = scripted_config();
+  const Query good{"aatb", {300, 260, 549}, 0, false};
+  {
+    SelectionService first(machine, cfg);
+    first.warm({good});
+    ASSERT_EQ(first.checkpoint(atlas_store), 1u);
+  }
+  const auto save = [&](const std::string& family, expr::Instance base) {
+    const anomaly::AtlasInterval everywhere{cfg.atlas.hi, false, 0, 0, 0.0};
+    const anomaly::RegionAtlas atlas(base, 0, cfg.atlas, {everywhere}, 1);
+    atlas_store.save(
+        store::AtlasKey{family, machine.name(), 0, base, cfg.atlas}, atlas);
+  };
+  save("nosuch", {0, 260, 549});
+  save("aatb", {0, 260});
+  save("aatb", {0, 0, 549});
+  save("aatb", {0, 260, expr::kMaxDimension + 1});
+  ASSERT_EQ(atlas_store.size(), 5u);
+
+  SelectionService service(machine, cfg);
+  EXPECT_EQ(service.warm_from_store(atlas_store), 1u);
+  EXPECT_EQ(service.atlas_count(), 1u);
+  EXPECT_EQ(service.stats().atlases_quarantined, 0u);
+  EXPECT_EQ(atlas_store.size(), 5u);  // skipped records stay on disk
+  EXPECT_EQ(service.refresh_slices(), 1u);
+  EXPECT_EQ(service.refresh_slices(), 1u);
+  EXPECT_THROW(service.query(Query{"aatb", {300, 0, 549}, 0, false}),
+               support::CheckError);
+  EXPECT_EQ(service.query(good).source, Source::kAtlas);
+  EXPECT_EQ(service.stats().slices_refreshed, 2u);
 }
 
 TEST(SelectionService, CheckpointRacingBuildsAndARefreshRestoresEverySlice) {
@@ -1451,6 +1524,100 @@ TEST(SelectionService, QueriesPastTheKeyBoundsMissAndAreRejected) {
   EXPECT_EQ(service.stats().atlases_built, 0u);
 }
 
+TEST(SelectionService, PublishedSlicesRejectInvalidQueriesLikeAFreshService) {
+  // The warm path checks only a query's dim and scanned coordinate and
+  // trusts its published slice for the rest, so with the slices published —
+  // by building, or by adopting a store — every entry point must reject
+  // each invalid query with the very error a fresh service gives, and still
+  // answer valid ones like the directly built atlas.
+  const std::string dir = temp_dir();
+  model::SimulatedMachine machine;
+  const ServiceConfig cfg = scripted_config();
+  const std::vector<Query> lines = {{"aatb", {300, 260, 549}, 0, false},
+                                    {"aatb", {300, 260, 549}, 1, false},
+                                    {"chain4", {100, 200, 300, 400, 500}, 2,
+                                     false}};
+  const int big = expr::kMaxDimension + 1;
+  const std::vector<Query> invalid = {
+      {"nosuch", {300, 260, 549}, 0, false},
+      {std::string(expr::kMaxFamilyName + 1, 'a'), {300, 260, 549}, 0, false},
+      {"aatb", {300, 260}, 0, false},
+      {"aatb", {300, 260, 549, 7}, 0, false},
+      {"aatb", {300, 260, 549}, 3, false},
+      {"aatb", {300, 260, 549}, -1, false},
+      {"aatb", {0, 260, 549}, 0, false},
+      {"aatb", {-1, 260, 549}, 0, false},
+      {"aatb", {big, 260, 549}, 0, false},
+      {"aatb", {300, 0, 549}, 1, false},
+      {"aatb", {300, 260, 0}, 0, false},
+      {"aatb", {300, -5, 549}, 0, false},
+      {"aatb", {300, big, 549}, 0, false},
+      {"chain4", {100, 200, 0, 400, 500}, 2, false},
+      {"chain4", {100, 200, 300, 400, 0}, 2, false}};
+  const auto error_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const support::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+
+  std::vector<std::string> want;
+  {
+    SelectionService fresh(machine, cfg);
+    for (const Query& q : invalid) {
+      want.push_back(error_of([&] { fresh.query(q); }));
+      ASSERT_NE(want.back(), "no error") << q.family;
+    }
+  }
+
+  SelectionService built(machine, cfg);
+  ASSERT_EQ(built.warm(lines), lines.size());
+  store::AtlasStore atlas_store(dir);
+  ASSERT_EQ(built.checkpoint(atlas_store), lines.size());
+  SelectionService adopted(machine, cfg);
+  ASSERT_EQ(adopted.warm_from_store(atlas_store), lines.size());
+
+  for (SelectionService* service : {&built, &adopted}) {
+    const char* how = service == &built ? "built" : "adopted";
+    for (std::size_t i = 0; i < invalid.size(); ++i) {
+      const Query& q = invalid[i];
+      // A valid query on the same line first, so the invalid one meets a
+      // published group as well as opening one.
+      Query line = q.family == "chain4" ? lines[2] : lines[0];
+      line.dim = q.dim >= 0 && q.dim < 3 ? q.dim : 0;
+      EXPECT_EQ(error_of([&] { service->query(q); }), want[i]) << how << i;
+      EXPECT_EQ(error_of([&] { service->query_batch({q}); }), want[i])
+          << how << i;
+      EXPECT_EQ(error_of([&] { service->query_batch({line, q}); }), want[i])
+          << how << i;
+      EXPECT_EQ(error_of([&] { service->query_async(q); }), want[i])
+          << how << i;
+    }
+    for (const Query& base : lines) {
+      const auto family = expr::make_family(base.family);
+      const anomaly::RegionAtlas direct(*family, machine, base.dims, base.dim,
+                                        cfg.atlas);
+      for (const int c : {cfg.atlas.lo, 77, 600, cfg.atlas.hi}) {
+        Query q = base;
+        q.dims[static_cast<std::size_t>(q.dim)] = c;
+        const anomaly::AtlasInterval& interval = direct.lookup(c);
+        for (const Recommendation& rec :
+             {service->query(q), service->query_batch({q}).front(),
+              service->query_async(q).get()}) {
+          EXPECT_EQ(rec.algorithm, interval.recommended) << how << c;
+          EXPECT_EQ(rec.flop_minimal, interval.flop_minimal) << how << c;
+          EXPECT_EQ(rec.flops_reliable, !interval.anomalous) << how << c;
+          EXPECT_EQ(rec.time_score, interval.worst_time_score) << how << c;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(built.stats().atlases_built, lines.size());
+  EXPECT_EQ(adopted.stats().atlases_built, 0u);
+}
+
 TEST(SelectionService, WarmQueriesDoNotAllocate) {
   // Atlas answers on a full LRU, each of which evicts, and LRU hits: the
   // keys and recommendations are held by value and a full LRU reuses its
@@ -1469,7 +1636,11 @@ TEST(SelectionService, WarmQueriesDoNotAllocate) {
     service.query(q);  // resolves the family, fills the LRU's arrays
   }
 
-  // A line longer than the LRU, walked in order: every query misses.
+  // A line longer than the LRU, walked in order: every query misses, and
+  // with the LRU already full every answer's put evicts the least recent
+  // entry.
+  ASSERT_EQ(service.cache_size(), cfg.cache_capacity);
+  const std::uint64_t misses_before = service.stats().cache_misses;
   std::size_t atlas_answers = 0;
   const std::uint64_t before = lamb::testing::thread_alloc_count();
   for (int round = 0; round < 2; ++round) {
@@ -1477,6 +1648,8 @@ TEST(SelectionService, WarmQueriesDoNotAllocate) {
       atlas_answers += service.query(q).source == Source::kAtlas ? 1 : 0;
     }
   }
+  const std::uint64_t evictions =
+      service.stats().cache_misses - misses_before;
   const Query& hot = line[line.size() / 2];
   service.query(hot);
   const std::uint64_t after_atlas = lamb::testing::thread_alloc_count();
@@ -1488,6 +1661,7 @@ TEST(SelectionService, WarmQueriesDoNotAllocate) {
 
   EXPECT_EQ(atlas_answers, 2 * line.size());
   EXPECT_GE(atlas_answers, 1000u);
+  EXPECT_EQ(evictions, atlas_answers);  // each a miss put into a full LRU
   EXPECT_EQ(cache_answers, 1000u);
   EXPECT_EQ(service.cache_size(), cfg.cache_capacity);
   EXPECT_EQ(after_atlas - before, 0u)

@@ -1,5 +1,6 @@
 // Unit tests for lamb::support: checks, RNG, statistics, strings, CSV,
-// tables, CLI parsing, endian/hash helpers, LRU cache.
+// tables, CLI parsing, endian/hash helpers (and the serving key hash's
+// spread), LRU cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,9 @@
 #include <fstream>
 #include <list>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "model/simulated_machine.hpp"
 #include "support/check.hpp"
@@ -573,6 +576,88 @@ TEST(Hash, FnvMatchesReferenceVectorsAndSeeds) {
   EXPECT_NE(fnv1a64(std::string_view("x"), 1),
             fnv1a64(std::string_view("x"), 2));
   EXPECT_EQ(fnv1a64(std::string_view("x"), kFnvOffset), fnv1a64("x"));
+}
+
+TEST(Hash, NameIntsHashSeparatesFieldsAndCoversTheName) {
+  const std::vector<int> dims = {300, 260, 549};
+  const std::uint64_t h = hash_name_ints("aatb", dims, 0);
+  EXPECT_EQ(h, hash_name_ints(std::string("aatb"), std::vector<int>(dims), 0));
+  EXPECT_NE(h, hash_name_ints("aatb", dims, 1));                // the tag
+  EXPECT_NE(h, hash_name_ints("aatb", std::vector<int>{260, 300, 549}, 0));
+  EXPECT_NE(h, hash_name_ints("aatb", std::vector<int>{300, 260}, 0));
+  // Every byte of every length class reaches the hash.
+  const std::string name = "abcdefghijklmnopqrstuvw";  // 23 bytes
+  for (std::size_t n = 1; n <= name.size(); ++n) {
+    const std::string base = name.substr(0, n);
+    EXPECT_NE(hash_name_ints(base, dims, 0),
+              hash_name_ints(name.substr(0, n - 1), dims, 0))
+        << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string flipped = base;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x20);
+      EXPECT_NE(hash_name_ints(flipped, dims, 0), hash_name_ints(base, dims, 0))
+          << n << " " << i;
+    }
+  }
+}
+
+TEST(Hash, NameIntsHashSpreadsServingKeysOverShardsAndProbeRuns) {
+  // Keys shaped like the warm-serve workload's LRU keys: four families, 64
+  // random base lines each, every size of [20, 1200] along the line. The
+  // serving layer's sharded LRU picks a shard by hash % 16, and each
+  // shard's index takes the low bits of mix64(hash).
+  struct Family {
+    const char* name;
+    int arity;
+  };
+  const Family families[] = {{"aatb", 3}, {"chain4", 5}, {"gram", 2},
+                             {"aatbc", 4}};
+  constexpr std::size_t kShards = 16;
+  std::vector<std::vector<std::uint64_t>> by_shard(kShards);
+  Rng rng(2024);
+  std::size_t keys = 0;
+  for (const Family& f : families) {
+    for (int b = 0; b < 64; ++b) {
+      std::vector<int> dims(static_cast<std::size_t>(f.arity));
+      for (int& d : dims) {
+        d = rng.uniform_int(20, 1200);
+      }
+      const int dim = b % f.arity;
+      for (int c = 20; c <= 1200; ++c) {
+        dims[static_cast<std::size_t>(dim)] = c;
+        const std::uint64_t h =
+            hash_name_ints(f.name, dims, static_cast<std::uint32_t>(dim));
+        by_shard[h % kShards].push_back(h);
+        ++keys;
+      }
+    }
+  }
+  const double mean = static_cast<double>(keys) / kShards;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_NEAR(static_cast<double>(by_shard[s].size()), mean, 0.05 * mean)
+        << "shard " << s;
+  }
+  // A 65,536-entry LRU holds 4,096 keys a shard in an 8,192-bucket index:
+  // linear probing, half full. A uniform hash displaces a key by 0.5
+  // buckets on average; a clustering one builds long runs.
+  for (std::size_t s = 0; s < kShards; ++s) {
+    std::vector<bool> used(8192, false);
+    std::size_t total = 0;
+    std::size_t longest = 0;
+    for (std::size_t k = 0; k < 4096; ++k) {
+      std::size_t i = static_cast<std::uint32_t>(mix64(by_shard[s][k])) & 8191;
+      std::size_t displacement = 0;
+      while (used[i]) {
+        i = (i + 1) & 8191;
+        ++displacement;
+      }
+      used[i] = true;
+      total += displacement;
+      longest = std::max(longest, displacement);
+    }
+    EXPECT_LT(static_cast<double>(total) / 4096, 0.75) << "shard " << s;
+    EXPECT_LT(longest, 40u) << "shard " << s;
+  }
 }
 
 TEST(Lru, EvictsLeastRecentlyUsed) {
