@@ -72,18 +72,18 @@ RegionAtlas::RegionAtlas(const expr::ExpressionFamily& family,
   std::sort(coords.begin(), coords.end());
   coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
 
-  // One algorithm set for the whole scan, re-bound in place per sample.
+  // One algorithm set and one classification scratch for the whole scan,
+  // re-bound and overwritten in place per sample.
   expr::Instance dims = base_;
   std::vector<model::Algorithm> algs;
+  ClassifyScratch scratch;
   const auto classify_at = [&](int coord) {
     dims[static_cast<std::size_t>(dim_)] = coord;
     family.bind(dims, algs);
-    const InstanceResult r = classify_algorithms(
-        algs, machine, dims, config_.time_score_threshold);
-    return ScanPoint{coord, r.anomaly,
-                     static_cast<std::uint32_t>(r.fastest.front()),
-                     static_cast<std::uint32_t>(r.cheapest.front()),
-                     r.time_score};
+    const Verdict v = classify(algs, machine, Timing::kInContext,
+                               config_.time_score_threshold, scratch);
+    return ScanPoint{coord, v.anomaly, static_cast<std::uint32_t>(v.fastest),
+                     static_cast<std::uint32_t>(v.cheapest), v.time_score};
   };
   std::vector<ScanPoint> points;
   for (const int c : coords) {

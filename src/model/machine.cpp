@@ -4,6 +4,12 @@
 
 namespace lamb::model {
 
+std::vector<double> MachineModel::time_steps(const Algorithm& alg) {
+  std::vector<double> times(alg.steps().size());
+  time_steps_into(alg, times);
+  return times;
+}
+
 double MachineModel::time_algorithm(const Algorithm& alg) {
   double total = 0.0;
   for (double t : time_steps(alg)) {

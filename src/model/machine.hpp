@@ -8,13 +8,17 @@
 //     the real BLAS substrate under the paper's measurement protocol.
 //
 // The two entry points mirror the paper's experiments:
-//   time_steps()         — the algorithm run end-to-end: cache flushed before
+//   time_steps_into()    — the algorithm run end-to-end: cache flushed before
 //                          each repetition but *warm between kernel calls*
-//                          (Experiments 1 and 2);
+//                          (Experiments 1 and 2), one time per step written
+//                          into a buffer the caller owns, so a scan that
+//                          times many instances reuses one buffer;
+//                          time_steps() returns the same times in a vector;
 //   time_call_isolated() — a single call benchmarked cold (Experiment 3's
 //                          predictor).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,15 +36,20 @@ class MachineModel {
   /// Peak FLOP rate used to convert times into efficiencies.
   virtual double peak_flops() const = 0;
 
-  /// True when time_steps()/time_call_isolated() may be called from several
-  /// threads at once. Analytic models (SimulatedMachine) are pure functions
-  /// of the call and say yes; anything that touches real hardware or mutable
-  /// caches must stay serialised (the default). The ExperimentDriver keys
-  /// its batch parallelism off this.
+  /// True when time_steps_into()/time_call_isolated() may be called from
+  /// several threads at once. Analytic models (SimulatedMachine) are pure
+  /// functions of the call and say yes; anything that touches real hardware
+  /// or mutable caches must stay serialised (the default). The
+  /// ExperimentDriver keys its batch parallelism off this.
   virtual bool concurrent_timing_safe() const { return false; }
 
-  /// Median per-step execution times of the algorithm executed end-to-end.
-  virtual std::vector<double> time_steps(const Algorithm& alg) = 0;
+  /// Median per-step execution times of the algorithm executed end-to-end,
+  /// written to `out` (out.size() == alg.steps().size()).
+  virtual void time_steps_into(const Algorithm& alg,
+                               std::span<double> out) = 0;
+
+  /// time_steps_into() into a fresh vector.
+  std::vector<double> time_steps(const Algorithm& alg);
 
   /// Median cold-cache time of one call benchmarked in isolation.
   virtual double time_call_isolated(const KernelCall& call) = 0;

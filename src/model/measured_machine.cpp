@@ -1,5 +1,6 @@
 #include "model/measured_machine.hpp"
 
+#include <algorithm>
 #include <functional>
 
 #include "blas/blas.hpp"
@@ -33,7 +34,10 @@ std::vector<int> MeasuredMachine::breakpoints() const {
           static_cast<int>(blocks.kc)};
 }
 
-std::vector<double> MeasuredMachine::time_steps(const Algorithm& alg) {
+void MeasuredMachine::time_steps_into(const Algorithm& alg,
+                                      std::span<double> out) {
+  LAMB_CHECK(out.size() == alg.steps().size(),
+             "time_steps_into: one time per step");
   // Materialise random externals for this algorithm's shapes. The matrices
   // are dense and unstructured, so contents do not affect timing.
   support::Rng rng(config_.data_seed);
@@ -55,7 +59,8 @@ std::vector<double> MeasuredMachine::time_steps(const Algorithm& alg) {
   }
   const perf::SteppedMeasurementResult r =
       perf::measure_steps(steps, config_.protocol, flusher_);
-  return r.median_step_seconds;
+  std::copy(r.median_step_seconds.begin(), r.median_step_seconds.end(),
+            out.begin());
 }
 
 double MeasuredMachine::run_isolated(const KernelCall& call) {

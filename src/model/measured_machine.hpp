@@ -34,7 +34,7 @@ class MeasuredMachine final : public MachineModel {
   std::string name() const override;
   double peak_flops() const override;
 
-  std::vector<double> time_steps(const Algorithm& alg) override;
+  void time_steps_into(const Algorithm& alg, std::span<double> out) override;
   double time_call_isolated(const KernelCall& call) override;
   /// Where lamb::blas switches paths: the naive and small-k variant limits
   /// (blas/variant.hpp) and the mc and kc cache blocks (blas/packing.hpp).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -14,9 +13,11 @@ namespace lamb::model {
 
 namespace {
 
-std::uint64_t call_stream(const KernelCall& call, std::uint64_t seed,
-                          std::uint64_t context) {
-  std::uint64_t h = support::hash_combine(seed, context);
+/// The call's measurement stream under `context_stream`, the hash of the
+/// noise seed and the timing context.
+std::uint64_t call_stream(const KernelCall& call,
+                          std::uint64_t context_stream) {
+  std::uint64_t h = context_stream;
   h = support::hash_combine(h, static_cast<std::uint64_t>(call.kind));
   h = support::hash_combine(h, static_cast<std::uint64_t>(call.m));
   h = support::hash_combine(h, static_cast<std::uint64_t>(call.n));
@@ -27,14 +28,20 @@ std::uint64_t call_stream(const KernelCall& call, std::uint64_t seed,
 constexpr std::uint64_t kIsolatedContext = 0x150;
 constexpr std::uint64_t kSteppedContext = 0x57E9;
 
+/// mix64 of each repetition index: the value half of the draws' hashes.
+constexpr auto kMixedRepetitions = [] {
+  std::array<std::uint64_t, kSimulatedRepetitions> mixed{};
+  for (std::size_t r = 0; r < mixed.size(); ++r) {
+    mixed[r] = support::mix64(r);
+  }
+  return mixed;
+}();
+
 }  // namespace
 
 SimulatedMachine::SimulatedMachine(SimulatedMachineConfig config)
     : config_(config) {
   LAMB_CHECK(config_.peak_flops > 0.0, "peak must be positive");
-  LAMB_CHECK(config_.repetitions >= 1 &&
-                 config_.repetitions <= kMaxSimulatedRepetitions,
-             "repetitions out of range");
   LAMB_CHECK(config_.coupling_max >= 0.0 && config_.coupling_max < 1.0,
              "coupling fraction out of range");
 }
@@ -69,22 +76,23 @@ double SimulatedMachine::jitter_factor(std::uint64_t stream) const {
   if (config_.jitter <= 0.0) {
     return 1.0;
   }
-  // Every kernel call of every scan sample draws here: no heap.
-  std::array<double, kMaxSimulatedRepetitions> buffer;
-  const std::span<double> draws(buffer.data(),
-                                static_cast<std::size_t>(config_.repetitions));
-  for (int r = 0; r < config_.repetitions; ++r) {
+  // Draw r hashes hash_combine(stream, r), with the stream's half computed
+  // once. Unrolled, the draws and the median stay in registers.
+  const std::uint64_t seed_term = support::hash_seed_term(stream);
+  std::array<double, kSimulatedRepetitions> draws;
+#pragma GCC unroll 10
+  for (std::size_t r = 0; r < draws.size(); ++r) {
     const std::uint64_t h =
-        support::hash_combine(stream, static_cast<std::uint64_t>(r));
+        support::hash_combine_mixed(stream, seed_term, kMixedRepetitions[r]);
     // Map the hash to a uniform in [-1, 1).
     const double u =
         static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
     // Timing noise is one-sided-ish in practice: runs can only be delayed.
-    // Use |u| with a small symmetric part so medians stay near 1.
-    draws[static_cast<std::size_t>(r)] =
-        1.0 + config_.jitter * (0.25 * u + 0.75 * std::abs(u));
+    // Use |u| with a small symmetric part so medians stay near 1. Every
+    // draw is at least 1 and never NaN, as support::median_of_ten needs.
+    draws[r] = 1.0 + config_.jitter * (0.25 * u + 0.75 * std::abs(u));
   }
-  return support::median_in_place(draws);
+  return support::median_of_ten(draws);
 }
 
 double SimulatedMachine::coupling_factor(const Algorithm& alg,
@@ -133,25 +141,24 @@ double SimulatedMachine::coupling_factor(const Algorithm& alg,
   return 1.0 - config_.coupling_max * weight * share;
 }
 
-std::vector<double> SimulatedMachine::time_steps(const Algorithm& alg) {
-  std::vector<double> times;
-  times.reserve(alg.steps().size());
-  const std::uint64_t alg_ctx =
-      support::hash_combine(kSteppedContext, alg.signature_hash());
-  for (std::size_t i = 0; i < alg.steps().size(); ++i) {
+void SimulatedMachine::time_steps_into(const Algorithm& alg,
+                                       std::span<double> out) {
+  LAMB_CHECK(out.size() == alg.steps().size(),
+             "time_steps_into: one time per step");
+  const std::uint64_t alg_stream = support::hash_combine(
+      config_.noise_seed,
+      support::hash_combine(kSteppedContext, alg.signature_hash()));
+  for (std::size_t i = 0; i < out.size(); ++i) {
     const KernelCall& call = alg.steps()[i].call;
     const std::uint64_t stream = support::hash_combine(
-        call_stream(call, config_.noise_seed, alg_ctx),
-        static_cast<std::uint64_t>(i));
-    times.push_back(base_time(call) * coupling_factor(alg, i) *
-                    jitter_factor(stream));
+        call_stream(call, alg_stream), static_cast<std::uint64_t>(i));
+    out[i] = base_time(call) * coupling_factor(alg, i) * jitter_factor(stream);
   }
-  return times;
 }
 
 double SimulatedMachine::time_call_isolated(const KernelCall& call) {
-  const std::uint64_t stream =
-      call_stream(call, config_.noise_seed, kIsolatedContext);
+  const std::uint64_t stream = call_stream(
+      call, support::hash_combine(config_.noise_seed, kIsolatedContext));
   return base_time(call) * jitter_factor(stream);
 }
 

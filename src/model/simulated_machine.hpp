@@ -1,30 +1,40 @@
 // Deterministic simulated machine.
 //
 // time(call) = flops / (peak * efficiency(call)) + per-call overhead, with
-//   * multiplicative measurement jitter derived from a hash of the call, the
-//     context and the repetition index (bit-reproducible everywhere); inside
-//     time_steps() the context is the algorithm's signature_hash(), so two
-//     schedules that make the same calls still draw different noise,
-//   * an inter-kernel cache-coupling term inside time_steps(): a call whose
-//     inputs were just produced and still fit in the LLC runs slightly
-//     faster than its cold-cache benchmark. Experiment 3's predictor
-//     (time_call_isolated) deliberately omits this term — the gap between
-//     the two is exactly what the paper's confusion matrices quantify.
+//   * multiplicative measurement jitter: the median of ten repetitions
+//     (kSimulatedRepetitions), each drawn from a hash of the call, the
+//     context and the repetition index (bit-reproducible everywhere);
+//     inside time_steps_into() the context is the algorithm's
+//     signature_hash(), so two schedules that make the same calls still
+//     draw different noise,
+//   * an inter-kernel cache-coupling term inside time_steps_into(): a call
+//     whose inputs were just produced and still fit in the LLC runs
+//     slightly faster than its cold-cache benchmark. Experiment 3's
+//     predictor (time_call_isolated) deliberately omits this term — the gap
+//     between the two is exactly what the paper's confusion matrices
+//     quantify.
 //
 // The triangle copy (AAtB Alg. 2) is costed as pure bandwidth-bound data
 // movement.
+//
+// Every scan sample of an atlas times every algorithm here, so a kernel
+// call costs its arithmetic only: the algorithm's part of the noise hash is
+// combined once per algorithm, the repetition index's part is a table, and
+// the ten draws sort in registers (support::median_of_ten). Nothing
+// allocates.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "model/efficiency_model.hpp"
 #include "model/machine.hpp"
 
 namespace lamb::model {
 
-/// Bound on SimulatedMachineConfig::repetitions (the draws live on the
-/// stack).
-inline constexpr int kMaxSimulatedRepetitions = 64;
+/// Simulated repetitions per timed call; the jitter is their median (the
+/// paper's protocol, Sec. 3.4, at MeasuredMachine's default count).
+inline constexpr int kSimulatedRepetitions = 10;
 
 struct SimulatedMachineConfig {
   EfficiencyParams efficiency = EfficiencyParams::xeon_like();
@@ -43,7 +53,6 @@ struct SimulatedMachineConfig {
   double coupling_weight_symm = 0.35;
   double coupling_weight_tricopy = 0.5;
   double jitter = 0.004;             ///< relative measurement noise amplitude
-  int repetitions = 10;              ///< median-of-R protocol, R in [1, 64]
   std::uint64_t noise_seed = 0xC0FFEE;
   bool enable_coupling = true;       ///< ablation switch (cache effects off)
 };
@@ -57,7 +66,7 @@ class SimulatedMachine final : public MachineModel {
   /// Timing is a pure function of the call: safe to run concurrently.
   bool concurrent_timing_safe() const override { return true; }
 
-  std::vector<double> time_steps(const Algorithm& alg) override;
+  void time_steps_into(const Algorithm& alg, std::span<double> out) override;
   double time_call_isolated(const KernelCall& call) override;
   /// The efficiency surfaces' variant-step limits (efficiency_breakpoints).
   std::vector<int> breakpoints() const override;
@@ -72,8 +81,8 @@ class SimulatedMachine final : public MachineModel {
   const SimulatedMachineConfig& config() const { return config_; }
 
  private:
-  /// Median multiplicative jitter over the simulated repetitions for a
-  /// given measurement stream.
+  /// Median multiplicative jitter over the kSimulatedRepetitions draws of
+  /// a given measurement stream.
   double jitter_factor(std::uint64_t stream) const;
 
   /// Warm-cache speedup factor for step `i` given the previous step.

@@ -271,25 +271,26 @@ void SelectionRoutes::handle_query(const Request& request,
   }
 
   // Warm fast path: parse into thread-local scratch (capacity reused
-  // across requests) and probe the LRU without blocking or allocating. A
-  // hit formats the answer on the stack and takes the zero-copy send — on
-  // the owning loop thread that serializes straight into the connection's
-  // output buffer, allocation-free end to end (net_test audits this).
+  // across requests) and answer an LRU hit or a published slice from one
+  // LRU probe, without blocking or allocating. The answer is formatted on
+  // the stack and takes the zero-copy send — on the owning loop thread
+  // that serializes straight into the connection's output buffer,
+  // allocation-free end to end (net_test audits this).
   thread_local serve::Query scratch_query;
-  serve::Recommendation cached;
+  serve::Recommendation warm;
   try {
     parse_query_line_into(line, scratch_query);
   } catch (const std::invalid_argument& e) {
     responder.send(text_response(400, std::string(e.what()) + "\n"));
     return;
   }
-  if (service_.try_cached(scratch_query, cached)) {
-    const std::string_view source = serve::to_string(cached.source);
+  if (service_.try_warm(scratch_query, warm)) {
+    const std::string_view source = serve::to_string(warm.source);
     char buf[160];
     const int len = std::snprintf(
-        buf, sizeof(buf), "%zu,%zu,%d,%.17g,%.*s\n", cached.algorithm,
-        cached.flop_minimal, cached.flops_reliable ? 1 : 0,
-        cached.time_score, static_cast<int>(source.size()), source.data());
+        buf, sizeof(buf), "%zu,%zu,%d,%.17g,%.*s\n", warm.algorithm,
+        warm.flop_minimal, warm.flops_reliable ? 1 : 0, warm.time_score,
+        static_cast<int>(source.size()), source.data());
     responder.send(200, kCsvType, std::string_view(buf, len > 0 ? len : 0));
     return;
   }
@@ -312,9 +313,10 @@ void SelectionRoutes::handle_query(const Request& request,
                                     "\n"));
     }
   };
-  // Warm answers (LRU hit or built slice) are already resolved: finish on
-  // the event loop. A cold one rides the service's background builder; a
-  // worker waits on it so the loop thread never does.
+  // An answer that resolved at once (a slice published since the probe
+  // above, or a shed build's fallback) finishes on the event loop. A cold
+  // one rides the service's background builder; a worker waits on it so
+  // the loop thread never does.
   if (answer.wait_for(std::chrono::seconds(0)) ==
       std::future_status::ready) {
     respond(responder, answer);

@@ -33,13 +33,13 @@
 // shed — see SelectionService::ServiceConfig::degrade_on_failure).
 //
 // Threading: /healthz and /metrics are answered on the event loop.
-// /v1/query first probes the service's LRU allocation-free (thread-local
-// scratch query, stack-formatted answer, zero-copy Responder::send) — a
-// warm repeat answers entirely on the loop thread without touching the
-// allocator. A miss asks through query_async: already-built slices resolve
-// inline; anything needing an atlas scan resolves on the service's
-// background builder, watched by this object's small worker pool so the
-// loop never blocks. /v1/batch parses and answers entirely on a worker
+// /v1/query first asks SelectionService::try_warm allocation-free
+// (thread-local scratch query, stack-formatted answer, zero-copy
+// Responder::send): an LRU hit or a published slice answers from one LRU
+// probe, entirely on the loop thread, without touching the allocator.
+// Anything else asks through query_async: a build or an exact
+// classification resolves on the service's background builder, watched by
+// this object's small worker pool so the loop never blocks. /v1/batch parses and answers entirely on a worker
 // (its slice builds ride the service's ThreadPool inside query_batch).
 #pragma once
 

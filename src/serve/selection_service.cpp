@@ -553,6 +553,23 @@ bool SelectionService::try_cached(const Query& q, Recommendation& out) {
   return probe_lru(q, generation(), k, out);
 }
 
+bool SelectionService::try_warm(const Query& q, Recommendation& out) {
+  KeyedQuery k;
+  if (probe_lru(q, generation(), k, out)) {
+    return true;
+  }
+  if (q.exact || !k.keyed) {
+    return false;
+  }
+  const obs::SpanScope atlas_span(obs::Stage::kAtlas);
+  if (!answer_published(k.key, out)) {
+    return false;
+  }
+  atlas_answers_.fetch_add(1);
+  cache_.put(k.key, k.hash, out);
+  return true;
+}
+
 std::vector<Recommendation> SelectionService::query_batch(
     std::span<const Query> batch) {
   std::vector<Recommendation> out(batch.size());
@@ -686,18 +703,8 @@ std::vector<Recommendation> SelectionService::query_batch(
 
 std::future<Recommendation> SelectionService::query_async(Query q) {
   std::promise<Recommendation> ready;
-  KeyedQuery k;
   Recommendation rec;
-  bool answered = probe_lru(q, generation(), k, rec);
-  if (!answered && !q.exact && k.keyed) {
-    const obs::SpanScope atlas_span(obs::Stage::kAtlas);
-    answered = answer_published(k.key, rec);
-    if (answered) {
-      atlas_answers_.fetch_add(1);
-      cache_.put(k.key, k.hash, rec);
-    }
-  }
-  if (answered) {
+  if (try_warm(q, rec)) {
     async_calls_.fetch_add(1);
     ready.set_value(rec);
     return ready.get_future();

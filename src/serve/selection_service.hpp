@@ -19,10 +19,10 @@
 // put after a miss. On a miss, one hold of the slice map's mutex finds the
 // published slice and answers the scanned coordinate from it, copying the
 // matched interval out; it resolves no family and copies no shared_ptr.
-// query_async() answers an already-published slice the same way, and
-// query_batch() opens a new slice group with one hold that finds its
-// published slice, again resolving no family. Only an unpublished slice,
-// an exact query or a query that cannot form a key goes through
+// try_warm() and query_async() answer an already-published slice the same
+// way, and query_batch() opens a new slice group with one hold that finds
+// its published slice, again resolving no family. Only an unpublished
+// slice, an exact query or a query that cannot form a key goes through
 // family_for() — which validates the query and throws for an invalid one —
 // and then obtain_atlas(): the slice is built here, or by another thread
 // (builds are deduplicated per slice), and answered with
@@ -136,7 +136,7 @@ struct ServiceConfig {
   /// service builds (part of the atlas identity, so stores segregate by it).
   anomaly::AtlasConfig atlas;
   std::size_t cache_capacity = 1u << 16;  ///< recommendations, all shards
-  std::size_t cache_shards = 16;
+  std::size_t cache_shards = 16;  ///< rounded down to a power of two
   /// Workers for parallel atlas builds; 0 = hardware threads. Parallel
   /// builds engage only when the machine's timing is thread-safe.
   std::size_t threads = 0;
@@ -244,10 +244,19 @@ class SelectionService {
   /// Allocation-free LRU probe: when the query is already cached, fill
   /// `out` (counted as a cache answer, exactly as query() would) and return
   /// true; otherwise leave `out` untouched and return false — the caller
-  /// falls back to query()/query_async(). Takes only the LRU shard's mutex,
-  /// so the HTTP reactors call it concurrently; the serving warm path uses
-  /// it so an LRU hit never allocates.
+  /// falls back to query()/query_async(). Takes only the LRU shard's mutex.
   bool try_cached(const Query& q, Recommendation& out);
+
+  /// Answers a warm query inline, from one LRU probe: an LRU hit (as
+  /// try_cached()), or a non-exact query whose slice is published, looked
+  /// up under one slice-map hold, counted as one atlas answer and stored
+  /// in the LRU, as query() would. Returns false, with `out` untouched,
+  /// when the query needs a build or an exact classification, or is
+  /// invalid; query_async() takes it from there. Never builds or waits on
+  /// a build, and like query() allocates nothing once the LRU shard is
+  /// full, so the HTTP reactors answer warm queries with it on their loop
+  /// threads.
+  bool try_warm(const Query& q, Recommendation& out);
 
   /// Answer one query without blocking on atlas scans. Cache hits and
   /// already-built slices resolve immediately; anything needing a scan (or

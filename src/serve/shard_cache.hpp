@@ -1,9 +1,10 @@
 // Sharded LRU cache: N independent support::LruCache shards, each behind its
-// own mutex, shard chosen by `Hash{}(key) % N`. Concurrent callers on
-// different shards never contend. Capacity is split across shards (the
-// shard count is clamped down to the capacity when needed), with the
-// remainder spread one per shard, so the per-shard capacities sum to exactly
-// the requested bound.
+// own mutex, shard chosen by `Hash{}(key) & (N - 1)`. Concurrent callers on
+// different shards never contend. N is the requested shard count, clamped
+// down to the capacity when needed and then rounded down to a power of two,
+// so picking a shard takes a mask, not a division. Capacity is split across
+// the shards, with the remainder spread one per shard, so the per-shard
+// capacities sum to exactly the requested bound.
 //
 // Each call hashes its key once and hands the hash to the shard, whose flat
 // slot array and open-addressing index mix it again before use; a caller
@@ -16,6 +17,8 @@
 // serve.atlas_answer_ns.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -36,6 +39,8 @@ class ShardedLruCache {
     if (capacity > 0) {
       shard_count = std::min(shard_count, capacity);
     }
+    shard_count = std::bit_floor(shard_count);
+    mask_ = shard_count - 1;
     const std::size_t per_shard = capacity == 0 ? 0 : capacity / shard_count;
     const std::size_t remainder = capacity == 0 ? 0 : capacity % shard_count;
     shards_.reserve(shard_count);
@@ -105,9 +110,7 @@ class ShardedLruCache {
     support::LruCache<Key, Value, Hash> cache;
   };
 
-  Shard& shard_for(std::size_t hash) {
-    return *shards_[hash % shards_.size()];
-  }
+  Shard& shard_for(std::size_t hash) { return *shards_[hash & mask_]; }
 
   std::uint64_t sum(std::uint64_t (Shard::*counter)() const) const {
     std::uint64_t total = 0;
@@ -119,6 +122,7 @@ class ShardedLruCache {
   }
 
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t mask_ = 0;  ///< shards_.size() - 1, a power of two less one
 };
 
 }  // namespace lamb::serve

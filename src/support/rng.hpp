@@ -17,17 +17,32 @@ std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Stateless 64-bit mix of a single value (Stafford's mix13 finalizer).
 /// Inline: the LRU index mixes every key's hash with it.
-inline std::uint64_t mix64(std::uint64_t x) {
+constexpr std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
 
+/// The half of hash_combine(seed, value) that reads only the seed. A caller
+/// that combines one seed with many values computes it once, takes mix64
+/// of constant values at compile time, and finishes each combination with
+/// hash_combine_mixed. Unsigned addition wraps, so the order of the sum
+/// changes no bit.
+constexpr std::uint64_t hash_seed_term(std::uint64_t seed) {
+  return 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+}
+
+/// hash_combine(seed, value) from hash_seed_term(seed) and mix64(value).
+constexpr std::uint64_t hash_combine_mixed(std::uint64_t seed,
+                                           std::uint64_t seed_term,
+                                           std::uint64_t mixed_value) {
+  return mix64(seed ^ (mixed_value + seed_term));
+}
+
 /// Combine two 64-bit hashes order-dependently. Inline: the simulated
-/// machine combines about 16 per kernel call.
-inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
-  return mix64(seed ^ (mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 6) +
-                       (seed >> 2)));
+/// machine combines five per kernel call.
+constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
+  return hash_combine_mixed(seed, hash_seed_term(seed), mix64(value));
 }
 
 /// FNV-1a over a string, for hashing names into jitter streams.

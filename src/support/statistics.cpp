@@ -16,23 +16,6 @@ double median_in_place(std::span<double> v) {
   LAMB_CHECK(!v.empty(), "median of empty sample");
   const std::size_t n = v.size();
   const std::size_t mid = n / 2;
-  // Short spans, such as the simulated machine's repetitions of each kernel
-  // call, sort by insertion with compare-exchanges on neighbours:
-  // std::min/std::max compile to minsd/maxsd, so no branch depends on the
-  // data. Each new value sinks through the whole sorted prefix. Past about
-  // 32 values the quadratic sort loses to nth_element.
-  constexpr std::size_t kSortCutoff = 32;
-  if (n <= kSortCutoff) {
-    for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t j = i; j > 0; --j) {
-        const double a = v[j - 1];
-        const double b = v[j];
-        v[j - 1] = std::min(a, b);
-        v[j] = std::max(a, b);
-      }
-    }
-    return n % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
-  }
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
                    v.end());
   if (n % 2 == 1) {

@@ -3,6 +3,8 @@
 // when the machine declares its timing entry points thread-safe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "anomaly/driver.hpp"
 #include "anomaly/prediction.hpp"
 #include "anomaly/region.hpp"
@@ -42,8 +44,9 @@ TEST(ExperimentDriver, ParallelDisabledForUnsafeMachines) {
    public:
     std::string name() const override { return "unsafe"; }
     double peak_flops() const override { return 1.0e9; }
-    std::vector<double> time_steps(const model::Algorithm& alg) override {
-      return std::vector<double>(alg.steps().size(), 1.0);
+    void time_steps_into(const model::Algorithm&,
+                         std::span<double> out) override {
+      std::fill(out.begin(), out.end(), 1.0);
     }
     double time_call_isolated(const model::KernelCall&) override {
       return 1.0;

@@ -1029,6 +1029,34 @@ TEST(NetServe, WarmRequestPathDoesNotAllocateOnTheLoopThread) {
       << "across " << kAudited << " warm keep-alive requests";
 }
 
+TEST(NetServe, WarmQueryProbesTheLruOnce) {
+  ServedService served;
+  const Query q{"scripted", {300}, 0, false};
+  // Publish the slice without touching the LRU.
+  ASSERT_EQ(served.service().warm({q}), 1u);
+  Client client = served.connect();
+  const serve::ServiceStats before = served.service().stats();
+  const auto first = client.request("POST", "/v1/query", "scripted,300");
+  ASSERT_EQ(first.status, 200);
+  EXPECT_EQ(net::parse_recommendation(first.body),
+            served.reference().query(q));
+  // The published slice answers from one LRU probe: one miss, one atlas
+  // answer, and the answer goes into the LRU.
+  const serve::ServiceStats published = served.service().stats();
+  EXPECT_EQ(published.cache_misses - before.cache_misses, 1u);
+  EXPECT_EQ(published.cache_hits - before.cache_hits, 0u);
+  EXPECT_EQ(published.atlas_answers - before.atlas_answers, 1u);
+  EXPECT_EQ(published.async_calls, before.async_calls);
+
+  const auto second = client.request("POST", "/v1/query", "scripted,300");
+  ASSERT_EQ(second.status, 200);
+  const serve::ServiceStats hit = served.service().stats();
+  EXPECT_EQ(hit.cache_hits - published.cache_hits, 1u);
+  EXPECT_EQ(hit.cache_misses - published.cache_misses, 0u);
+  EXPECT_EQ(hit.atlas_answers, published.atlas_answers);
+  EXPECT_EQ(hit.cache_answers - published.cache_answers, 1u);
+}
+
 // ------------------------------------------------------------- net client
 
 TEST(NetClient, ReadTimeoutThrowsInsteadOfHanging) {

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <set>
+#include <span>
 
 #include "expr/family.hpp"
 #include "la/generators.hpp"
@@ -74,8 +75,10 @@ class ScriptedMachine final : public model::MachineModel {
   /// Scripted timings are pure functions of the call: thread-safe.
   bool concurrent_timing_safe() const override { return true; }
 
-  std::vector<double> time_steps(const model::Algorithm& alg) override {
-    return {time_for(alg.steps().at(0).call, window_lo, window_hi, true)};
+  /// Every scripted algorithm is one GEMM.
+  void time_steps_into(const model::Algorithm& alg,
+                       std::span<double> out) override {
+    out[0] = time_for(alg.steps().at(0).call, window_lo, window_hi, true);
   }
 
   std::vector<int> breakpoints() const override {

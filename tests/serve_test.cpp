@@ -115,8 +115,8 @@ TEST(ShardCache, BoundsCapacityAndCounts) {
   EXPECT_FALSE(cache.get("stay").has_value());
 }
 
-/// Hash that maps an int key straight to its shard (key % shard_count), so
-/// tests can fill every shard deterministically.
+/// Hash that maps an int key straight to its shard (the key's low bits),
+/// so tests can fill every shard deterministically.
 struct IdentityHash {
   std::size_t operator()(int key) const { return static_cast<std::size_t>(key); }
 };
@@ -1190,7 +1190,7 @@ class DirectOracle {
 
 enum class EntryPoint {
   kQuery,
-  kCachedThenAsync,
+  kWarmThenAsync,
   kBatch,
   kAsync,
   kWarmed,
@@ -1201,8 +1201,8 @@ const char* entry_point_name(EntryPoint entry) {
   switch (entry) {
     case EntryPoint::kQuery:
       return "query";
-    case EntryPoint::kCachedThenAsync:
-      return "try_cached+query_async";
+    case EntryPoint::kWarmThenAsync:
+      return "try_warm+query_async";
     case EntryPoint::kBatch:
       return "query_batch";
     case EntryPoint::kAsync:
@@ -1313,10 +1313,10 @@ std::vector<Recommendation> answer_stream(
           out.push_back(service.query(q));
         }
         break;
-      case EntryPoint::kCachedThenAsync:
+      case EntryPoint::kWarmThenAsync:  // the /v1/query route's sequence
         for (const Query& q : req.queries) {
           Recommendation rec;
-          if (!service.try_cached(q, rec)) {
+          if (!service.try_warm(q, rec)) {
             rec = service.query_async(q).get();
           }
           out.push_back(rec);
@@ -1398,7 +1398,7 @@ TEST(SelectionService, EveryEntryPointAnswersASimulatedStreamLikeTheOracle) {
             "net.write=always:after=1000000000");
       }
       for (const EntryPoint entry :
-           {EntryPoint::kQuery, EntryPoint::kCachedThenAsync,
+           {EntryPoint::kQuery, EntryPoint::kWarmThenAsync,
             EntryPoint::kBatch, EntryPoint::kAsync, EntryPoint::kWarmed,
             EntryPoint::kHttp}) {
         const std::string label = std::string(entry_point_name(entry)) +
@@ -1446,14 +1446,15 @@ class GatedMachine final : public model::MachineModel {
   double peak_flops() const override { return inner_.peak_flops(); }
   bool concurrent_timing_safe() const override { return true; }
 
-  std::vector<double> time_steps(const model::Algorithm& alg) override {
+  void time_steps_into(const model::Algorithm& alg,
+                       std::span<double> out) override {
     if (alg.steps().at(0).call.m == kGatedSize) {
       std::unique_lock<std::mutex> lock(mutex_);
       entered_ = true;
       cv_.notify_all();
       cv_.wait(lock, [&] { return released_; });
     }
-    return inner_.time_steps(alg);
+    inner_.time_steps_into(alg, out);
   }
   double time_call_isolated(const model::KernelCall& call) override {
     return inner_.time_call_isolated(call);
@@ -1517,6 +1518,7 @@ TEST(SelectionService, QueriesPastTheKeyBoundsMissAndAreRejected) {
   for (const Query& q : rejected) {
     Recommendation rec;
     EXPECT_FALSE(service.try_cached(q, rec));
+    EXPECT_FALSE(service.try_warm(q, rec));
     EXPECT_THROW(service.query(q), support::CheckError);
     EXPECT_THROW(service.query_async(q), support::CheckError);
     EXPECT_THROW(service.query_batch({q}), support::CheckError);
@@ -1594,6 +1596,8 @@ TEST(SelectionService, PublishedSlicesRejectInvalidQueriesLikeAFreshService) {
           << how << i;
       EXPECT_EQ(error_of([&] { service->query_async(q); }), want[i])
           << how << i;
+      Recommendation untouched;
+      EXPECT_FALSE(service->try_warm(q, untouched)) << how << i;
     }
     for (const Query& base : lines) {
       const auto family = expr::make_family(base.family);
@@ -1603,8 +1607,10 @@ TEST(SelectionService, PublishedSlicesRejectInvalidQueriesLikeAFreshService) {
         Query q = base;
         q.dims[static_cast<std::size_t>(q.dim)] = c;
         const anomaly::AtlasInterval& interval = direct.lookup(c);
+        Recommendation warm;  // first, so the published slice answers it
+        EXPECT_TRUE(service->try_warm(q, warm)) << how << c;
         for (const Recommendation& rec :
-             {service->query(q), service->query_batch({q}).front(),
+             {warm, service->query(q), service->query_batch({q}).front(),
               service->query_async(q).get()}) {
           EXPECT_EQ(rec.algorithm, interval.recommended) << how << c;
           EXPECT_EQ(rec.flop_minimal, interval.flop_minimal) << how << c;

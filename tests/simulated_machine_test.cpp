@@ -177,12 +177,6 @@ TEST(SimulatedMachine, InvalidConfigRejected) {
   SimulatedMachineConfig bad2;
   bad2.coupling_max = 1.0;
   EXPECT_THROW(SimulatedMachine m(bad2), lamb::support::CheckError);
-  SimulatedMachineConfig bad3;
-  bad3.repetitions = 0;
-  EXPECT_THROW(SimulatedMachine m(bad3), lamb::support::CheckError);
-  SimulatedMachineConfig bad4;
-  bad4.repetitions = kMaxSimulatedRepetitions + 1;
-  EXPECT_THROW(SimulatedMachine m(bad4), lamb::support::CheckError);
 }
 
 TEST(SimulatedMachine, BreakpointsComeFromTheEfficiencyParams) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "model/simulated_machine.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
@@ -169,8 +169,8 @@ TEST(Statistics, MedianInPlaceMatchesTheCopyingMedian) {
   EXPECT_THROW(median_in_place(empty), CheckError);
 }
 
-/// The nth_element median median_in_place used for every size before short
-/// spans got the insertion sort: the oracle its order statistics must match.
+/// The nth_element median: the oracle the fixed ten-value median's order
+/// statistics must match.
 double nth_element_median(std::vector<double> v) {
   const std::size_t mid = v.size() / 2;
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
@@ -185,33 +185,46 @@ double nth_element_median(std::vector<double> v) {
 }
 
 TEST(Statistics, MedianInPlaceMatchesNthElementBitForBit) {
+  using Ten = std::array<double, 10>;
+  std::vector<Ten> inputs;
+  // Every zero-one input: by the zero-one principle, a comparator network
+  // that selects the two middle values of all of them does so for any
+  // input.
+  for (unsigned mask = 0; mask < (1u << 10); ++mask) {
+    Ten bits;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      bits[i] = static_cast<double>((mask >> i) & 1u);
+    }
+    inputs.push_back(bits);
+  }
   Rng rng(31);
-  // Every repetition count the simulated machine accepts.
-  for (std::size_t n = 1;
-       n <= static_cast<std::size_t>(lamb::model::kMaxSimulatedRepetitions);
-       ++n) {
-    std::vector<std::vector<double>> inputs;
-    for (int trial = 0; trial < 8; ++trial) {
-      std::vector<double> random(n);
-      std::vector<double> ties(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        random[i] = rng.uniform(-1.0, 1.0) * 1e3;
-        ties[i] = static_cast<double>(rng.uniform_int(0, 3)) * 0.25 + 1.0;
-      }
-      inputs.push_back(random);
-      inputs.push_back(ties);
+  for (int trial = 0; trial < 256; ++trial) {
+    Ten random;
+    Ten ties;
+    Ten draws;  // shaped like the simulated machine's: 1 + jitter * |u|
+    for (std::size_t i = 0; i < random.size(); ++i) {
+      random[i] = rng.uniform(-1.0, 1.0) * 1e3;
+      ties[i] = static_cast<double>(rng.uniform_int(0, 3)) * 0.25 + 1.0;
+      draws[i] = 1.0 + 0.004 * rng.uniform();
     }
-    std::vector<double> sorted = inputs.front();
-    std::sort(sorted.begin(), sorted.end());
-    inputs.push_back(sorted);
-    inputs.emplace_back(sorted.rbegin(), sorted.rend());
-    for (const std::vector<double>& xs : inputs) {
-      std::vector<double> scratch = xs;
-      const double got = median_in_place(scratch);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                std::bit_cast<std::uint64_t>(nth_element_median(xs)))
-          << "n = " << n << ": " << got;
-    }
+    inputs.push_back(random);
+    inputs.push_back(ties);
+    inputs.push_back(draws);
+    std::sort(random.begin(), random.end());
+    inputs.push_back(random);
+    std::reverse(random.begin(), random.end());
+    inputs.push_back(random);
+  }
+  for (const Ten& xs : inputs) {
+    const std::vector<double> copy(xs.begin(), xs.end());
+    const double want = nth_element_median(copy);
+    const double got = median_of_ten(xs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << got << " vs " << want;
+    std::vector<double> scratch = copy;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(median_in_place(scratch)),
+              std::bit_cast<std::uint64_t>(want));
   }
 }
 
