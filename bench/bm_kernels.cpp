@@ -8,8 +8,7 @@
 //             (scalar / avx2 / avx512) — the headline GFLOP/s numbers
 //   variant   one shape per dispatch variant (naive / small-k / blocked)
 //             plus the transposed blocked path, on the auto-dispatched tier
-//   level3    syrk / symm on GEMM's packed path, and trsm, whose block
-//             updates call the dispatched GEMM
+//   level3    syrk / symm on GEMM's packed path
 //   pack      packing throughput (GB/s) into a grow-only, uninitialised
 //             PackBuffer for every path the level-3 kernels pack through:
 //             pack_a of a plain and a symmetric A (SYMM's rule), pack_b of
@@ -184,26 +183,6 @@ void bench_level3() {
     report(Row{"level3", "dsymm", blas::active_microkernel().name, "-", n, n,
                n},
            2.0 * static_cast<double>(n) * n * n, seconds, iters);
-  }
-  {
-    // Well-conditioned lower-triangular L: random strict-lower part with a
-    // dominant diagonal so the solve stays numerically tame.
-    Matrix l = la::random_matrix(n, n, rng);
-    for (index_t j = 0; j < n; ++j) {
-      for (index_t i = 0; i < j; ++i) {
-        l(i, j) = 0.0;
-      }
-      l(j, j) = static_cast<double>(n);
-    }
-    const Matrix b0 = la::random_matrix(n, n, rng);
-    Matrix b(n, n);
-    const auto [seconds, iters] = run_timed([&] {
-      b = b0;
-      blas::trsm_left_lower(false, 1.0, l.view(), b.view());
-    });
-    report(Row{"level3", "dtrsm_lln", blas::active_microkernel().name, "-", n,
-               n, n},
-           static_cast<double>(n) * n * n, seconds, iters);
   }
 }
 

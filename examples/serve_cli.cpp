@@ -22,9 +22,10 @@
 //                       [--drift-refresh --drift-interval=30
 //                        --drift-threshold=0.15 --drift-probes=12]
 //           --drift-refresh runs a background DriftMonitor: it re-measures a
-//           sampled probe grid on a cadence and rebuilds every atlas slice
-//           through the copy-on-write refresh path when the machine's
-//           timings move; progress is visible as lamb_drift_* on /metrics.
+//           sampled probe grid on a cadence and, when the machine's timings
+//           move, rebuilds every atlas slice and swaps the new set into the
+//           slice map under one hold (SelectionService::refresh_slices);
+//           progress is visible as lamb_drift_* on /metrics.
 //           With --atlas-dir the drift baseline persists next to the slices.
 //           --loops=N shards the front-end over N independent epoll loops
 //           (per-loop SO_REUSEPORT listeners when the kernel allows, else a

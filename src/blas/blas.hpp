@@ -5,5 +5,4 @@
 #include "blas/ref_blas.hpp"  // IWYU pragma: export
 #include "blas/symm.hpp"    // IWYU pragma: export
 #include "blas/syrk.hpp"    // IWYU pragma: export
-#include "blas/trsm.hpp"    // IWYU pragma: export
 #include "blas/variant.hpp"  // IWYU pragma: export

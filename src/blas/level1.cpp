@@ -1,84 +1,8 @@
 #include "blas/level1.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "support/check.hpp"
 
 namespace lamb::blas {
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  LAMB_CHECK(x.size() == y.size(), "axpy: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double dot(std::span<const double> x, std::span<const double> y) {
-  LAMB_CHECK(x.size() == y.size(), "dot: length mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    s += x[i] * y[i];
-  }
-  return s;
-}
-
-double nrm2(std::span<const double> x) {
-  // Two-pass scaled norm: immune to overflow/underflow of x[i]^2.
-  double scale = 0.0;
-  for (double v : x) {
-    scale = std::max(scale, std::abs(v));
-  }
-  if (scale == 0.0) {
-    return 0.0;
-  }
-  double ssq = 0.0;
-  for (double v : x) {
-    const double r = v / scale;
-    ssq += r * r;
-  }
-  return scale * std::sqrt(ssq);
-}
-
-void scal(double alpha, std::span<double> x) {
-  for (double& v : x) {
-    v *= alpha;
-  }
-}
-
-double asum(std::span<const double> x) {
-  double s = 0.0;
-  for (double v : x) {
-    s += std::abs(v);
-  }
-  return s;
-}
-
-std::size_t iamax(std::span<const double> x) {
-  LAMB_CHECK(!x.empty(), "iamax: empty vector");
-  std::size_t best = 0;
-  double best_abs = std::abs(x[0]);
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    const double a = std::abs(x[i]);
-    if (a > best_abs) {
-      best_abs = a;
-      best = i;
-    }
-  }
-  return best;
-}
-
-void swap(std::span<double> x, std::span<double> y) {
-  LAMB_CHECK(x.size() == y.size(), "swap: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    std::swap(x[i], y[i]);
-  }
-}
-
-void copy(std::span<const double> x, std::span<double> y) {
-  LAMB_CHECK(x.size() == y.size(), "copy: length mismatch");
-  std::copy(x.begin(), x.end(), y.begin());
-}
 
 void scale_matrix(la::MatrixView a, double s) {
   if (s == 1.0 || a.rows() == 0) {

@@ -1,38 +1,10 @@
-// Level-1 BLAS: vector-vector operations. Small, but part of any credible
-// BLAS substrate and used by the level-2/3 kernels' edge paths and tests.
+// Level-1 helper of the level-3 kernels: the matrix scaling behind GEMM's,
+// SYRK's and SYMM's beta (and alpha = 0) paths.
 #pragma once
-
-#include <span>
 
 #include "la/matrix.hpp"
 
 namespace lamb::blas {
-
-/// y := alpha * x + y.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// <x, y>.
-double dot(std::span<const double> x, std::span<const double> y);
-
-/// Euclidean norm with overflow-safe scaling.
-double nrm2(std::span<const double> x);
-
-/// x := alpha * x.
-void scal(double alpha, std::span<double> x);
-
-/// Sum of absolute values.
-double asum(std::span<const double> x);
-
-/// Index of the element with the largest absolute value (first on ties);
-/// returns 0 for an empty vector per BLAS convention... the span must be
-/// non-empty here — we check instead of guessing.
-std::size_t iamax(std::span<const double> x);
-
-/// y <-> x.
-void swap(std::span<double> x, std::span<double> y);
-
-/// y := x.
-void copy(std::span<const double> x, std::span<double> y);
 
 /// A := s * A over a matrix view, with BLAS beta semantics: s == 0 stores
 /// exact zeros without reading A (garbage/NaN content is overwritten) and

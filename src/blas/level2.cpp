@@ -56,89 +56,4 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
   }
 }
 
-void symv(double alpha, ConstMatrixView a, std::span<const double> x,
-          double beta, std::span<double> y) {
-  const index_t n = a.rows();
-  LAMB_CHECK(a.cols() == n, "symv: A must be square");
-  LAMB_CHECK(static_cast<index_t>(x.size()) == n, "symv: x length");
-  LAMB_CHECK(static_cast<index_t>(y.size()) == n, "symv: y length");
-
-  for (index_t i = 0; i < n; ++i) {
-    y[static_cast<std::size_t>(i)] =
-        (beta == 0.0) ? 0.0 : beta * y[static_cast<std::size_t>(i)];
-  }
-  // One sweep over the stored lower triangle updates both halves: column j
-  // contributes a(i,j)*x[j] to y[i] and, by symmetry, a(i,j)*x[i] to y[j].
-  for (index_t j = 0; j < n; ++j) {
-    const double xj = alpha * x[static_cast<std::size_t>(j)];
-    double mirrored = a(j, j) * x[static_cast<std::size_t>(j)];
-    for (index_t i = j + 1; i < n; ++i) {
-      y[static_cast<std::size_t>(i)] += a(i, j) * xj;
-      mirrored += a(i, j) * x[static_cast<std::size_t>(i)];
-    }
-    y[static_cast<std::size_t>(j)] += alpha * mirrored;
-  }
-}
-
-void trmv(bool lower, bool trans, ConstMatrixView t, std::span<double> x) {
-  const index_t n = t.rows();
-  LAMB_CHECK(t.cols() == n, "trmv: T must be square");
-  LAMB_CHECK(static_cast<index_t>(x.size()) == n, "trmv: x length");
-  const bool effective_lower = lower != trans;  // transposing flips triangle
-
-  const auto elem = [&](index_t i, index_t j) {
-    return trans ? t(j, i) : t(i, j);
-  };
-  if (effective_lower) {
-    // Work bottom-up so untouched entries are still original.
-    for (index_t i = n; i-- > 0;) {
-      double s = 0.0;
-      for (index_t j = 0; j <= i; ++j) {
-        s += elem(i, j) * x[static_cast<std::size_t>(j)];
-      }
-      x[static_cast<std::size_t>(i)] = s;
-    }
-  } else {
-    for (index_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (index_t j = i; j < n; ++j) {
-        s += elem(i, j) * x[static_cast<std::size_t>(j)];
-      }
-      x[static_cast<std::size_t>(i)] = s;
-    }
-  }
-}
-
-void trsv(bool lower, bool trans, ConstMatrixView t, std::span<double> x) {
-  const index_t n = t.rows();
-  LAMB_CHECK(t.cols() == n, "trsv: T must be square");
-  LAMB_CHECK(static_cast<index_t>(x.size()) == n, "trsv: x length");
-  const bool effective_lower = lower != trans;
-
-  const auto elem = [&](index_t i, index_t j) {
-    return trans ? t(j, i) : t(i, j);
-  };
-  if (effective_lower) {
-    for (index_t i = 0; i < n; ++i) {
-      double s = x[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < i; ++j) {
-        s -= elem(i, j) * x[static_cast<std::size_t>(j)];
-      }
-      const double d = elem(i, i);
-      LAMB_CHECK(d != 0.0, "trsv: singular triangular matrix");
-      x[static_cast<std::size_t>(i)] = s / d;
-    }
-  } else {
-    for (index_t i = n; i-- > 0;) {
-      double s = x[static_cast<std::size_t>(i)];
-      for (index_t j = i + 1; j < n; ++j) {
-        s -= elem(i, j) * x[static_cast<std::size_t>(j)];
-      }
-      const double d = elem(i, i);
-      LAMB_CHECK(d != 0.0, "trsv: singular triangular matrix");
-      x[static_cast<std::size_t>(i)] = s / d;
-    }
-  }
-}
-
 }  // namespace lamb::blas

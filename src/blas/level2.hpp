@@ -20,15 +20,4 @@ void gemv(bool trans, double alpha, la::ConstMatrixView a,
 void ger(double alpha, std::span<const double> x, std::span<const double> y,
          la::MatrixView a);
 
-/// y := alpha * A * x + beta * y with A symmetric (lower triangle stored).
-void symv(double alpha, la::ConstMatrixView a, std::span<const double> x,
-          double beta, std::span<double> y);
-
-/// x := op(T) * x with T triangular (lower when lower==true); unit-stride.
-void trmv(bool lower, bool trans, la::ConstMatrixView t, std::span<double> x);
-
-/// Solve op(T) * x = b in place (x overwrites b); T triangular,
-/// non-unit diagonal.
-void trsv(bool lower, bool trans, la::ConstMatrixView t, std::span<double> x);
-
 }  // namespace lamb::blas

@@ -10,22 +10,6 @@ void fill_random(MatrixView a, support::Rng& rng) {
   }
 }
 
-void fill_constant(MatrixView a, double value) {
-  for (index_t j = 0; j < a.cols(); ++j) {
-    for (index_t i = 0; i < a.rows(); ++i) {
-      a(i, j) = value;
-    }
-  }
-}
-
-void fill_identity(MatrixView a) {
-  for (index_t j = 0; j < a.cols(); ++j) {
-    for (index_t i = 0; i < a.rows(); ++i) {
-      a(i, j) = (i == j) ? 1.0 : 0.0;
-    }
-  }
-}
-
 Matrix random_matrix(index_t rows, index_t cols, support::Rng& rng) {
   Matrix m(rows, cols);
   fill_random(m.view(), rng);

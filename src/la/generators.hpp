@@ -10,12 +10,6 @@ namespace lamb::la {
 /// Fill with uniform values in [-1, 1).
 void fill_random(MatrixView a, support::Rng& rng);
 
-/// Fill with a constant.
-void fill_constant(MatrixView a, double value);
-
-/// Identity (square or rectangular: ones on the main diagonal).
-void fill_identity(MatrixView a);
-
 /// Convenience factories.
 Matrix random_matrix(index_t rows, index_t cols, support::Rng& rng);
 Matrix random_symmetric(index_t n, support::Rng& rng);

@@ -10,7 +10,7 @@ bool approx_equal(ConstMatrixView a, ConstMatrixView b, double abs_tol) {
   }
   for (index_t j = 0; j < a.cols(); ++j) {
     for (index_t i = 0; i < a.rows(); ++i) {
-      if (std::abs(a(i, j) - b(i, j)) > abs_tol) {
+      if (!(std::abs(a(i, j) - b(i, j)) <= abs_tol)) {
         return false;
       }
     }

@@ -133,7 +133,7 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Deep equality within an absolute tolerance.
+/// Deep equality within an absolute tolerance; a NaN is never within it.
 bool approx_equal(ConstMatrixView a, ConstMatrixView b, double abs_tol);
 
 /// Explicit transpose copy (used by tests and the reference path).

@@ -7,13 +7,13 @@
 namespace lamb::la {
 
 double frobenius_norm(ConstMatrixView a);
+
+/// max_ij |a(i,j)|, or NaN if any element is NaN.
 double max_abs(ConstMatrixView a);
 
-/// max_ij |a(i,j) - b(i,j)|; requires equal shapes.
+/// max_ij |a(i,j) - b(i,j)|, or NaN if any difference is NaN; requires equal
+/// shapes.
 double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
-
-/// ||a - b||_F / max(||b||_F, tiny) — relative error against a reference.
-double relative_error(ConstMatrixView a, ConstMatrixView b);
 
 /// Forward-error tolerance for a product with inner dimension k: accumulated
 /// rounding grows like k * eps * |A||B|; entries here are O(1), so

@@ -14,34 +14,18 @@ void symmetrize_from_lower(MatrixView a) {
   }
 }
 
-void zero_strict_upper(MatrixView a) {
-  LAMB_CHECK(a.rows() == a.cols(), "zero_strict_upper: matrix must be square");
-  const index_t n = a.rows();
-  for (index_t j = 1; j < n; ++j) {
-    for (index_t i = 0; i < j; ++i) {
-      a(i, j) = 0.0;
-    }
-  }
-}
-
 bool is_symmetric(ConstMatrixView a, double abs_tol) {
   if (a.rows() != a.cols()) {
     return false;
   }
   for (index_t j = 0; j < a.cols(); ++j) {
     for (index_t i = 0; i < j; ++i) {
-      if (std::abs(a(i, j) - a(j, i)) > abs_tol) {
+      if (!(std::abs(a(i, j) - a(j, i)) <= abs_tol)) {
         return false;
       }
     }
   }
   return true;
-}
-
-std::size_t triangle_copy_bytes(index_t n) {
-  const auto half = static_cast<std::size_t>(n) *
-                    static_cast<std::size_t>(n > 0 ? n - 1 : 0) / 2;
-  return 2 * half * sizeof(double);  // read one triangle, write the other
 }
 
 }  // namespace lamb::la

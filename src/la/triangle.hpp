@@ -14,15 +14,8 @@ namespace lamb::la {
 /// This is the "copy triangle to form a full matrix" step of AAtB Alg. 2.
 void symmetrize_from_lower(MatrixView a);
 
-/// Zero out the strictly upper triangle (canonicalises SYRK output so tests
-/// can compare lower-triangle-only results).
-void zero_strict_upper(MatrixView a);
-
-/// True if a equals its transpose within abs_tol.
+/// True if a equals its transpose within abs_tol (a NaN off the diagonal
+/// makes it false).
 bool is_symmetric(ConstMatrixView a, double abs_tol);
-
-/// Bytes moved by a triangle copy on an n x n matrix (read + write of the
-/// strictly-upper half), used by the machine models to cost the copy.
-std::size_t triangle_copy_bytes(index_t n);
 
 }  // namespace lamb::la

@@ -474,17 +474,22 @@ std::size_t SelectionService::async_queue_depth() const {
 }
 
 Recommendation SelectionService::classify_exact(
-    const Query& q, const expr::ExpressionFamily& family) {
+    std::span<const model::Algorithm> algorithms) {
   const obs::SpanScope build_span(obs::Stage::kBuild);
-  const auto timing_lock = timing_guard();
-  const anomaly::InstanceResult result = anomaly::classify_instance(
-      family, machine_, q.dims, config_.atlas.time_score_threshold);
+  anomaly::ClassifyScratch scratch;
+  anomaly::Verdict verdict;
+  {
+    const auto timing_lock = timing_guard();
+    verdict = anomaly::classify(algorithms, machine_,
+                                anomaly::Timing::kInContext,
+                                config_.atlas.time_score_threshold, scratch);
+  }
   measured_queries_.fetch_add(1);
   Recommendation rec;
-  rec.algorithm = result.fastest.front();
-  rec.flop_minimal = result.cheapest.front();
-  rec.flops_reliable = !result.anomaly;
-  rec.time_score = result.time_score;
+  rec.algorithm = verdict.fastest;
+  rec.flop_minimal = verdict.cheapest;
+  rec.flops_reliable = !verdict.anomaly;
+  rec.time_score = verdict.time_score;
   rec.source = Source::kMeasured;
   return rec;
 }
@@ -515,7 +520,7 @@ Recommendation SelectionService::answer(const Query& q, const KeyedQuery& k,
                                         std::optional<AtlasPtr> atlas) {
   Recommendation rec;
   if (q.exact) {
-    rec = classify_exact(q, family_for(q));
+    rec = classify_exact(family_for(q).algorithms(q.dims));
   } else {
     const obs::SpanScope atlas_span(obs::Stage::kAtlas);
     if (atlas || !k.keyed || !answer_published(k.key, rec)) {
@@ -546,11 +551,6 @@ Recommendation SelectionService::query(const Query& q) {
     return rec;
   }
   return answer(q, k);
-}
-
-bool SelectionService::try_cached(const Query& q, Recommendation& out) {
-  KeyedQuery k;
-  return probe_lru(q, generation(), k, out);
 }
 
 bool SelectionService::try_warm(const Query& q, Recommendation& out) {
@@ -784,8 +784,8 @@ void SelectionService::async_worker_loop() {
       try {
         const obs::ContextGuard guard(waiter.ctx);
         Recommendation rec;
-        if (!try_cached(waiter.query, rec)) {
-          KeyedQuery k;
+        KeyedQuery k;
+        if (!probe_lru(waiter.query, this->generation(), k, rec)) {
           keyed_query(waiter.query, generation, k);
           rec = answer(waiter.query, k, atlas);
         }

@@ -241,21 +241,15 @@ class SelectionService {
     return query_batch(std::span<const Query>(batch.begin(), batch.size()));
   }
 
-  /// Allocation-free LRU probe: when the query is already cached, fill
-  /// `out` (counted as a cache answer, exactly as query() would) and return
-  /// true; otherwise leave `out` untouched and return false — the caller
-  /// falls back to query()/query_async(). Takes only the LRU shard's mutex.
-  bool try_cached(const Query& q, Recommendation& out);
-
-  /// Answers a warm query inline, from one LRU probe: an LRU hit (as
-  /// try_cached()), or a non-exact query whose slice is published, looked
-  /// up under one slice-map hold, counted as one atlas answer and stored
-  /// in the LRU, as query() would. Returns false, with `out` untouched,
-  /// when the query needs a build or an exact classification, or is
-  /// invalid; query_async() takes it from there. Never builds or waits on
-  /// a build, and like query() allocates nothing once the LRU shard is
-  /// full, so the HTTP reactors answer warm queries with it on their loop
-  /// threads.
+  /// Answers a warm query inline, from one LRU probe: an LRU hit (counted
+  /// as a cache answer, as query() would), or a non-exact query whose slice
+  /// is published, looked up under one slice-map hold, counted as one atlas
+  /// answer and stored in the LRU, as query() would. Returns false, with
+  /// `out` untouched, when the query needs a build or an exact
+  /// classification, or is invalid; query_async() takes it from there.
+  /// Never builds or waits on a build, and like query() allocates nothing
+  /// once the LRU shard is full, so the HTTP reactors answer warm queries
+  /// with it on their loop threads.
   bool try_warm(const Query& q, Recommendation& out);
 
   /// Answer one query without blocking on atlas scans. Cache hits and
@@ -457,8 +451,9 @@ class SelectionService {
   std::uint32_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  Recommendation classify_exact(const Query& q,
-                                const expr::ExpressionFamily& family);
+  /// An exact query's answer: `algorithms`, the family's set bound to the
+  /// query's sizes, classified in context (under timing_guard()).
+  Recommendation classify_exact(std::span<const model::Algorithm> algorithms);
 
   /// The degraded answer: the analytical flop-minimal algorithm, no timing
   /// involved (the paper's premise — a cheap cost-model answer always

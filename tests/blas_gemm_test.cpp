@@ -327,22 +327,30 @@ TEST(Gemm, BetaFoldMatchesReferenceAcrossKcSlabs) {
   }
 }
 
-TEST(Gemm, BlockedBetaZeroOverwritesGarbageWithoutReadingIt) {
-  // beta = 0 on the blocked path is a pure store: NaN garbage in C must not
-  // leak through (NaN * 0 would).
+TEST(Gemm, BetaZeroOverwritesNaNOnEveryRoute) {
+  // beta = 0 is a pure store: NaN garbage in C must not leak through (NaN * 0
+  // would) on any variant, nor on the alpha = 0 route that only scales C.
   support::Rng rng(3);
   const index_t m = 70;
   const index_t n = 40;
   const index_t k = 50;
   const Matrix a = la::random_matrix(m, k, rng);
   const Matrix b = la::random_matrix(k, n, rng);
-  Matrix c(m, n, std::numeric_limits<double>::quiet_NaN());
-  blas::GemmOptions opts;
-  opts.force_variant = blas::GemmVariant::kBlocked;
-  blas::gemm(false, false, 1.0, a.view(), b.view(), 0.0, c.view(), opts);
-  Matrix c_ref(m, n);
-  blas::ref_gemm(false, false, 1.0, a.view(), b.view(), 0.0, c_ref.view());
-  EXPECT_LE(la::max_abs_diff(c.view(), c_ref.view()), la::gemm_tolerance(k));
+  for (const auto v : {blas::GemmVariant::kNaive, blas::GemmVariant::kSmallK,
+                       blas::GemmVariant::kBlocked}) {
+    for (const double alpha : {1.0, 0.0}) {
+      Matrix c(m, n, std::numeric_limits<double>::quiet_NaN());
+      blas::GemmOptions opts;
+      opts.force_variant = v;
+      blas::gemm(false, false, alpha, a.view(), b.view(), 0.0, c.view(), opts);
+      Matrix c_ref(m, n);
+      blas::ref_gemm(false, false, alpha, a.view(), b.view(), 0.0,
+                     c_ref.view());
+      EXPECT_LE(la::max_abs_diff(c.view(), c_ref.view()),
+                la::gemm_tolerance(k))
+          << "variant=" << blas::to_string(v) << " alpha=" << alpha;
+    }
+  }
 }
 
 TEST(Gemm, ParallelPoolMatchesSerial) {

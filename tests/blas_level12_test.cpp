@@ -1,16 +1,13 @@
-// Level-1 and level-2 BLAS correctness.
+// Level-2 BLAS correctness.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "blas/level1.hpp"
 #include "blas/level2.hpp"
 #include "blas/ref_blas.hpp"
 #include "la/generators.hpp"
 #include "la/norms.hpp"
-#include "la/triangle.hpp"
-#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -25,56 +22,6 @@ std::vector<double> random_vector(std::size_t n, support::Rng& rng) {
     x = rng.uniform(-1.0, 1.0);
   }
   return v;
-}
-
-TEST(Level1, Axpy) {
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> y = {10.0, 20.0, 30.0};
-  blas::axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 12.0);
-  EXPECT_DOUBLE_EQ(y[2], 36.0);
-}
-
-TEST(Level1, AxpyLengthMismatchThrows) {
-  std::vector<double> x = {1.0};
-  std::vector<double> y = {1.0, 2.0};
-  EXPECT_THROW(blas::axpy(1.0, x, y), support::CheckError);
-}
-
-TEST(Level1, Dot) {
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> y = {4.0, 5.0, 6.0};
-  EXPECT_DOUBLE_EQ(blas::dot(x, y), 32.0);
-}
-
-TEST(Level1, Nrm2BasicAndOverflowSafe) {
-  std::vector<double> x = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(blas::nrm2(x), 5.0);
-  // Values whose squares overflow double must still produce a finite norm.
-  std::vector<double> big = {1.0e200, 1.0e200};
-  EXPECT_NEAR(blas::nrm2(big), std::sqrt(2.0) * 1.0e200, 1.0e186);
-  std::vector<double> zero = {0.0, 0.0};
-  EXPECT_DOUBLE_EQ(blas::nrm2(zero), 0.0);
-}
-
-TEST(Level1, ScalAsumIamax) {
-  std::vector<double> x = {1.0, -4.0, 2.0};
-  blas::scal(-2.0, x);
-  EXPECT_DOUBLE_EQ(x[1], 8.0);
-  EXPECT_DOUBLE_EQ(blas::asum(x), 2.0 + 8.0 + 4.0);
-  EXPECT_EQ(blas::iamax(x), 1u);
-  std::vector<double> empty;
-  EXPECT_THROW(blas::iamax(empty), support::CheckError);
-}
-
-TEST(Level1, SwapAndCopy) {
-  std::vector<double> x = {1.0, 2.0};
-  std::vector<double> y = {3.0, 4.0};
-  blas::swap(x, y);
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 2.0);
-  blas::copy(x, y);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
 }
 
 TEST(Level2, GemvMatchesRefGemm) {
@@ -126,87 +73,6 @@ TEST(Level2, GerRankOneUpdate) {
                   1e-15);
     }
   }
-}
-
-TEST(Level2, SymvMatchesRefSymm) {
-  support::Rng rng(4);
-  const Matrix a = la::random_symmetric(9, rng);
-  const std::vector<double> x = random_vector(9, rng);
-  std::vector<double> y = random_vector(9, rng);
-  std::vector<double> y_ref = y;
-
-  blas::symv(1.25, a.view(), x, -0.5, y);
-
-  la::ConstMatrixView xv(x.data(), 9, 1, 9);
-  la::MatrixView yv(y_ref.data(), 9, 1, 9);
-  blas::ref_symm(1.25, a.view(), xv, -0.5, yv);
-  for (std::size_t i = 0; i < 9; ++i) {
-    EXPECT_NEAR(y[i], y_ref[i], 1e-13);
-  }
-}
-
-TEST(Level2, SymvReadsOnlyLowerTriangle) {
-  support::Rng rng(5);
-  Matrix a = la::random_symmetric(8, rng);
-  const std::vector<double> x = random_vector(8, rng);
-  std::vector<double> y_clean(8, 0.0);
-  blas::symv(1.0, a.view(), x, 0.0, y_clean);
-  for (index_t j = 1; j < 8; ++j) {
-    for (index_t i = 0; i < j; ++i) {
-      a(i, j) = 1e9;
-    }
-  }
-  std::vector<double> y_poisoned(8, 0.0);
-  blas::symv(1.0, a.view(), x, 0.0, y_poisoned);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(y_clean[i], y_poisoned[i]);
-  }
-}
-
-TEST(Level2, TrmvLowerAndTranspose) {
-  support::Rng rng(6);
-  Matrix t = la::random_matrix(6, 6, rng);
-  la::zero_strict_upper(t.view());  // lower triangular
-
-  for (const bool trans : {false, true}) {
-    std::vector<double> x = random_vector(6, rng);
-    std::vector<double> expected(6, 0.0);
-    la::ConstMatrixView xv(x.data(), 6, 1, 6);
-    la::MatrixView ev(expected.data(), 6, 1, 6);
-    blas::ref_gemm(trans, false, 1.0, t.view(), xv, 0.0, ev);
-
-    blas::trmv(/*lower=*/true, trans, t.view(), x);
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_NEAR(x[i], expected[i], 1e-13) << "trans=" << trans;
-    }
-  }
-}
-
-TEST(Level2, TrsvInvertsTrmv) {
-  support::Rng rng(7);
-  Matrix t = la::random_matrix(10, 10, rng);
-  la::zero_strict_upper(t.view());
-  for (index_t i = 0; i < 10; ++i) {
-    t(i, i) += 4.0;  // well-conditioned diagonal
-  }
-  for (const bool trans : {false, true}) {
-    const std::vector<double> x0 = random_vector(10, rng);
-    std::vector<double> x = x0;
-    blas::trmv(true, trans, t.view(), x);
-    blas::trsv(true, trans, t.view(), x);
-    for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_NEAR(x[i], x0[i], 1e-12) << "trans=" << trans;
-    }
-  }
-}
-
-TEST(Level2, TrsvSingularThrows) {
-  Matrix t(3, 3, 0.0);
-  t(0, 0) = 1.0;
-  t(1, 1) = 0.0;  // singular
-  t(2, 2) = 1.0;
-  std::vector<double> x = {1.0, 1.0, 1.0};
-  EXPECT_THROW(blas::trsv(true, false, t.view(), x), support::CheckError);
 }
 
 TEST(Level2, IntroExampleFlopArgument) {

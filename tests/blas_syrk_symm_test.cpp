@@ -310,7 +310,7 @@ std::vector<TierCase> tier_cases(const blas::Microkernel& mk) {
   cases.push_back({20, 10, 0.0, 2.0});   // alpha = 0
   cases.push_back({6, 3, 1.5, 0.5});     // naive
   cases.push_back({50, 3, 1.5, 0.5});    // small-k
-  cases.push_back({70, 64, -1.0, 1.0});  // potrf's trailing update
+  cases.push_back({70, 64, -1.0, 1.0});  // alpha = -1, beta = 1
   cases.push_back({130, 257, -1.0, 1.0});
   cases.push_back({45, 19, 2.5, -0.5});  // fused scale-and-add store
   cases.push_back({50, 40, 1.0, 0.5, /*small_blocks=*/true});

@@ -1517,7 +1517,6 @@ TEST(SelectionService, QueriesPastTheKeyBoundsMissAndAreRejected) {
       {"aatb", std::vector<int>(expr::kMaxArity + 1, 50), 0, true}};
   for (const Query& q : rejected) {
     Recommendation rec;
-    EXPECT_FALSE(service.try_cached(q, rec));
     EXPECT_FALSE(service.try_warm(q, rec));
     EXPECT_THROW(service.query(q), support::CheckError);
     EXPECT_THROW(service.query_async(q), support::CheckError);
