@@ -1,7 +1,7 @@
 // bm_kernels: microbenchmarks of the BLAS substrate, printed as a table.
 //
-//   bm_kernels [--seconds=0.15] [--min-gflops=0] [--threads=1]
-//              [--sizes=64,128,256,384] [--roofline]
+//   bm_kernels [--seconds=0.15] [--min-gflops=0] [--sizes=64,128,256,384]
+//              [--roofline]
 //
 // Sections:
 //   gemm      blocked dgemm squares, once per available microkernel tier
@@ -13,16 +13,16 @@
 //             PackBuffer for every path the level-3 kernels pack through:
 //             pack_a of a plain and a symmetric A (SYMM's rule), pack_b of
 //             B and of B^T (SYRK's and A*A^T's B operand)
-//   parallel  column-stripe and row-block pool splits (with --threads > 1)
 //
 // --roofline replaces the sections with the arithmetic-intensity sweep of
 // the roofline section below.
 //
-// Each row is one timed loop of --seconds, a single shot: enough to show a
-// missing SIMD tier or a broken packing path, not to compare two commits.
-// lambbench's blas-exec workload (lambbench/run.py) does that, with checked
-// results and minima over passes. --min-gflops fails the run (exit 1) if the
-// best blocked dgemm of the auto-dispatched kernel stays below the floor, so
+// Each row is one timed loop of --seconds on one thread, as the machine
+// models run the kernels, and a single shot: enough to show a missing SIMD
+// tier or a broken packing path, not to compare two commits. lambbench's
+// blas-exec workload (lambbench/run.py) does that, with checked results and
+// minima over passes. --min-gflops fails the run (exit 1) if the best
+// blocked dgemm of the auto-dispatched kernel stays below the floor, so
 // kernel regressions break CI (perf-smoke gates at 18) instead of silently
 // eroding the atlas measurements.
 #include <algorithm>
@@ -35,7 +35,6 @@
 #include "blas/microkernel.hpp"
 #include "la/generators.hpp"
 #include "obs/pmu.hpp"
-#include "parallel/thread_pool.hpp"
 #include "perf/timer.hpp"
 #include "support/ascii_plot.hpp"
 #include "support/cli.hpp"
@@ -235,21 +234,6 @@ void bench_pack() {
   }
 }
 
-void bench_parallel(std::size_t threads) {
-  if (threads <= 1) {
-    return;
-  }
-  parallel::ThreadPool pool(threads);
-  blas::GemmOptions opts;
-  opts.pool = &pool;
-  // Wide shape -> column stripes; tall-skinny -> row blocks sharing the
-  // packed B panel (see select_gemm_parallel_mode).
-  bench_gemm("parallel", "dgemm_wide", nullptr, false, false, 256, 1024, 256,
-             opts);
-  bench_gemm("parallel", "dgemm_tall_skinny", nullptr, false, false, 4096, 16,
-             256, opts);
-}
-
 // ---------------------------------------------------------------- roofline
 //
 // --roofline sweeps arithmetic intensity (flops per DRAM byte) by varying
@@ -420,8 +404,6 @@ int main(int argc, char** argv) {
   const support::Cli cli(argc, argv);
   g_seconds = cli.get_double("seconds", 0.15);
   const double min_gflops = cli.get_double("min-gflops", 0.0);
-  const auto threads =
-      static_cast<std::size_t>(cli.get_int("threads", 1));
   const std::vector<index_t> sizes =
       parse_sizes(cli.get_string("sizes", "64,128,256,384"));
 
@@ -443,7 +425,6 @@ int main(int argc, char** argv) {
   bench_crossovers();
   bench_level3();
   bench_pack();
-  bench_parallel(threads);
 
   if (min_gflops > 0.0) {
     // Gate on the auto-dispatched tier's best blocked dgemm square.

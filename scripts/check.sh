@@ -15,8 +15,9 @@
 #                      suites (serve_test, parallel_test, net_test,
 #                      drift_test, sim_test, blas_kernel_dispatch_test,
 #                      blas_gemm_test and blas_syrk_symm_test — the
-#                      row-block and column-stripe level-3 splits and
-#                      kernel dispatch — obs_test and fault_test), keeping
+#                      level-3 kernels and the process-wide microkernel
+#                      dispatch every calling thread reads — obs_test and
+#                      fault_test), keeping
 #                      the mutex-guarded slice map, the drift-refresh swap,
 #                      the span ring's seqlock and the HTTP event loop /
 #                      completion-hub handoff race-clean

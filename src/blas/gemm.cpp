@@ -1,7 +1,6 @@
 #include "blas/gemm.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "blas/level1.hpp"
 #include "blas/microkernel.hpp"
@@ -137,105 +136,35 @@ void macro_kernel(const Microkernel& mk, const Level3Product& p,
   }
 }
 
-/// The blocked product over C's column range [j_begin, j_end), applying the
-/// user's beta on the first kc slab of each column block. Each (jc, pc) B
-/// panel is packed once; the slab's mc row blocks then run inline or, with
-/// `row_pool`, split over its workers, each packing its own A blocks
-/// (disjoint C rows, no synchronisation) against the shared hot B panel.
-/// The row split keeps a pool busy on tall-skinny shapes whose n cannot
-/// feed one column stripe per worker.
+/// The blocked product over all of C, applying the user's beta on the first
+/// kc slab of each column block. Each (jc, pc) B panel is packed once and
+/// swept by the slab's mc row blocks, each packing its own A block.
 void gemm_blocked(const Microkernel& mk, const Level3Product& p,
-                  const BlockSizes& bs, index_t j_begin, index_t j_end,
-                  parallel::ThreadPool* row_pool) {
+                  const BlockSizes& bs) {
   const index_t m = p.c.rows();
+  const index_t n = p.c.cols();
   const index_t k = inner_dim(p);
-  PackBuffer a_buf;  // the inline sweep's; pool workers pack into their own
+  PackBuffer a_buf;
   PackBuffer b_buf;
-  for (index_t jc = j_begin; jc < j_end; jc += bs.nc) {
-    const index_t nc = std::min(bs.nc, j_end - jc);
+  for (index_t jc = 0; jc < n; jc += bs.nc) {
+    const index_t nc = std::min(bs.nc, n - jc);
     // A lower triangle store starts at the row block holding C(jc, jc).
     const index_t first = p.lower_c ? jc / bs.mc * bs.mc : 0;
-    const auto row_blocks =
-        static_cast<std::ptrdiff_t>((m - first + bs.mc - 1) / bs.mc);
     for (index_t pc = 0; pc < k; pc += bs.kc) {
       const index_t kc = std::min(bs.kc, k - pc);
       const double beta_eff = (pc == 0) ? p.beta : 1.0;
       const double* b_panels =
           pack_b(p.trans_b, p.b, pc, jc, kc, nc, mk.nr, b_buf);
-      const auto sweep = [&](PackBuffer& own, std::ptrdiff_t rb_begin,
-                             std::ptrdiff_t rb_end) {
-        for (std::ptrdiff_t rb = rb_begin; rb < rb_end; ++rb) {
-          const index_t ic = first + static_cast<index_t>(rb) * bs.mc;
-          const index_t mc = std::min(bs.mc, m - ic);
-          macro_kernel(mk, p, pack_a(p.read_a, p.a, ic, pc, mc, kc, mk.mr, own),
-                       b_panels, kc, mc, nc, beta_eff, ic, jc);
-        }
-      };
-      if (row_pool == nullptr) {
-        sweep(a_buf, 0, row_blocks);
-      } else {
-        row_pool->parallel_for(
-            row_blocks, [&](std::ptrdiff_t rb_begin, std::ptrdiff_t rb_end) {
-              PackBuffer own;
-              sweep(own, rb_begin, rb_end);
-            });
+      for (index_t ic = first; ic < m; ic += bs.mc) {
+        const index_t mc = std::min(bs.mc, m - ic);
+        macro_kernel(mk, p, pack_a(p.read_a, p.a, ic, pc, mc, kc, mk.mr, a_buf),
+                     b_panels, kc, mc, nc, beta_eff, ic, jc);
       }
     }
   }
 }
 
 }  // namespace
-
-std::vector<ColumnStripe> partition_column_stripes(index_t n,
-                                                   index_t max_stripes,
-                                                   index_t width) {
-  LAMB_CHECK(n >= 0, "stripe partition: negative range");
-  LAMB_CHECK(max_stripes >= 1, "stripe partition: need at least one stripe");
-  LAMB_CHECK(width >= 1, "stripe partition: need a positive panel width");
-  std::vector<ColumnStripe> stripes;
-  if (n == 0) {
-    return stripes;
-  }
-  // Distribute whole width-blocks, not rounded-up per-stripe widths: rounding
-  // `ceil(n / stripes)` up to the panel width used to oversize early stripes
-  // and leave trailing stripes empty (n = 65, 8 workers gave 2 of the 9
-  // blocks to stripe 0 and none to stripes 5..7). The remainder blocks go to
-  // the TRAILING stripes so the clipped final panel lands in a stripe that
-  // also carries an extra block — that keeps column widths within one panel
-  // of each other in every case.
-  const index_t blocks = (n + width - 1) / width;
-  const index_t count = std::min(max_stripes, blocks);
-  const index_t per = blocks / count;
-  const index_t extra = blocks % count;
-  stripes.reserve(static_cast<std::size_t>(count));
-  index_t block = 0;
-  for (index_t s = 0; s < count; ++s) {
-    const index_t take = per + (s >= count - extra ? 1 : 0);
-    stripes.push_back(ColumnStripe{block * width,
-                                   std::min(n, (block + take) * width)});
-    block += take;
-  }
-  return stripes;
-}
-
-GemmParallelMode select_gemm_parallel_mode(index_t m, index_t n,
-                                           std::size_t pool_size,
-                                           const BlockSizes& bs, index_t nr) {
-  if (pool_size <= 1 || m == 0 || n == 0) {
-    return GemmParallelMode::kSerial;
-  }
-  const auto workers = static_cast<index_t>(pool_size);
-  const index_t col_stripes = std::min(workers, (n + nr - 1) / nr);
-  const index_t row_blocks = std::min(workers, (m + bs.mc - 1) / bs.mc);
-  // Column stripes are cheaper (one barrier per GEMM, fully independent
-  // packing pipelines), so they win whenever n is wide enough to feed every
-  // worker — or at least as many workers as row blocks could.
-  if (col_stripes >= workers || col_stripes >= row_blocks) {
-    return col_stripes > 1 ? GemmParallelMode::kColumnStripes
-                           : GemmParallelMode::kSerial;
-  }
-  return GemmParallelMode::kRowBlocks;
-}
 
 void run_level3(const Level3Product& p, const GemmOptions& opts) {
   const index_t m = p.c.rows();
@@ -261,31 +190,7 @@ void run_level3(const Level3Product& p, const GemmOptions& opts) {
 
   // Blocked path: beta is folded into the first kc slab's store inside the
   // microkernel (no separate O(m*n) scaling sweep over C).
-  const Microkernel& mk = active_microkernel();
-  parallel::ThreadPool* pool = opts.pool;
-  const std::size_t pool_size = (pool != nullptr) ? pool->size() : 1;
-  switch (select_gemm_parallel_mode(m, n, pool_size, opts.blocks, mk.nr)) {
-    case GemmParallelMode::kSerial:
-      gemm_blocked(mk, p, opts.blocks, 0, n, nullptr);
-      return;
-    case GemmParallelMode::kRowBlocks:
-      gemm_blocked(mk, p, opts.blocks, 0, n, pool);
-      return;
-    case GemmParallelMode::kColumnStripes:
-      break;
-  }
-
-  // Parallelise over disjoint column stripes; each stripe owns its packing
-  // buffers and a disjoint part of C, so no synchronisation is needed.
-  const std::vector<ColumnStripe> stripes = partition_column_stripes(
-      n, static_cast<index_t>(pool->size()), mk.nr);
-  pool->parallel_for(static_cast<std::ptrdiff_t>(stripes.size()),
-                     [&](std::ptrdiff_t s_begin, std::ptrdiff_t s_end) {
-    for (std::ptrdiff_t s = s_begin; s < s_end; ++s) {
-      const ColumnStripe& stripe = stripes[static_cast<std::size_t>(s)];
-      gemm_blocked(mk, p, opts.blocks, stripe.begin, stripe.end, nullptr);
-    }
-  });
+  gemm_blocked(active_microkernel(), p, opts.blocks);
 }
 
 void gemm(bool trans_a, bool trans_b, double alpha, ConstMatrixView a,

@@ -27,8 +27,7 @@
 namespace lamb::blas {
 
 inline constexpr la::index_t kMR = 4;  ///< scalar-microkernel rows
-inline constexpr la::index_t kNR = 8;  ///< scalar-microkernel cols (canonical
-                                       ///< panel width for the parallel split)
+inline constexpr la::index_t kNR = 8;  ///< scalar-microkernel cols
 
 /// Cache blocking parameters (double precision, tuned for a ~32K L1 / 1M L2).
 struct BlockSizes {

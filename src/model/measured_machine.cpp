@@ -22,7 +22,7 @@ std::string MeasuredMachine::name() const {
 
 double MeasuredMachine::peak_flops() const {
   if (peak_ <= 0.0) {
-    peak_ = perf::estimate_peak_flops(config_.pool);
+    peak_ = perf::estimate_peak_flops();
   }
   return peak_;
 }
@@ -49,13 +49,10 @@ void MeasuredMachine::time_steps_into(const Algorithm& alg,
   }
 
   ExecutionWorkspace ws(alg, externals);
-  blas::GemmOptions opts;
-  opts.pool = config_.pool;
-
   std::vector<std::function<void()>> steps;
   steps.reserve(alg.steps().size());
   for (std::size_t i = 0; i < alg.steps().size(); ++i) {
-    steps.emplace_back([&ws, i, &opts] { ws.run_step(i, opts); });
+    steps.emplace_back([&ws, i] { ws.run_step(i, {}); });
   }
   const perf::SteppedMeasurementResult r =
       perf::measure_steps(steps, config_.protocol, flusher_);
@@ -65,9 +62,6 @@ void MeasuredMachine::time_steps_into(const Algorithm& alg,
 
 double MeasuredMachine::run_isolated(const KernelCall& call) {
   support::Rng rng(config_.data_seed);
-  blas::GemmOptions opts;
-  opts.pool = config_.pool;
-
   std::function<void()> work;
   la::Matrix a, b, c;
   switch (call.kind) {
@@ -79,21 +73,21 @@ double MeasuredMachine::run_isolated(const KernelCall& call) {
       c = la::Matrix(call.m, call.n);
       work = [&] {
         blas::gemm(call.trans_a, call.trans_b, 1.0, a.view(), b.view(), 0.0,
-                   c.view(), opts);
+                   c.view());
       };
       break;
     }
     case KernelKind::kSyrk: {
       a = la::random_matrix(call.m, call.k, rng);
       c = la::Matrix(call.m, call.m);
-      work = [&] { blas::syrk(1.0, a.view(), 0.0, c.view(), opts); };
+      work = [&] { blas::syrk(1.0, a.view(), 0.0, c.view()); };
       break;
     }
     case KernelKind::kSymm: {
       a = la::random_symmetric(call.m, rng);
       b = la::random_matrix(call.m, call.n, rng);
       c = la::Matrix(call.m, call.n);
-      work = [&] { blas::symm(1.0, a.view(), b.view(), 0.0, c.view(), opts); };
+      work = [&] { blas::symm(1.0, a.view(), b.view(), 0.0, c.view()); };
       break;
     }
     case KernelKind::kTriCopy: {

@@ -1,14 +1,14 @@
-// Measured machine: times algorithms on the real BLAS substrate under the
-// paper's protocol (R repetitions, cache flushed before each repetition,
-// median recorded; Sec. 3.4). Isolated-call benchmarks are memoised because
-// Experiments 2 and 3 revisit the same calls many times; the memo is
-// LRU-bounded so a long-running serving process cannot grow without limit.
+// Measured machine: times algorithms on the real BLAS substrate, one serial
+// kernel call at a time on the calling thread, under the paper's protocol
+// (R repetitions, cache flushed before each repetition, median recorded;
+// Sec. 3.4). Isolated-call benchmarks are memoised because Experiments 2
+// and 3 revisit the same calls many times; the memo is LRU-bounded so a
+// long-running serving process cannot grow without limit.
 #pragma once
 
 #include <memory>
 
 #include "model/machine.hpp"
-#include "parallel/thread_pool.hpp"
 #include "perf/cache_flush.hpp"
 #include "perf/measurement.hpp"
 #include "support/lru.hpp"
@@ -19,9 +19,8 @@ namespace lamb::model {
 struct MeasuredMachineConfig {
   perf::MeasurementConfig protocol{/*repetitions=*/10, /*flush_cache=*/true};
   std::size_t flush_bytes = 64u << 20;
-  parallel::ThreadPool* pool = nullptr;  ///< null -> serial kernels
-  std::uint64_t data_seed = 7;           ///< operand contents (timing-neutral)
-  double peak_flops = 0.0;               ///< 0 -> estimate empirically
+  std::uint64_t data_seed = 7;  ///< operand contents (timing-neutral)
+  double peak_flops = 0.0;      ///< 0 -> estimate empirically
   /// Isolated-call memo bound (entries); least-recently-used benchmarks are
   /// evicted beyond it. 0 = unbounded (the pre-serving behaviour).
   std::size_t benchmark_cache_capacity = 32768;

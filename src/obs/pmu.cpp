@@ -39,8 +39,6 @@ std::atomic<int> g_mode{kUnprobed};
 std::atomic<std::uint64_t> g_generation{1};
 std::atomic<std::uint64_t (*)()> g_virtual_fn{nullptr};
 std::atomic<int> g_fail_errno{0};  ///< test hook: forced open failure
-std::atomic<bool> g_has_llc{false};
-std::atomic<bool> g_has_stalled{false};
 std::atomic<bool> g_rdpmc{false};
 
 std::mutex g_probe_mutex;
@@ -279,8 +277,6 @@ bool env_disabled() {
 int probe_locked() {
   if (g_virtual_fn.load(std::memory_order_relaxed) != nullptr) {
     status_string() = "virtual test counters installed";
-    g_has_llc.store(true, std::memory_order_relaxed);
-    g_has_stalled.store(true, std::memory_order_relaxed);
     return kVirtual;
   }
   if (env_disabled()) {
@@ -290,8 +286,6 @@ int probe_locked() {
 #if defined(__linux__)
   int err = 0;
   if (open_thread(t_pmu, err)) {
-    g_has_llc.store(t_pmu.fds[kLlcLoads] >= 0, std::memory_order_relaxed);
-    g_has_stalled.store(t_pmu.fds[kStalled] >= 0, std::memory_order_relaxed);
     g_rdpmc.store(t_pmu.rdpmc_all, std::memory_order_relaxed);
     status_string() = support::strf(
         "hardware counters active (%s read%s%s)",
@@ -388,16 +382,6 @@ std::string pmu_status() {
   return status_string();
 }
 
-bool pmu_has_llc() {
-  probed_mode();
-  return g_has_llc.load(std::memory_order_relaxed);
-}
-
-bool pmu_has_stalled() {
-  probed_mode();
-  return g_has_stalled.load(std::memory_order_relaxed);
-}
-
 void PmuScope::arm() {
   if (armed_ || !pmu_available()) {
     return;
@@ -439,8 +423,6 @@ void pmu_reset_for_test() {
   const std::lock_guard<std::mutex> lock(g_probe_mutex);
   g_mode.store(kUnprobed, std::memory_order_release);
   g_generation.fetch_add(1, std::memory_order_acq_rel);
-  g_has_llc.store(false, std::memory_order_relaxed);
-  g_has_stalled.store(false, std::memory_order_relaxed);
   g_rdpmc.store(false, std::memory_order_relaxed);
   status_string() = "unprobed";
 }

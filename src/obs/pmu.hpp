@@ -68,12 +68,6 @@ bool pmu_available();
 /// /proc/sys/kernel/perf_event_paranoid)", ...
 std::string pmu_status();
 
-/// Which optional events the probe managed to open (cycles+instructions
-/// are mandatory: without them there is no IPC and the PMU reports
-/// unavailable).
-bool pmu_has_llc();
-bool pmu_has_stalled();
-
 namespace detail {
 /// One raw group read: the five counter values plus the group's
 /// time_enabled/time_running (for multiplex scaling of deltas).

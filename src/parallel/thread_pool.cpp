@@ -122,9 +122,4 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   }
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
 }  // namespace lamb::parallel

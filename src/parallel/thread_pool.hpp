@@ -1,11 +1,12 @@
 // Fixed-size thread pool with a blocking parallel_for.
 //
-// The paper's testbed ran one pinned thread per physical core. This pool
-// mirrors that model: N long-lived workers, work handed out as contiguous
-// index ranges (one range per worker — the granularity that matters for
-// cache-blocked level-3 kernels), and the caller participates in the work so
-// a pool of size 1 degrades to plain serial execution with no synchronisation
-// overhead on the hot path.
+// It runs whole units of work side by side: the ExperimentDriver's instance
+// evaluations, and the SelectionService's slice builds (warm(),
+// query_batch()) and refreshes (refresh_slices()). Each unit stays on one
+// thread; no kernel call is split across the pool. N long-lived workers take
+// contiguous index ranges (one range per worker), and the caller
+// participates in the work, so a pool of size 1 degrades to plain serial
+// execution with no synchronisation.
 #pragma once
 
 #include <condition_variable>
@@ -37,10 +38,6 @@ class ThreadPool {
   void parallel_for(std::ptrdiff_t n,
                     const std::function<void(std::ptrdiff_t, std::ptrdiff_t)>&
                         fn);
-
-  /// Default pool sized to the hardware (lazily constructed, never destroyed
-  /// before exit). Intended for kernels; experiments pass pools explicitly.
-  static ThreadPool& global();
 
  private:
   struct Task {

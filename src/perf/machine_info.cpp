@@ -49,20 +49,18 @@ MachineInfo query_machine_info() {
   return info;
 }
 
-double estimate_peak_flops(parallel::ThreadPool* pool) {
+double estimate_peak_flops() {
   support::Rng rng(42);
   double best = 0.0;
   for (const la::index_t n : {192, 256, 320}) {
     la::Matrix a = la::random_matrix(n, n, rng);
     la::Matrix b = la::random_matrix(n, n, rng);
     la::Matrix c(n, n);
-    blas::GemmOptions opts;
-    opts.pool = pool;
     // Warm up once, then take the best of three timed runs.
-    blas::matmul(a.view(), b.view(), c.view(), opts);
+    blas::matmul(a.view(), b.view(), c.view());
     for (int rep = 0; rep < 3; ++rep) {
       Timer t;
-      blas::matmul(a.view(), b.view(), c.view(), opts);
+      blas::matmul(a.view(), b.view(), c.view());
       const double dt = t.elapsed();
       const double flops = 2.0 * static_cast<double>(n) *
                            static_cast<double>(n) * static_cast<double>(n);

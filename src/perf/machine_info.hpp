@@ -6,8 +6,6 @@
 #include <cstddef>
 #include <string>
 
-#include "parallel/thread_pool.hpp"
-
 namespace lamb::perf {
 
 struct MachineInfo {
@@ -25,6 +23,6 @@ MachineInfo query_machine_info();
 /// Empirical peak estimate: the best GEMM rate observed over a few
 /// cache-friendly sizes, in FLOP/s. This is the denominator for measured
 /// efficiencies; by construction the best kernel approaches efficiency 1.
-double estimate_peak_flops(parallel::ThreadPool* pool = nullptr);
+double estimate_peak_flops();
 
 }  // namespace lamb::perf

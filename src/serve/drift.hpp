@@ -18,8 +18,9 @@
 //   3. When the score crosses the threshold, every published atlas slice is
 //      stale: the monitor rebuilds them all through
 //      SelectionService::refresh_slices() (one swap — readers never see
-//      a stale-marked, unrefreshed slice; in-flight atlas_for() pointers
-//      stay valid), then re-baselines on the machine's new
+//      a stale-marked, unrefreshed slice; each replaced atlas is freed
+//      once no answer in progress holds it, which ends the validity of
+//      atlas_for() pointers), then re-baselines on the machine's new
 //      timings, so one real shift triggers exactly one refresh round.
 //
 // Every timing goes through a single measure hook, injectable for tests

@@ -954,14 +954,13 @@ std::size_t SelectionService::refresh_slices() {
                     [&](std::size_t i) { rebuilt[i] = build_slice(ids[i]); });
 
   // One hold swaps the whole stale set. Slices published since the ids were
-  // copied are left as they are; replaced atlases are retired, never freed,
-  // keeping atlas_for() raw pointers valid.
+  // copied are left as they are. The replaced atlases end up in `rebuilt`
+  // and are freed when it goes out of scope, outside the lock, once no
+  // answer still holds one.
   {
     const std::lock_guard<std::mutex> lock(slices_mutex_);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      AtlasPtr& slot = slices_.at(ids[i]);
-      retired_.push_back(std::move(slot));
-      slot = std::move(rebuilt[i]);
+      slices_.at(ids[i]).swap(rebuilt[i]);
     }
   }
   // Cached recommendations quote the stale generation. Advance the
@@ -980,8 +979,7 @@ std::size_t SelectionService::refresh_slices() {
 
 const anomaly::RegionAtlas* SelectionService::atlas_for(const Query& q) {
   family_for(q);
-  // Safe to return raw: published atlases are never dropped while the
-  // service lives (refresh retires the atlases it replaces).
+  // The slice map keeps the atlas alive until refresh_slices() replaces it.
   return find_slice(slice_id(q)).get();
 }
 

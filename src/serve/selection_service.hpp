@@ -50,9 +50,9 @@
 // unregisters its build under one hold, so every slice is published, in
 // flight, or neither. refresh_slices() swaps all its rebuilt slices under
 // one hold, so a reader finds either the old or the new generation, never
-// a torn or partially built atlas. Published atlases are never freed while
-// the service lives (refresh retires the ones it replaces), so raw pointers
-// returned by atlas_for() stay valid.
+// a torn or partially built atlas. A replaced atlas is freed as soon as no
+// answer in progress holds it, so a raw pointer returned by atlas_for() is
+// valid until the next refresh_slices().
 //
 // Inside the service a query is keyed by value: the family name (at most
 // expr::kMaxFamilyName bytes) and the instance (at most expr::kMaxArity
@@ -293,21 +293,23 @@ class SelectionService {
   /// whose timings have moved (see serve/drift.hpp). The slice ids are
   /// copied under the slice map's mutex, rebuilt outside it, and swapped in
   /// all at once under one hold, so readers see either the complete old
-  /// generation or the complete new one. Replaced atlases are retired, not
-  /// freed — raw pointers from atlas_for() stay valid for the service's
-  /// lifetime. After the swap the recommendation LRU moves to a new
-  /// generation and is cleared: every entry is stamped with the generation
-  /// read before its answer looked up the slice (or began classifying), and
-  /// a lookup reads only its own generation, so an answer computed from a
-  /// replaced atlas and stored after the clear is never served. Slices
-  /// published concurrently by on-demand builds are already fresh and are
-  /// kept untouched. Rebuilds run on the ThreadPool when the machine's
-  /// timing is thread-safe; a build failure propagates and leaves the old
-  /// generation fully in place. Returns the number of slices rebuilt.
+  /// generation or the complete new one. Each replaced atlas is freed once
+  /// no answer in progress holds it, which ends the validity of raw
+  /// pointers from atlas_for(). After the swap the recommendation LRU moves
+  /// to a new generation and is cleared: every entry is stamped with the
+  /// generation read before its answer looked up the slice (or began
+  /// classifying), and a lookup reads only its own generation, so an answer
+  /// computed from a replaced atlas and stored after the clear is never
+  /// served. Slices published concurrently by on-demand builds are already
+  /// fresh and are kept untouched. Rebuilds run on the ThreadPool when the
+  /// machine's timing is thread-safe; a build failure propagates and leaves
+  /// the old generation fully in place. Returns the number of slices
+  /// rebuilt.
   std::size_t refresh_slices();
 
   /// The built slice for a query's (family, dim, base), if any. The pointer
-  /// stays valid for the service's lifetime (slices are never dropped).
+  /// stays valid until the next refresh_slices(), which frees the atlas it
+  /// replaces; a caller must not hold it across one.
   const anomaly::RegionAtlas* atlas_for(const Query& q);
 
   std::size_t atlas_count() const;
@@ -486,7 +488,7 @@ class SelectionService {
   std::unordered_map<std::string, std::unique_ptr<const expr::ExpressionFamily>>
       families_;
 
-  /// Guards the three members below. Held for a find plus one interval
+  /// Guards the two members below. Held for a find plus one interval
   /// lookup or one shared_ptr copy, an insert, a swap, or a copy of the
   /// map's entries (checkpoint(), refresh_slices()) — never across a build
   /// or store I/O. obtain_atlas() consults the breaker inside it:
@@ -499,9 +501,6 @@ class SelectionService {
   /// registers a future, everyone else waits on it.
   std::unordered_map<SliceId, std::shared_future<AtlasPtr>, KeyHash>
       in_flight_;
-  /// Atlases replaced by refresh_slices(), kept so atlas_for() pointers
-  /// stay valid for the service's lifetime.
-  std::vector<AtlasPtr> retired_;
   /// Serialises whole-generation refreshes (each stale slice is rebuilt
   /// exactly once per refresh round).
   std::mutex refresh_mutex_;

@@ -169,14 +169,6 @@ std::uint64_t SimReport::total_queries() const {
   return total;
 }
 
-double SimReport::total_wall_seconds() const {
-  double total = 0.0;
-  for (const PhaseStats& p : phases) {
-    total += p.wall_seconds;
-  }
-  return total;
-}
-
 std::string SimReport::to_string() const {
   std::string out =
       "phase        requests  queries     qps    p50_us    p99_us   p999_us"

@@ -96,7 +96,6 @@ struct SimReport {
   std::vector<PhaseStats> phases;
 
   std::uint64_t total_queries() const;
-  double total_wall_seconds() const;
 
   /// Human-readable per-phase table.
   std::string to_string() const;

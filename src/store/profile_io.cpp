@@ -30,46 +30,6 @@ model::GriddedProfile read_profile(ByteReader& r) {
   }
 }
 
-void write_profile_set(ByteWriter& w, const ProfileSetRecord& record) {
-  w.str(record.machine);
-  write_profile(w, record.profiles.gemm());
-  write_profile(w, record.profiles.syrk());
-  write_profile(w, record.profiles.symm());
-  write_profile(w, record.profiles.tricopy());
-}
-
-ProfileSetRecord read_profile_set(ByteReader& r) {
-  std::string machine = r.str();
-  model::GriddedProfile gemm = read_profile(r);
-  model::GriddedProfile syrk = read_profile(r);
-  model::GriddedProfile symm = read_profile(r);
-  model::GriddedProfile tricopy = read_profile(r);
-  try {
-    return ProfileSetRecord{
-        std::move(machine),
-        model::KernelProfileSet(std::move(gemm), std::move(syrk),
-                                std::move(symm), std::move(tricopy))};
-  } catch (const support::CheckError& e) {
-    throw SerialError(std::string("corrupt profile record: ") + e.what());
-  }
-}
-
-void save_profile_set(const std::string& path,
-                      const ProfileSetRecord& record) {
-  ByteWriter w;
-  write_profile_set(w, record);
-  write_file(path, kKindProfile, kProfileFormatVersion, w.bytes());
-}
-
-ProfileSetRecord load_profile_set(const std::string& path) {
-  const std::string payload =
-      read_file(path, kKindProfile, kProfileFormatVersion);
-  ByteReader r(payload);
-  ProfileSetRecord record = read_profile_set(r);
-  r.expect_end();
-  return record;
-}
-
 void save_drift_baseline(const std::string& path,
                          const BaselineRecord& record) {
   ByteWriter w;

@@ -1,7 +1,6 @@
-// Performance-profile persistence: exact round-trip of GriddedProfile grids
-// and the four-kernel KernelProfileSet, so a machine's isolated-call
-// benchmarks (minutes of measurement on real hardware) are paid once and
-// reused across processes.
+// Performance-profile persistence: exact round-trip of GriddedProfile grids,
+// and the drift monitor's baseline built on it, so the timings a service's
+// atlases were built with survive a restart.
 #pragma once
 
 #include <string>
@@ -15,19 +14,6 @@ inline constexpr std::uint32_t kProfileFormatVersion = 1;
 
 void write_profile(ByteWriter& w, const model::GriddedProfile& profile);
 model::GriddedProfile read_profile(ByteReader& r);
-
-/// A profile set plus the machine-model name it was benchmarked on.
-struct ProfileSetRecord {
-  std::string machine;
-  model::KernelProfileSet profiles;
-};
-
-void write_profile_set(ByteWriter& w, const ProfileSetRecord& record);
-ProfileSetRecord read_profile_set(ByteReader& r);
-
-/// Framed-file convenience wrappers (kind kKindProfile).
-void save_profile_set(const std::string& path, const ProfileSetRecord& record);
-ProfileSetRecord load_profile_set(const std::string& path);
 
 /// A single profile plus the machine it was measured on — the drift
 /// monitor's persisted baseline (serve/drift.hpp), so a restarted service

@@ -88,8 +88,7 @@ class ByteReader {
 };
 
 /// Record kinds for the framed-file header.
-inline constexpr std::uint32_t kKindAtlas = 0x41544C53;    // "ATLS"
-inline constexpr std::uint32_t kKindProfile = 0x50524F46;  // "PROF"
+inline constexpr std::uint32_t kKindAtlas = 0x41544C53;          // "ATLS"
 inline constexpr std::uint32_t kKindDriftBaseline = 0x44524654;  // "DRFT"
 
 /// Write a framed file (magic + kind + version + size + checksum + payload);

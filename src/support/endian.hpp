@@ -11,11 +11,6 @@
 
 namespace lamb::support {
 
-inline void append_le16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
 inline void append_le32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
@@ -34,10 +29,6 @@ inline void append_f64(std::string& out, double v) {
 
 /// Loads assume `p` points at the required number of valid bytes; bounds
 /// checking is the reader's job (store::ByteReader).
-inline std::uint16_t load_le16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
 inline std::uint32_t load_le32(const unsigned char* p) {
   std::uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {

@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128, 64), std::make_tuple(150, 200),
                       std::make_tuple(200, 3), std::make_tuple(250, 128),
                       std::make_tuple(33, 257), std::make_tuple(129, 257),
-                      std::make_tuple(8, 300)));
+                      std::make_tuple(8, 300), std::make_tuple(180, 70)));
 
 TEST(Syrk, DoesNotTouchStrictUpperTriangle) {
   support::Rng rng(3);
@@ -134,7 +134,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(97, 97), std::make_tuple(128, 30),
                       std::make_tuple(150, 120), std::make_tuple(200, 1),
                       std::make_tuple(250, 64), std::make_tuple(64, 250),
-                      std::make_tuple(4, 20), std::make_tuple(257, 9)));
+                      std::make_tuple(4, 20), std::make_tuple(257, 9),
+                      std::make_tuple(150, 100)));
 
 TEST(Symm, ReadsOnlyTheLowerTriangle) {
   // Poison the strictly-upper triangle; the result must be unaffected.
@@ -191,33 +192,6 @@ TEST(Symm, BShapeMismatchThrows) {
   Matrix c(4, 3);
   EXPECT_THROW(blas::symm(1.0, a.view(), b.view(), 0.0, c.view()),
                support::CheckError);
-}
-
-TEST(Symm, ParallelPoolMatchesSerial) {
-  support::Rng rng(12);
-  const Matrix a = la::random_symmetric(150, rng);
-  const Matrix b = la::random_matrix(150, 100, rng);
-  Matrix serial(150, 100);
-  blas::symm(1.0, a.view(), b.view(), 0.0, serial.view());
-  parallel::ThreadPool pool(3);
-  blas::GemmOptions opts;
-  opts.pool = &pool;
-  Matrix par(150, 100);
-  blas::symm(1.0, a.view(), b.view(), 0.0, par.view(), opts);
-  EXPECT_TRUE(la::approx_equal(serial.view(), par.view(), 1e-12));
-}
-
-TEST(Syrk, ParallelPoolMatchesSerial) {
-  support::Rng rng(13);
-  const Matrix a = la::random_matrix(180, 70, rng);
-  Matrix serial(180, 180);
-  blas::syrk(1.0, a.view(), 0.0, serial.view());
-  parallel::ThreadPool pool(3);
-  blas::GemmOptions opts;
-  opts.pool = &pool;
-  Matrix par(180, 180);
-  blas::syrk(1.0, a.view(), 0.0, par.view(), opts);
-  EXPECT_LE(lower_max_abs_diff(serial, par), 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +263,6 @@ struct TierCase {
   double alpha;
   double beta;
   bool small_blocks = false;  ///< mc, kc, nc of a few micro-tiles
-  bool pooled = false;
 };
 
 std::vector<TierCase> tier_cases(const blas::Microkernel& mk) {
@@ -314,8 +287,8 @@ std::vector<TierCase> tier_cases(const blas::Microkernel& mk) {
   cases.push_back({130, 257, -1.0, 1.0});
   cases.push_back({45, 19, 2.5, -0.5});  // fused scale-and-add store
   cases.push_back({50, 40, 1.0, 0.5, /*small_blocks=*/true});
-  cases.push_back({300, 8, 1.0, 0.5, false, /*pooled=*/true});
-  cases.push_back({90, 70, 1.0, 0.5, false, /*pooled=*/true});
+  cases.push_back({300, 8, 1.0, 0.5});
+  cases.push_back({90, 70, 1.0, 0.5});
   return cases;
 }
 
@@ -332,13 +305,8 @@ class Level3TierTest
       opts.blocks.kc = 16;
       opts.blocks.nc = 3 * GetParam()->nr;
     }
-    if (tc.pooled) {
-      opts.pool = &pool_;
-    }
     return opts;
   }
-
-  parallel::ThreadPool pool_{3};
 };
 
 TEST_P(Level3TierTest, SyrkMatchesReferenceAndKeepsUpperTriangle) {

@@ -173,13 +173,4 @@ TEST(ThreadPool, ConcurrentCallersEachGetTheirFullRange) {
   EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(ThreadPool, GlobalPoolIsUsable) {
-  std::atomic<int> count{0};
-  ThreadPool::global().parallel_for(8, [&](std::ptrdiff_t b, std::ptrdiff_t e) {
-    count.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(count.load(), 8);
-  EXPECT_GE(ThreadPool::global().size(), 1u);
-}
-
 }  // namespace

@@ -120,7 +120,7 @@ TEST(MachineInfo, SaneDefaults) {
 }
 
 TEST(PeakEstimate, PositiveAndPlausible) {
-  const double peak = perf::estimate_peak_flops(nullptr);
+  const double peak = perf::estimate_peak_flops();
   EXPECT_GT(peak, 1.0e6);    // faster than a 1987 workstation
   EXPECT_LT(peak, 1.0e15);   // slower than a petaflop from one core
 }

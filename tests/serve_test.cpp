@@ -3,9 +3,9 @@
 // (atlas, measured, cache) and every entry point (HTTP at two event loops
 // included), under concurrency, and across a store checkpoint/warm cycle,
 // also one checkpointed while slices are built and refreshed; an answer
-// that straddles a refresh is never served from the LRU afterwards; a warm
-// query() allocates nothing, and a cold one no more with 256 slices
-// published than with 1.
+// that straddles a refresh is never served from the LRU afterwards, and a
+// refresh frees the atlases it replaces; a warm query() allocates nothing,
+// and a cold one no more with 256 slices published than with 1.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -560,6 +560,29 @@ TEST(SelectionService, WarmFromStoreSkipsRecordsTheServiceCannotServe) {
   EXPECT_EQ(service.stats().slices_refreshed, 2u);
 }
 
+TEST(SelectionService, RefreshRoundsFreeTheAtlasesTheyReplace) {
+  // A server that refreshes on every drift alarm must hold one generation
+  // of atlases, not one per round. With one build thread every allocation
+  // is made and freed on this thread, and a round builds the same atlases
+  // as the round before it; so once the first round has run, each later
+  // round ends with the live heap it started with.
+  ServiceConfig cfg = scripted_config();
+  cfg.threads = 1;
+  model::SimulatedMachine machine;
+  SelectionService service(machine, cfg);
+  std::vector<Query> lines;
+  for (int line = 0; line < 12; ++line) {
+    lines.push_back(Query{"aatb", {150, 260 + 40 * line, 549}, 0, false});
+  }
+  ASSERT_EQ(service.warm(lines), lines.size());
+  ASSERT_EQ(service.refresh_slices(), lines.size());
+  const std::int64_t live = lamb::testing::thread_live_blocks();
+  for (int round = 1; round < 50; ++round) {
+    ASSERT_EQ(service.refresh_slices(), lines.size());
+  }
+  EXPECT_EQ(lamb::testing::thread_live_blocks(), live);
+}
+
 TEST(SelectionService, CheckpointRacingBuildsAndARefreshRestoresEverySlice) {
   // Two threads cold-query distinct slices while a third checkpoints over
   // and over and a fourth refreshes. Each checkpoint copies the published
@@ -1070,8 +1093,8 @@ TEST(SelectionService, PublishedAtlasPointersSurviveLaterSnapshotSwaps) {
   const std::string csv_before = before->to_csv();
 
   // Each new slice is inserted into the slice map; the earlier atlas must
-  // keep its identity and contents (atlas_for pointers are
-  // service-lifetime).
+  // keep its identity and contents (atlas_for pointers stay valid until a
+  // refresh).
   for (int d1 = 300; d1 <= 800; d1 += 100) {
     service.query(Query{"aatb", {150, d1, 549}, 0, false});
   }

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "model/simulated_machine.hpp"
 #include "scripted.hpp"
 #include "store/atlas_io.hpp"
 #include "store/atlas_store.hpp"
@@ -139,7 +138,8 @@ TEST(Serial, FramedFileRejectsBadMagicKindVersionAndMissing) {
 
   EXPECT_THROW(store::read_file(dir + "/nope.bin", store::kKindAtlas, 1),
                SerialError);
-  EXPECT_THROW(store::read_file(path, store::kKindProfile, 1), SerialError);
+  EXPECT_THROW(store::read_file(path, store::kKindDriftBaseline, 1),
+               SerialError);
   // An older version than the reader's is stale; a newer one is not.
   EXPECT_THROW(store::read_file(path, store::kKindAtlas, 2),
                store::StaleRecordError);
@@ -263,25 +263,6 @@ TEST(ProfileIo, GriddedProfileRoundTripsExactly) {
   EXPECT_EQ(back.axes(), profile.axes());
   EXPECT_EQ(back.values(), profile.values());
   EXPECT_EQ(back.interpolate({1.7, 2.2}), profile.interpolate({1.7, 2.2}));
-}
-
-TEST(ProfileIo, ProfileSetRoundTripsThroughFile) {
-  model::SimulatedMachine machine;
-  // A tiny grid keeps the test fast; build() benchmarks every node.
-  const auto profiles =
-      model::KernelProfileSet::build(machine, {20, 60, 180, 540});
-  const std::string path = temp_dir() + "/p.profile";
-  store::save_profile_set(path, {machine.name(), profiles});
-
-  const store::ProfileSetRecord back = store::load_profile_set(path);
-  EXPECT_EQ(back.machine, machine.name());
-  for (const model::KernelCall& call :
-       {model::make_gemm(100, 200, 50), model::make_syrk(80, 33),
-        model::make_symm(120, 77), model::make_tricopy(99)}) {
-    EXPECT_EQ(back.profiles.predicted_time(call),
-              profiles.predicted_time(call))
-        << call.to_string();
-  }
 }
 
 TEST(ProfileIo, ValueCountMismatchIsRejected) {
