@@ -11,16 +11,17 @@
 #                      build-asan), exercising the concurrent serving caches
 #                      under the sanitizers
 #                      thread    -> TSan build (default build dir
-#                      build-tsan) running the ten concurrency-heavy
+#                      build-tsan) running the eight concurrency-heavy
 #                      suites (serve_test, parallel_test, net_test,
-#                      drift_test, sim_test, blas_kernel_dispatch_test,
-#                      blas_gemm_test and blas_syrk_symm_test — the
-#                      level-3 kernels and the process-wide microkernel
-#                      dispatch every calling thread reads — obs_test and
+#                      drift_test, sim_test, blas_kernel_dispatch_test —
+#                      threads taking first use of the process-wide
+#                      microkernel and noise tiers at once — obs_test and
 #                      fault_test), keeping
 #                      the mutex-guarded slice map, the drift-refresh swap,
 #                      the span ring's seqlock and the HTTP event loop /
-#                      completion-hub handoff race-clean
+#                      completion-hub handoff race-clean. The single-
+#                      threaded blas_gemm_test and blas_syrk_symm_test
+#                      run in the plain, scalar and ASan jobs
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,7 +36,7 @@ elif [[ "$SANITIZE" == "thread" ]]; then
   BUILD_DIR="${1:-build-tsan}"
   CMAKE_BUILD_TYPE="${CMAKE_BUILD_TYPE:-RelWithDebInfo}"
   SANITIZE_FLAGS=(-DLAMB_SANITIZE=thread)
-  TEST_FILTER=(-R 'serve_test|parallel_test|net_test|drift_test|sim_test|blas_kernel_dispatch_test|blas_gemm_test|blas_syrk_symm_test|obs_test|fault_test')
+  TEST_FILTER=(-R 'serve_test|parallel_test|net_test|drift_test|sim_test|blas_kernel_dispatch_test|obs_test|fault_test')
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
   # Run the net suite multi-reactor under TSan: every ServedService that
   # does not pin a loop count serves with 2 event loops, so the REUSEPORT

@@ -89,7 +89,8 @@ InstanceResult result_of(const expr::Instance& dims,
   return r;
 }
 
-/// Times every algorithm into `scratch` (see classify()).
+/// Times every algorithm into `scratch` (see classify()): in context with
+/// one time_set_into() of the whole set.
 void time_into(std::span<const model::Algorithm> algs,
                model::MachineModel& machine, Timing timing,
                ClassifyScratch& scratch) {
@@ -100,24 +101,23 @@ void time_into(std::span<const model::Algorithm> algs,
   scratch.flops.resize(algs.size());
   scratch.times.resize(algs.size());
   scratch.step_times.resize(total_steps);
-  std::size_t offset = 0;
-  for (std::size_t a = 0; a < algs.size(); ++a) {
-    const model::Algorithm& alg = algs[a];
-    const std::span<double> steps(scratch.step_times.data() + offset,
-                                  alg.steps().size());
-    offset += steps.size();
-    if (timing == Timing::kInContext) {
-      machine.time_steps_into(alg, steps);
-    } else {
-      for (std::size_t s = 0; s < steps.size(); ++s) {
-        steps[s] = machine.time_call_isolated(alg.steps()[s].call);
+  if (timing == Timing::kInContext) {
+    machine.time_set_into(algs, scratch.step_times);
+  } else {
+    std::size_t s = 0;
+    for (const model::Algorithm& alg : algs) {
+      for (const model::Step& step : alg.steps()) {
+        scratch.step_times[s++] = machine.time_call_isolated(step.call);
       }
     }
+  }
+  const double* step_time = scratch.step_times.data();
+  for (std::size_t a = 0; a < algs.size(); ++a) {
     double total = 0.0;
-    for (const double t : steps) {
-      total += t;
+    for (std::size_t s = 0; s < algs[a].steps().size(); ++s) {
+      total += *step_time++;
     }
-    scratch.flops[a] = alg.flops();
+    scratch.flops[a] = algs[a].flops();
     scratch.times[a] = total;
   }
 }

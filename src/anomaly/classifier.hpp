@@ -14,10 +14,12 @@
 //
 // One core applies these rules: classify() times a bound algorithm set into
 // caller-owned scratch and returns the Verdict, which is all an atlas scan
-// keeps of a sample. Callers that want every set and every time build an
-// InstanceResult (classify_algorithms, classify_instance,
-// classify_instance_predicted, classify_from_times); the same verdict code
-// fills it.
+// keeps of a sample. In context it times the whole set with one
+// MachineModel::time_set_into() call, so SimulatedMachine draws the noise
+// of every step of the sample together. Callers that want every set and
+// every time build an InstanceResult (classify_algorithms,
+// classify_instance, classify_instance_predicted, classify_from_times); the
+// same verdict code fills it.
 #pragma once
 
 #include <span>
@@ -42,7 +44,7 @@ struct InstanceResult {
 
 /// Where classify() takes an algorithm's time from.
 enum class Timing {
-  kInContext,  ///< MachineModel::time_steps_into: the algorithm end to end
+  kInContext,  ///< MachineModel::time_set_into: each algorithm end to end
   kIsolated,   ///< the sum of MachineModel::time_call_isolated of its calls
                ///< (Experiment 3's predictor)
 };
@@ -62,7 +64,8 @@ struct Verdict {
 struct ClassifyScratch {
   std::vector<long long> flops;  ///< per algorithm, of the last instance
   std::vector<double> times;     ///< per algorithm, of the last instance
-  /// Every step time of the last instance, algorithm after algorithm.
+  /// Every step time of the last instance, algorithm after algorithm, as
+  /// time_set_into() writes them.
   std::vector<double> step_times;
 };
 

@@ -127,8 +127,7 @@ const Microkernel& active_microkernel() {
 }
 
 void force_microkernel(const Microkernel* kernel) {
-  g_active.store(kernel != nullptr ? kernel : resolve_from_env(),
-                 std::memory_order_release);
+  g_active.store(kernel, std::memory_order_release);
 }
 
 void microkernel_fringe(const Microkernel& mk, index_t kc, double alpha,

@@ -60,8 +60,9 @@ const Microkernel* select_microkernel(std::string_view choice);
 /// on first use and cached; thread-safe.
 const Microkernel& active_microkernel();
 
-/// Test hook: pin the active kernel (nullptr re-resolves from the
-/// environment). Not intended for concurrent use with in-flight GEMMs.
+/// Test hook: pin the active kernel (nullptr resolves it again from the
+/// environment at the next use). Not intended for concurrent use with
+/// in-flight GEMMs.
 void force_microkernel(const Microkernel* kernel);
 
 /// microkernel_fringe's `diag` for a store of the whole (rows x cols) corner.

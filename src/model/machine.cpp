@@ -10,6 +10,18 @@ std::vector<double> MachineModel::time_steps(const Algorithm& alg) {
   return times;
 }
 
+void MachineModel::time_set_into(std::span<const Algorithm> algs,
+                                 std::span<double> out) {
+  std::size_t offset = 0;
+  for (const Algorithm& alg : algs) {
+    LAMB_CHECK(offset + alg.steps().size() <= out.size(),
+               "time_set_into: one time per step");
+    time_steps_into(alg, out.subspan(offset, alg.steps().size()));
+    offset += alg.steps().size();
+  }
+  LAMB_CHECK(offset == out.size(), "time_set_into: one time per step");
+}
+
 double MachineModel::time_algorithm(const Algorithm& alg) {
   double total = 0.0;
   for (double t : time_steps(alg)) {

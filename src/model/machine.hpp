@@ -14,6 +14,10 @@
 //                          into a buffer the caller owns, so a scan that
 //                          times many instances reuses one buffer;
 //                          time_steps() returns the same times in a vector;
+//                          time_set_into() times a whole bound set into one
+//                          buffer, algorithm after algorithm: by default
+//                          time_steps_into() of each, while SimulatedMachine
+//                          draws the noise of many steps at once;
 //   time_call_isolated() — a single call benchmarked cold (Experiment 3's
 //                          predictor).
 #pragma once
@@ -50,6 +54,13 @@ class MachineModel {
 
   /// time_steps_into() into a fresh vector.
   std::vector<double> time_steps(const Algorithm& alg);
+
+  /// The step times of every algorithm of `algs`, algorithm after
+  /// algorithm, written to `out` (out.size() == the total step count): the
+  /// times time_steps_into() gives each. The default calls it on each
+  /// algorithm's part of `out` in turn.
+  virtual void time_set_into(std::span<const Algorithm> algs,
+                             std::span<double> out);
 
   /// Median cold-cache time of one call benchmarked in isolation.
   virtual double time_call_isolated(const KernelCall& call) = 0;

@@ -4,10 +4,10 @@
 //   * multiplicative measurement jitter: the median of ten repetitions
 //     (kSimulatedRepetitions), each drawn from a hash of the call, the
 //     context and the repetition index (bit-reproducible everywhere);
-//     inside time_steps_into() the context is the algorithm's
-//     signature_hash(), so two schedules that make the same calls still
-//     draw different noise,
-//   * an inter-kernel cache-coupling term inside time_steps_into(): a call
+//     inside time_set_into() the context is the algorithm's
+//     signature_hash() and the step's index, so two schedules that make
+//     the same calls still draw different noise,
+//   * an inter-kernel cache-coupling term inside time_set_into(): a call
 //     whose inputs were just produced and still fit in the LLC runs
 //     slightly faster than its cold-cache benchmark. Experiment 3's
 //     predictor (time_call_isolated) deliberately omits this term — the gap
@@ -17,11 +17,15 @@
 // The triangle copy (AAtB Alg. 2) is costed as pure bandwidth-bound data
 // movement.
 //
-// Every scan sample of an atlas times every algorithm here, so a kernel
-// call costs its arithmetic only: the algorithm's part of the noise hash is
-// combined once per algorithm, the repetition index's part is a table, and
-// the ten draws sort in registers (support::median_of_ten). Nothing
-// allocates.
+// Every scan sample of an atlas times a whole bound set here, so a kernel
+// call costs its arithmetic only. time_set_into() is the one timing entry:
+// it takes each step's (base time × coupling) in order, and each step's
+// noise from the active noise tier (model/simulated_noise.hpp). The scalar
+// tier applies the reference formula step by step; the AVX-512 tier takes
+// the steps' measurement streams up to kNoiseBatch at a time and draws and
+// sorts eight steps' repetitions per vector. Each time is
+// (base × coupling) × jitter, with the same bits on every tier;
+// time_steps_into() times a set of one. Nothing allocates.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +33,9 @@
 
 #include "model/efficiency_model.hpp"
 #include "model/machine.hpp"
+#include "model/simulated_noise.hpp"
 
 namespace lamb::model {
-
-/// Simulated repetitions per timed call; the jitter is their median (the
-/// paper's protocol, Sec. 3.4, at MeasuredMachine's default count).
-inline constexpr int kSimulatedRepetitions = 10;
 
 struct SimulatedMachineConfig {
   EfficiencyParams efficiency = EfficiencyParams::xeon_like();
@@ -66,7 +67,10 @@ class SimulatedMachine final : public MachineModel {
   /// Timing is a pure function of the call: safe to run concurrently.
   bool concurrent_timing_safe() const override { return true; }
 
+  /// time_set_into() of the set {alg}.
   void time_steps_into(const Algorithm& alg, std::span<double> out) override;
+  void time_set_into(std::span<const Algorithm> algs,
+                     std::span<double> out) override;
   double time_call_isolated(const KernelCall& call) override;
   /// The efficiency surfaces' variant-step limits (efficiency_breakpoints).
   std::vector<int> breakpoints() const override;
@@ -81,10 +85,6 @@ class SimulatedMachine final : public MachineModel {
   const SimulatedMachineConfig& config() const { return config_; }
 
  private:
-  /// Median multiplicative jitter over the kSimulatedRepetitions draws of
-  /// a given measurement stream.
-  double jitter_factor(std::uint64_t stream) const;
-
   /// Warm-cache speedup factor for step `i` given the previous step.
   double coupling_factor(const Algorithm& alg, std::size_t step_index) const;
 

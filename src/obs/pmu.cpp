@@ -39,7 +39,6 @@ std::atomic<int> g_mode{kUnprobed};
 std::atomic<std::uint64_t> g_generation{1};
 std::atomic<std::uint64_t (*)()> g_virtual_fn{nullptr};
 std::atomic<int> g_fail_errno{0};  ///< test hook: forced open failure
-std::atomic<bool> g_rdpmc{false};
 
 std::mutex g_probe_mutex;
 std::string& status_string() {
@@ -286,7 +285,6 @@ int probe_locked() {
 #if defined(__linux__)
   int err = 0;
   if (open_thread(t_pmu, err)) {
-    g_rdpmc.store(t_pmu.rdpmc_all, std::memory_order_relaxed);
     status_string() = support::strf(
         "hardware counters active (%s read%s%s)",
         t_pmu.rdpmc_all ? "rdpmc" : "syscall",
@@ -423,7 +421,6 @@ void pmu_reset_for_test() {
   const std::lock_guard<std::mutex> lock(g_probe_mutex);
   g_mode.store(kUnprobed, std::memory_order_release);
   g_generation.fetch_add(1, std::memory_order_acq_rel);
-  g_rdpmc.store(false, std::memory_order_relaxed);
   status_string() = "unprobed";
 }
 

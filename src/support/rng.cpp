@@ -10,6 +10,24 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step of `s`.
+inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// 53 high bits -> double in [0, 1).
+inline double unit_double(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -36,25 +54,25 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
+  return xoshiro_next(state_);
 }
 
 double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  return unit_double(next_u64());
 }
 
 double Rng::uniform(double lo, double hi) {
   LAMB_CHECK(lo <= hi, "uniform: empty range");
   return lo + (hi - lo) * uniform();
+}
+
+void Rng::fill_uniform(std::span<double> out, double lo, double hi) {
+  LAMB_CHECK(lo <= hi, "uniform: empty range");
+  std::array<std::uint64_t, 4> s = state_;
+  for (double& x : out) {
+    x = lo + (hi - lo) * unit_double(xoshiro_next(s));
+  }
+  state_ = s;
 }
 
 int Rng::uniform_int(int lo, int hi) {

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace lamb::support {
@@ -61,6 +62,11 @@ class Rng {
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
+
+  /// Fill `out` with uniform doubles in [lo, hi): the values, and the state
+  /// left behind, of out.size() calls of uniform(lo, hi) in order, with the
+  /// range checked once and the state kept in registers.
+  void fill_uniform(std::span<double> out, double lo, double hi);
 
   /// Uniform integer in the inclusive range [lo, hi].
   int uniform_int(int lo, int hi);

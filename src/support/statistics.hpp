@@ -20,24 +20,15 @@ double median(std::span<const double> xs);
 /// for an even size. Requires non-empty input.
 double median_in_place(std::span<double> xs);
 
-/// Median of exactly ten values, 0.5 * (lo + hi) of the two middle ones:
-/// the simulated machine draws ten repetitions of every kernel call it
-/// times. The values pass through a 29-comparator sorting network of
-/// std::min/std::max pairs, so no branch depends on the data; inlined, the
-/// values stay in registers, and the compiler drops every comparator that
-/// cannot reach the two middle outputs. Without NaN or signed zeros, any
-/// network that sorts yields the same two middle values, so this equals
-/// median_in_place() bit for bit. Forced inline: called, the array would
-/// pass through the stack.
-[[gnu::always_inline]] inline double median_of_ten(std::array<double, 10> v) {
-  const auto exchange = [&v](std::size_t i, std::size_t j) {
-    const double a = v[i];
-    const double b = v[j];
-    v[i] = std::min(a, b);
-    v[j] = std::max(a, b);
-  };
-  // Eight layers of independent comparators. The zero-one principle
-  // proves the network sorts: support_test runs all 1,024 zero-one inputs.
+/// The 29 comparators of a sorting network for ten values, in eight layers
+/// of independent exchanges: exchange(i, j), i < j, must leave the smaller
+/// value at position i and the larger at j. The zero-one principle proves
+/// the network sorts: support_test runs all 1,024 zero-one inputs. Forced
+/// inline, with an inlined exchange every index is a constant, so the
+/// values stay in registers whatever their type: median_of_ten runs it on
+/// doubles, the simulated machine's vector noise on eight lanes at once.
+template <typename Exchange>
+[[gnu::always_inline]] inline void sort_ten_network(Exchange&& exchange) {
   exchange(0, 8); exchange(1, 9); exchange(2, 7); exchange(3, 5);
   exchange(4, 6);
   exchange(0, 2); exchange(1, 4); exchange(5, 8); exchange(7, 9);
@@ -47,6 +38,24 @@ double median_in_place(std::span<double> xs);
   exchange(1, 2); exchange(3, 5); exchange(4, 6); exchange(7, 8);
   exchange(2, 3); exchange(4, 5); exchange(6, 7);
   exchange(3, 4); exchange(5, 6);
+}
+
+/// Median of exactly ten values, 0.5 * (lo + hi) of the two middle ones:
+/// the simulated machine draws ten repetitions of every kernel call it
+/// times. The values pass through sort_ten_network as std::min/std::max
+/// pairs, so no branch depends on the data; inlined, the values stay in
+/// registers, and the compiler drops every comparator that cannot reach
+/// the two middle outputs. Without NaN or signed zeros, any network that
+/// sorts yields the same two middle values, so this equals
+/// median_in_place() bit for bit. Forced inline: called, the array would
+/// pass through the stack.
+[[gnu::always_inline]] inline double median_of_ten(std::array<double, 10> v) {
+  sort_ten_network([&v](std::size_t i, std::size_t j) {
+    const double a = v[i];
+    const double b = v[j];
+    v[i] = std::min(a, b);
+    v[j] = std::max(a, b);
+  });
   return 0.5 * (v[4] + v[5]);
 }
 

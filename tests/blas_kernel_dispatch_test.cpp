@@ -1,6 +1,8 @@
 // Microkernel dispatch: the SIMD tiers must agree with the scalar anchor
-// across fringe shapes, transposes and scalar combinations, and the
-// LAMB_KERNEL override machinery must behave.
+// across fringe shapes, transposes and scalar combinations, the
+// LAMB_KERNEL override machinery must behave, and threads that resolve the
+// microkernel and the simulated machine's noise tier at once must compute
+// what one thread does (the case TSan runs this suite for).
 //
 // Tolerance note: the SIMD tiers use FMA and a different accumulation
 // geometry (8- or 16-row vector lanes vs the scalar 4x8 tile), so results
@@ -11,16 +13,23 @@
 // full-tile paths must be deterministic).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/ref_blas.hpp"
 #include "blas/variant.hpp"
+#include "expr/registry.hpp"
 #include "la/generators.hpp"
 #include "la/norms.hpp"
+#include "model/simulated_machine.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -95,6 +104,64 @@ TEST(KernelDispatch, EnvOverrideSelectsScalar) {
 
   if (launched_with != nullptr) {
     ASSERT_EQ(setenv("LAMB_KERNEL", saved.c_str(), 1), 0);
+  }
+}
+
+TEST(KernelDispatch, ConcurrentFirstUseComputesWhatOneThreadDoes) {
+  ScopedKernelReset reset;
+  support::Rng rng(77);
+  const Matrix a = la::random_matrix(70, 45, rng);
+  const Matrix b = la::random_matrix(45, 60, rng);
+  const auto family = expr::make_family("aatbc");
+  const std::vector<model::Algorithm> algs =
+      family->algorithms({300, 170, 90, 410});
+  std::size_t steps = 0;
+  for (const model::Algorithm& alg : algs) {
+    steps += alg.steps().size();
+  }
+  // Safe to time from several threads at once (concurrent_timing_safe).
+  model::SimulatedMachine machine;
+  // A blocked GEMM (the microkernel path) and a set timing.
+  const auto run = [&](Matrix& c, std::vector<double>& times) {
+    blas::GemmOptions opts;
+    opts.force_variant = blas::GemmVariant::kBlocked;
+    blas::gemm(false, false, 1.0, a.view(), b.view(), 0.0, c.view(), opts);
+    machine.time_set_into(algs, times);
+  };
+
+  Matrix want_c(70, 60);
+  std::vector<double> want_times(steps);
+  run(want_c, want_times);
+
+  constexpr int kThreads = 4;
+  std::vector<Matrix> cs(kThreads, Matrix(70, 60));
+  std::vector<std::vector<double>> times(kThreads,
+                                         std::vector<double>(steps));
+  // Unresolve both tiers, then release every thread at once: each takes
+  // the first use of both.
+  blas::force_microkernel(nullptr);
+  model::force_noise_kernel(nullptr);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      run(cs[static_cast<std::size_t>(t)], times[static_cast<std::size_t>(t)]);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  model::force_noise_kernel(nullptr);
+  for (int t = 0; t < kThreads; ++t) {
+    const auto u = static_cast<std::size_t>(t);
+    EXPECT_LE(la::max_abs_diff(cs[u].view(), want_c.view()), 0.0)
+        << "thread " << t;
+    for (std::size_t i = 0; i < steps; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(times[u][i]),
+                std::bit_cast<std::uint64_t>(want_times[i]))
+          << "thread " << t << ", step time " << i;
+    }
   }
 }
 

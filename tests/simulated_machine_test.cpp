@@ -1,12 +1,18 @@
 // SimulatedMachine: determinism, base-time physics, measurement jitter,
-// inter-kernel cache coupling and the isolated-benchmark view.
+// inter-kernel cache coupling, the isolated-benchmark view, and the noise
+// tiers, which must give the scalar reference formula's bits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "expr/aatb.hpp"
+#include "expr/registry.hpp"
 #include "model/simulated_machine.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -190,6 +196,138 @@ TEST(SimulatedMachine, BreakpointsComeFromTheEfficiencyParams) {
 TEST(SimulatedMachine, NameIsStable) {
   SimulatedMachine m;
   EXPECT_EQ(m.name(), "simulated");
+}
+
+// ---------------------------------------------------------------------------
+// Noise tiers. Every tier must return the scalar reference formula's bits.
+// ---------------------------------------------------------------------------
+
+/// Restores the noise tier resolved from the environment when a test
+/// finishes pinning it.
+struct ScopedNoiseReset {
+  ~ScopedNoiseReset() { force_noise_kernel(nullptr); }
+};
+
+/// Lanes of a step-shaped batch: a random context, a kernel kind, sizes
+/// in the atlas range and a step index; `wide` draws every word at random.
+NoiseBatch random_batch(lamb::support::Rng& rng, bool wide) {
+  NoiseBatch batch;
+  for (std::size_t j = 0; j < kNoiseBatch; ++j) {
+    batch.context[j] = rng.next_u64();
+    batch.links[0][j] = wide ? rng.next_u64() : rng.bounded(4);
+    for (std::size_t l = 1; l < 4; ++l) {
+      batch.links[l][j] = wide ? rng.next_u64() : 1 + rng.bounded(1200);
+    }
+    batch.links[4][j] = wide ? rng.next_u64() : rng.bounded(8);
+  }
+  return batch;
+}
+
+/// The stream of lane `j` of `batch`: the hash chain NoiseBatch defines.
+std::uint64_t lane_stream(const NoiseBatch& batch, std::size_t j) {
+  std::uint64_t h = batch.context[j];
+  for (const auto& link : batch.links) {
+    h = lamb::support::hash_combine(h, link[j]);
+  }
+  return h;
+}
+
+TEST(SimulatedNoise, VectorTiersMatchTheScalarFormulaBitForBit) {
+  const auto& kernels = available_noise_kernels();
+  ASSERT_EQ(kernels.front(), &scalar_noise_kernel());
+  EXPECT_EQ(scalar_noise_kernel().fn, nullptr);
+  if (kernels.size() == 1) {
+    GTEST_SKIP() << "this build or CPU has no AVX-512DQ noise tier; only "
+                    "the scalar formula runs";
+  }
+  // Sentinel bits in every lane a kernel must leave alone.
+  const std::uint64_t kUnwritten = 0x7ff8dead0000beefULL;
+  lamb::support::Rng rng(2024);
+  for (std::size_t t = 1; t < kernels.size(); ++t) {
+    const NoiseKernel* kernel = kernels[t];
+    ASSERT_NE(kernel->fn, nullptr) << kernel->name;
+    std::size_t compared = 0;
+    for (const double jitter : {0.004, 0.5}) {
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t n = 1; n <= kNoiseBatch; ++n) {
+          const NoiseBatch batch = random_batch(rng, round == 2);
+          std::vector<double> got(kNoiseBatch,
+                                  std::bit_cast<double>(kUnwritten));
+          kernel->fn(batch, n, jitter, got.data());
+          for (std::size_t j = 0; j < n; ++j, ++compared) {
+            const double want = jitter_factor(lane_stream(batch, j), jitter);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                      std::bit_cast<std::uint64_t>(want))
+                << kernel->name << " lane " << j << " of " << n
+                << ", jitter " << jitter << ", round " << round << ": "
+                << got[j] << " vs " << want;
+          }
+          for (std::size_t j = n; j < kNoiseBatch; ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]), kUnwritten)
+                << kernel->name << " wrote lane " << j << " of " << n;
+          }
+        }
+      }
+    }
+    EXPECT_GE(compared, 10000u) << kernel->name;
+  }
+}
+
+TEST(SimulatedNoise, SetTimingEqualsPerAlgorithmTimingOnEveryTier) {
+  ScopedNoiseReset reset;
+  SimulatedMachine machine;
+  lamb::support::Rng rng(99);
+  for (const std::string& name : lamb::expr::registry().names()) {
+    const auto family = lamb::expr::make_family(name);
+    for (int trial = 0; trial < 4; ++trial) {
+      lamb::expr::Instance dims(
+          static_cast<std::size_t>(family->dimension_count()));
+      for (int& d : dims) {
+        d = rng.uniform_int(20, 1200);
+      }
+      // The bound set twice over, so that sets of every family run past
+      // one noise batch (kNoiseBatch steps) and split algorithms across two.
+      std::vector<Algorithm> algs = family->algorithms(dims);
+      const std::size_t once = algs.size();
+      for (std::size_t a = 0; a < once; ++a) {
+        algs.push_back(algs[a]);
+      }
+      // The reference: each algorithm on its own, by the scalar formula.
+      force_noise_kernel(&scalar_noise_kernel());
+      std::vector<double> want;
+      for (const Algorithm& alg : algs) {
+        for (const double t : machine.time_steps(alg)) {
+          want.push_back(t);
+        }
+      }
+      for (const NoiseKernel* kernel : available_noise_kernels()) {
+        force_noise_kernel(kernel);
+        std::vector<double> set(want.size());
+        machine.time_set_into(algs, set);
+        std::vector<double> each;
+        for (const Algorithm& alg : algs) {
+          for (const double t : machine.time_steps(alg)) {
+            each.push_back(t);
+          }
+        }
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(set[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << name << " step time " << i << " on " << kernel->name;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(each[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << name << " step time " << i << " on " << kernel->name;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulatedNoise, SetTimingRejectsAMisSizedBuffer) {
+  SimulatedMachine machine;
+  const std::vector<Algorithm> algs = {two_step_chain(), two_step_chain()};
+  std::vector<double> out(3);
+  EXPECT_THROW(machine.time_set_into(algs, out), lamb::support::CheckError);
 }
 
 }  // namespace

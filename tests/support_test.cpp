@@ -87,6 +87,27 @@ TEST(Rng, UniformRangeRespectsBounds) {
   }
 }
 
+TEST(Rng, FillUniformEqualsPerElementDrawsAndFinalState) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{7}, std::size_t{1000}}) {
+    Rng filled(2024);
+    Rng drawn(2024);
+    std::vector<double> values(n);
+    filled.fill_uniform(values, -1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want = drawn.uniform(-1.0, 1.0);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+                std::bit_cast<std::uint64_t>(want))
+          << "n = " << n << ", element " << i;
+    }
+    // Both generators must continue from the same state.
+    EXPECT_EQ(filled.next_u64(), drawn.next_u64()) << "n = " << n;
+  }
+  Rng rng(5);
+  std::vector<double> values(3);
+  EXPECT_THROW(rng.fill_uniform(values, 1.0, -1.0), CheckError);
+}
+
 TEST(Rng, UniformIntCoversInclusiveRange) {
   Rng rng(99);
   bool seen_lo = false;
@@ -182,6 +203,24 @@ double nth_element_median(std::vector<double> v) {
   const double lo =
       *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
   return 0.5 * (lo + hi);
+}
+
+TEST(Statistics, SortTenNetworkSortsEveryZeroOneInput) {
+  // By the zero-one principle, a comparator network that sorts every
+  // zero-one input sorts every input.
+  for (unsigned mask = 0; mask < (1u << 10); ++mask) {
+    std::array<unsigned, 10> v;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = (mask >> i) & 1u;
+    }
+    sort_ten_network([&v](std::size_t i, std::size_t j) {
+      const unsigned a = v[i];
+      const unsigned b = v[j];
+      v[i] = std::min(a, b);
+      v[j] = std::max(a, b);
+    });
+    EXPECT_TRUE(std::is_sorted(v.begin(), v.end())) << "input " << mask;
+  }
 }
 
 TEST(Statistics, MedianInPlaceMatchesNthElementBitForBit) {
