@@ -8,6 +8,7 @@
 // plus the abundance under both machines. --families sweeps any registry
 // families.
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "model/simulated_machine.hpp"
@@ -18,9 +19,21 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation", "inter-kernel cache coupling on vs off",
                       ctx);
   if (ctx.real) {
+    ctx.cli.reject_unknown_flags();
     std::printf("this ablation is defined on the simulated machine only\n");
     return 0;
   }
+  // Every family's search, with its own default anomaly target.
+  std::vector<std::pair<std::string, anomaly::RandomSearchConfig>> searches;
+  for (const std::string& name : ctx.families("aatb,chain4")) {
+    anomaly::RandomSearchConfig cfg;
+    cfg.target_anomalies = static_cast<int>(
+        ctx.cli.get_int("anomalies", name == "aatb" ? 300 : 40));
+    cfg.max_samples = ctx.cli.get_int("max-samples", 100000);
+    cfg.seed = ctx.cli.get_seed("seed", 2);
+    searches.emplace_back(name, cfg);
+  }
+  ctx.cli.reject_unknown_flags();
 
   model::SimulatedMachineConfig on_cfg;
   model::SimulatedMachineConfig off_cfg;
@@ -33,15 +46,9 @@ int main(int argc, char** argv) {
            "anomaly_survival"});
 
   bench::Comparison cmp;
-  for (const std::string& name : ctx.families("aatb,chain4")) {
+  for (const auto& [name, cfg] : searches) {
     anomaly::ExperimentDriver with_driver(name, coupled);
     anomaly::ExperimentDriver without_driver(name, uncoupled);
-
-    anomaly::RandomSearchConfig cfg;
-    cfg.target_anomalies = static_cast<int>(
-        ctx.cli.get_int("anomalies", name == "aatb" ? 300 : 40));
-    cfg.max_samples = ctx.cli.get_int("max-samples", 100000);
-    cfg.seed = ctx.cli.get_seed("seed", 2);
 
     const auto with = with_driver.random_search(cfg);
     const auto without = without_driver.random_search(cfg);

@@ -17,6 +17,12 @@ int main(int argc, char** argv) {
   bench::BenchContext ctx(argc, argv);
   bench::print_header("Ablation (paper Sec. 5)",
                       "FLOP-count vs profile-based algorithm selection", ctx);
+  const int trials =
+      static_cast<int>(ctx.cli.get_int("trials", ctx.real ? 20 : 400));
+  const int hi = static_cast<int>(ctx.cli.get_int("hi", ctx.real ? 300 : 1200));
+  const std::uint64_t seed = ctx.cli.get_seed("seed", 7);
+  const std::vector<std::string> families = ctx.families("aatb,chain4");
+  ctx.cli.reject_unknown_flags();
 
   auto profiles = std::make_shared<const model::KernelProfileSet>(
       model::KernelProfileSet::build(*ctx.machine));
@@ -28,13 +34,9 @@ int main(int argc, char** argv) {
            "worst_slowdown_pct"});
 
   bench::Comparison cmp;
-  const int trials =
-      static_cast<int>(ctx.cli.get_int("trials", ctx.real ? 20 : 400));
-  const int hi = static_cast<int>(ctx.cli.get_int("hi", ctx.real ? 300 : 1200));
-
-  for (const std::string& family_name : ctx.families("aatb,chain4")) {
+  for (const std::string& family_name : families) {
     const auto family = expr::make_family(family_name);
-    support::Rng rng(ctx.cli.get_seed("seed", 7));
+    support::Rng rng(seed);
     struct Stats {
       int picked_fastest = 0;
       double sum_slowdown = 0.0;

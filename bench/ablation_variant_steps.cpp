@@ -34,9 +34,16 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation (paper Sec. 4.1.3)",
                       "kernel-variant steps vs smooth-only profiles", ctx);
   if (ctx.real) {
+    ctx.cli.reject_unknown_flags();
     std::printf("this ablation is defined on the simulated machine only\n");
     return 0;
   }
+  anomaly::RandomSearchConfig cfg;
+  cfg.target_anomalies = 1 << 30;  // abundance estimate over a fixed budget
+  cfg.max_samples = ctx.cli.get_int("max-samples", 30000);
+  cfg.seed = ctx.cli.get_seed("seed", 4);
+  const std::vector<std::string> families = ctx.families("aatb,chain4");
+  ctx.cli.reject_unknown_flags();
 
   model::SimulatedMachineConfig stepped_cfg;
   model::SimulatedMachineConfig smooth_cfg;
@@ -48,13 +55,9 @@ int main(int argc, char** argv) {
   csv.row({"family", "abundance_stepped", "abundance_smooth"});
 
   bench::Comparison cmp;
-  for (const std::string& name : ctx.families("aatb,chain4")) {
+  for (const std::string& name : families) {
     anomaly::ExperimentDriver stepped_driver(name, stepped);
     anomaly::ExperimentDriver smooth_driver(name, smooth);
-    anomaly::RandomSearchConfig cfg;
-    cfg.target_anomalies = 1 << 30;  // abundance estimate over a fixed budget
-    cfg.max_samples = ctx.cli.get_int("max-samples", 30000);
-    cfg.seed = ctx.cli.get_seed("seed", 4);
     const auto with = stepped_driver.random_search(cfg);
     const auto without = smooth_driver.random_search(cfg);
     std::printf("%s: abundance %.3f%% with variant steps, %.3f%% smooth-only\n",

@@ -20,6 +20,11 @@
 //                       built by this run are saved there and later runs
 //                       (any bench or serve_cli) reuse them instead of
 //                       re-scanning
+//
+// Flags are strict (support::Cli): each bench reads all its flags, then
+// calls ctx.cli.reject_unknown_flags() before it runs anything, so a
+// misspelt flag, or one its path does not read (--repetitions without
+// --real), stops it with the list of the flags it reads.
 #pragma once
 
 #include <memory>

@@ -406,13 +406,15 @@ int main(int argc, char** argv) {
   const double min_gflops = cli.get_double("min-gflops", 0.0);
   const std::vector<index_t> sizes =
       parse_sizes(cli.get_string("sizes", "64,128,256,384"));
+  const bool roofline = cli.get_bool("roofline", false);
+  cli.reject_unknown_flags();
 
   std::printf("active kernel: %s (LAMB_KERNEL to override)\n",
               blas::active_microkernel().name);
   std::printf("%-9s %-26s %-7s %-8s %4s %4s %4s  %8s\n", "section", "name",
               "kernel", "variant", "m", "n", "k", "value");
 
-  if (cli.get_bool("roofline", false)) {
+  if (roofline) {
     // Exclusive mode: the AI sweep replaces the normal sections, and
     // --min-gflops stays a normal-mode gate (roofline runs are diagnostic,
     // not acceptance).

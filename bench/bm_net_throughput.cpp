@@ -196,6 +196,15 @@ int main(int argc, char** argv) {
   const int loops = static_cast<int>(cli.get_int("loops", 1));
   const double min_qps = cli.get_double("min-qps", 0.0);
   const std::string trace_mode = cli.get_string("trace", "off");
+  const auto http_threads =
+      static_cast<std::size_t>(cli.get_int("http-threads", 2));
+  const auto port = static_cast<std::uint16_t>(cli.get_int("port", 0));
+  const bool trace_sweep = cli.get_bool("trace-sweep", false);
+  const int rounds =
+      trace_sweep ? static_cast<int>(cli.get_int("rounds", 3)) : 0;
+  const double max_overhead =
+      trace_sweep ? cli.get_double("max-sampled-overhead", 0.0) : 0.0;
+  cli.reject_unknown_flags();
   if (!apply_trace_mode(trace_mode)) {
     std::fprintf(stderr, "bad --trace=%s (off|counters|sampled|full)\n",
                  trace_mode.c_str());
@@ -208,11 +217,10 @@ int main(int argc, char** argv) {
   serve::SelectionService service(machine, cfg);
 
   net::SelectionRoutesConfig routes_cfg;
-  routes_cfg.worker_threads =
-      static_cast<std::size_t>(cli.get_int("http-threads", 2));
+  routes_cfg.worker_threads = http_threads;
   net::SelectionRoutes routes(service, routes_cfg);
   net::ServerConfig server_cfg;
-  server_cfg.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
+  server_cfg.port = port;
   server_cfg.max_connections = static_cast<std::size_t>(connections) + 8;
   server_cfg.loops = static_cast<std::size_t>(loops);
   net::Server server(routes.router(), server_cfg);
@@ -255,9 +263,7 @@ int main(int argc, char** argv) {
                                            : "acceptor handoff",
               server.port());
 
-  if (cli.get_bool("trace-sweep", false)) {
-    const int rounds = static_cast<int>(cli.get_int("rounds", 3));
-    const double max_overhead = cli.get_double("max-sampled-overhead", 0.0);
+  if (trace_sweep) {
     static constexpr const char* kModes[] = {"off", "sampled", "full"};
     double best_qps[3] = {0.0, 0.0, 0.0};
 

@@ -22,6 +22,15 @@ int main(int argc, char** argv) {
   bench::BenchContext ctx(argc, argv);
   bench::print_header("Extension (paper Sec. 5)",
                       "anomaly abundance vs expression complexity", ctx);
+  const int max_len = static_cast<int>(ctx.cli.get_int("max-length", 6));
+  const anomaly::DriverConfig driver_cfg = ctx.driver_config();
+  anomaly::RandomSearchConfig search_cfg;
+  search_cfg.hi =
+      static_cast<int>(ctx.cli.get_int("hi", ctx.real ? 300 : 1200));
+  search_cfg.target_anomalies = 1 << 30;
+  const long long max_samples = ctx.cli.get_int("max-samples", 24000);
+  search_cfg.seed = ctx.cli.get_seed("seed", 8);
+  ctx.cli.reject_unknown_flags();
 
   auto profiles = std::make_shared<const model::KernelProfileSet>(
       model::KernelProfileSet::build(*ctx.machine));
@@ -34,21 +43,16 @@ int main(int argc, char** argv) {
   bench::Comparison cmp;
   double prev_abundance = -1.0;
   bool monotone = true;
-  const int max_len = static_cast<int>(ctx.cli.get_int("max-length", 6));
   for (int n = 3; n <= max_len; ++n) {
     // The sweep pins the family per iteration (chainN resolves dynamically
     // in the registry); --family must not override it.
     anomaly::ExperimentDriver driver(
         expr::make_family(support::strf("chain%d", n)), *ctx.machine,
-        ctx.driver_config());
+        driver_cfg);
     const expr::ExpressionFamily& family = driver.family();
-    anomaly::RandomSearchConfig cfg;
-    cfg.hi = static_cast<int>(ctx.cli.get_int("hi", ctx.real ? 300 : 1200));
-    cfg.target_anomalies = 1 << 30;
+    anomaly::RandomSearchConfig cfg = search_cfg;
     // Larger algorithm spaces cost more per sample; shrink the budget.
-    cfg.max_samples = ctx.cli.get_int("max-samples", 24000) /
-                      std::max(1, (n - 2) * (n - 2));
-    cfg.seed = ctx.cli.get_seed("seed", 8);
+    cfg.max_samples = max_samples / std::max(1, (n - 2) * (n - 2));
     const auto found = driver.random_search(cfg);
 
     double mean_ts = 0.0;

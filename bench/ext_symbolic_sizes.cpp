@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   cfg.hi = static_cast<int>(ctx.cli.get_int("hi", ctx.real ? 300 : cfg.hi));
   cfg.coarse_step =
       static_cast<int>(ctx.cli.get_int("step", cfg.coarse_step));
+  ctx.cli.reject_unknown_flags();
 
   auto csv = ctx.csv("ext_symbolic_sizes");
   csv.row({"line", "dim", "interval_lo", "interval_hi", "anomalous",

@@ -21,8 +21,9 @@ int main(int argc, char** argv) {
   defaults.sim_anomalies = 150;
   defaults.real_anomalies = 3;
   const auto search_cfg = ctx.search_config(defaults);
-  const auto found = bench::run_search(driver, search_cfg);
   const auto trav_cfg = ctx.traversal_config(search_cfg);
+  ctx.cli.reject_unknown_flags();
+  const auto found = bench::run_search(driver, search_cfg);
 
   const int dims = driver.family().dimension_count();
   std::vector<std::vector<double>> thickness(static_cast<std::size_t>(dims));

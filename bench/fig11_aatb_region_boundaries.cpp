@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   search_cfg.hi = trav_cfg.hi;
   search_cfg.target_anomalies = 1;
   search_cfg.max_samples = ctx.cli.get_int("max-samples", 50000);
+  ctx.cli.reject_unknown_flags();
 
   auto csv = ctx.csv("fig11_aatb_boundaries");
   csv.row({"coord", "alg", "eff_total", "eff_calls..."});

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const long long max_size =
       ctx.cli.get_int("max-size", ctx.real ? 448 : 3000);
   const long long step = ctx.cli.get_int("step", ctx.real ? 64 : 50);
+  ctx.cli.reject_unknown_flags();
 
   support::Series gemm{"gemm", {}, {}, 'g'};
   support::Series syrk{"syrk", {}, {}, 's'};

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   defaults.real_max_samples = 300;
   defaults.threshold_from_flag = true;  // search-only bench: --threshold
   const auto cfg = ctx.search_config(defaults);
+  ctx.cli.reject_unknown_flags();
   const auto result = bench::run_search(driver, cfg);
 
   std::vector<double> ts;

@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
   defaults.sim_anomalies = 40;
   defaults.real_anomalies = 2;
   const auto search_cfg = ctx.search_config(defaults);
-  const auto found = bench::run_search(driver, search_cfg);
   const auto trav_cfg = ctx.traversal_config(search_cfg);
+  ctx.cli.reject_unknown_flags();
+  const auto found = bench::run_search(driver, search_cfg);
 
   const int dims = driver.family().dimension_count();
   std::vector<std::vector<double>> thickness(static_cast<std::size_t>(dims));

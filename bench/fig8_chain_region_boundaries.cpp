@@ -22,12 +22,13 @@ int main(int argc, char** argv) {
   defaults.real_anomalies = 2;
   defaults.seed = 3;
   const auto search_cfg = ctx.search_config(defaults);
+  const auto trav_cfg = ctx.traversal_config(search_cfg);
+  ctx.cli.reject_unknown_flags();
   const auto found = bench::run_search(driver, search_cfg);
   if (found.anomalies.empty()) {
     std::printf("no anomalies found; increase --max-samples\n");
     return 0;
   }
-  const auto trav_cfg = ctx.traversal_config(search_cfg);
 
   auto csv = ctx.csv("fig8_chain_boundaries");
   csv.row({"coord", "alg", "eff_total", "eff_calls..."});

@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   defaults.sim_anomalies = 25;
   defaults.real_anomalies = 2;
   const auto search_cfg = ctx.search_config(defaults);
+  const double threshold = ctx.cli.get_double("threshold", 0.05);
+  ctx.cli.reject_unknown_flags();
   const auto found = bench::run_search(driver, search_cfg);
 
   anomaly::TraversalConfig trav_cfg;
@@ -28,7 +30,6 @@ int main(int argc, char** argv) {
   const auto all_lines = driver.traverse_regions(found.anomalies, trav_cfg);
   std::printf("Experiment 2: %zu traversed lines\n", all_lines.size());
 
-  const double threshold = ctx.cli.get_double("threshold", 0.05);
   const auto result = driver.predict_from_benchmarks(all_lines, threshold);
 
   std::printf("\n%s\n", result.confusion.to_table().c_str());

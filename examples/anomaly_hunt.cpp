@@ -24,9 +24,11 @@ int main(int argc, char** argv) {
   cfg.max_samples = cli.get_int("max-samples", 500000);
   cfg.time_score_threshold = cli.get_double("threshold", 0.10);
   cfg.seed = cli.get_seed("seed", 2022);
+  const std::string family_name = cli.get_string("family", "aatb");
+  cli.reject_unknown_flags();
 
   model::SimulatedMachine machine;
-  anomaly::ExperimentDriver driver(cli.get_string("family", "aatb"), machine);
+  anomaly::ExperimentDriver driver(family_name, machine);
   const expr::ExpressionFamily& family = driver.family();
   std::printf("hunting %d anomalies of %s in [%d, %d]^%d "
               "(time-score threshold %s)...\n\n",

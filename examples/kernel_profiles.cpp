@@ -18,12 +18,13 @@ int main(int argc, char** argv) {
   using namespace lamb;
   const support::Cli cli(argc, argv);
   const long long max_size = cli.get_int("max-size", 320);
+  model::MeasuredMachineConfig cfg;
+  cfg.protocol.repetitions = static_cast<int>(cli.get_int("repetitions", 3));
+  cli.reject_unknown_flags();
 
   const perf::MachineInfo info = perf::query_machine_info();
   std::printf("host: %s\n", info.to_string().c_str());
 
-  model::MeasuredMachineConfig cfg;
-  cfg.protocol.repetitions = static_cast<int>(cli.get_int("repetitions", 3));
   model::MeasuredMachine machine(cfg);
   const double peak = machine.peak_flops();
   std::printf("empirical peak (best GEMM rate): %.2f GFLOP/s\n\n",

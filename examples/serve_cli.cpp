@@ -67,9 +67,12 @@
 //                       [--sample=1] [--json=out.json]
 //
 // An unknown subcommand exits 1 before any machine model, service or
-// --atlas-dir is touched. To compare the service's speed between commits,
-// use lambbench/run.py (the warm-serve and cold-build workloads; --trace 1
-// adds per-layer numbers), not these subcommands.
+// --atlas-dir is touched. Flags are strict: a subcommand reads its flags,
+// then rejects any other flag (support::Cli::reject_unknown_flags) before
+// it warms from --atlas-dir or does any work. To compare the service's
+// speed between commits, use lambbench/run.py (the warm-serve and
+// cold-build workloads; --trace 1 adds per-layer numbers), not these
+// subcommands.
 //
 // Common flags: --family=NAME (registry name), --dim=N (slice dimension,
 // default 0), --exact (bypass the atlas), --atlas-dir=DIR (persistent store;
@@ -92,6 +95,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <span>
 #include <sstream>
@@ -248,12 +252,18 @@ void print_recommendations(const std::vector<serve::Query>& queries,
   }
 }
 
+/// Called by a subcommand after its last getter and before its first work:
+/// rejects every flag the subcommand has not read, then warms the service
+/// from --atlas-dir.
+using Start = std::function<void()>;
+
 int cmd_build(const support::Cli& cli, serve::SelectionService& service,
-              model::MachineModel&) {
+              model::MachineModel&, const Start& start) {
   const std::string family = cli.get_string("family", "aatb");
   const expr::Instance base =
       parse_instance(cli.get_string("base", "150,260,549"));
   const int dim = static_cast<int>(cli.get_int("dim", 0));
+  start();
   const serve::Query probe{family, base, dim, false};
   service.warm({probe});
   const anomaly::RegionAtlas* atlas = service.atlas_for(probe);
@@ -263,10 +273,11 @@ int cmd_build(const support::Cli& cli, serve::SelectionService& service,
 }
 
 int cmd_warm(const support::Cli& cli, serve::SelectionService& service,
-             model::MachineModel&) {
+             model::MachineModel&, const Start& start) {
   const std::string family = cli.get_string("family", "aatb");
   const int dim = static_cast<int>(cli.get_int("dim", 0));
   const auto queries = read_queries(cli, family, dim, false);
+  start();
   const std::size_t built = service.warm(queries);
   std::printf("%zu queries -> %zu atlas slices built (%zu total)\n",
               queries.size(), built, service.atlas_count());
@@ -275,11 +286,12 @@ int cmd_warm(const support::Cli& cli, serve::SelectionService& service,
 }
 
 int cmd_query(const support::Cli& cli, serve::SelectionService& service,
-              model::MachineModel&) {
+              model::MachineModel&, const Start& start) {
   const std::string family = cli.get_string("family", "aatb");
   const int dim = static_cast<int>(cli.get_int("dim", 0));
   const bool exact = cli.get_bool("exact", false);
   const auto queries = read_queries(cli, family, dim, exact);
+  start();
   const auto recs = service.query_batch(queries);
   print_recommendations(queries, recs);
   print_stats(service);
@@ -287,8 +299,9 @@ int cmd_query(const support::Cli& cli, serve::SelectionService& service,
 }
 
 /// --trace=off|counters|sampled|full (+ --trace-sample, --slow-ms) ->
-/// tracer configuration. Returns the mode string for the banner.
-std::string configure_tracing(const support::Cli& cli) {
+/// tracer configuration, and the mode string for the banner.
+std::pair<std::string, obs::TracerConfig> read_tracing(
+    const support::Cli& cli) {
   const std::string mode = cli.get_string("trace", "sampled");
   obs::TracerConfig tc;
   if (mode == "off") {
@@ -311,8 +324,7 @@ std::string configure_tracing(const support::Cli& cli) {
   }
   tc.slow_threshold_ns = static_cast<std::uint64_t>(
       cli.get_double("slow-ms", 10.0) * 1e6);
-  obs::tracer().configure(tc);
-  return mode;
+  return {mode, tc};
 }
 
 /// stop() is an atomic store plus one eventfd write: async-signal-safe.
@@ -325,27 +337,22 @@ void handle_stop_signal(int) {
 }
 
 int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
-              model::MachineModel& machine) {
+              model::MachineModel& machine, const Start& start) {
   const std::string family = cli.get_string("family", "aatb");
   const int dim = static_cast<int>(cli.get_int("dim", 0));
-  if (cli.has("queries")) {
-    const auto queries = read_queries(cli, family, dim, false);
-    const std::size_t built = service.warm(queries);
-    std::printf("pre-warmed %zu atlas slices from %zu queries\n", built,
-                queries.size());
-  }
-
-  const std::string trace_mode = configure_tracing(cli);
+  const bool prewarm = cli.has("queries");
+  const auto queries = prewarm ? read_queries(cli, family, dim, false)
+                               : std::vector<serve::Query>{};
+  const auto [trace_mode, tracer_cfg] = read_tracing(cli);
 
   net::SelectionRoutesConfig routes_cfg;
   routes_cfg.worker_threads =
       static_cast<std::size_t>(cli.get_int("http-threads", 2));
   routes_cfg.deadline_ms = cli.get_double("deadline-ms", 0.0);
-  net::SelectionRoutes routes(service, routes_cfg);
 
-  std::unique_ptr<serve::DriftMonitor> drift;
-  if (cli.get_bool("drift-refresh", false)) {
-    serve::DriftConfig drift_cfg;
+  const bool drift_refresh = cli.get_bool("drift-refresh", false);
+  serve::DriftConfig drift_cfg;
+  if (drift_refresh) {
     drift_cfg.check_interval_seconds =
         cli.get_double("drift-interval", drift_cfg.check_interval_seconds);
     drift_cfg.threshold =
@@ -356,14 +363,6 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
     if (!atlas_dir.empty()) {
       drift_cfg.baseline_path = atlas_dir + "/drift_baseline.lamb";
     }
-    drift = std::make_unique<serve::DriftMonitor>(service, machine, drift_cfg);
-    routes.attach_drift(drift.get());
-    drift->start();
-    std::printf("drift refresh: every %.1f s, %zu probes, threshold %.2f%s\n",
-                drift_cfg.check_interval_seconds, drift_cfg.probes,
-                drift_cfg.threshold,
-                drift_cfg.baseline_path.empty() ? ""
-                                                : ", persisted baseline");
   }
 
   net::ServerConfig server_cfg;
@@ -378,6 +377,28 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
   // them pile onto a queue that is already losing ground.
   const auto shed_watermark =
       static_cast<std::size_t>(cli.get_int("shed-queue-depth", 0));
+  start();
+
+  if (prewarm) {
+    const std::size_t built = service.warm(queries);
+    std::printf("pre-warmed %zu atlas slices from %zu queries\n", built,
+                queries.size());
+  }
+  obs::tracer().configure(tracer_cfg);
+  net::SelectionRoutes routes(service, routes_cfg);
+
+  std::unique_ptr<serve::DriftMonitor> drift;
+  if (drift_refresh) {
+    drift = std::make_unique<serve::DriftMonitor>(service, machine, drift_cfg);
+    routes.attach_drift(drift.get());
+    drift->start();
+    std::printf("drift refresh: every %.1f s, %zu probes, threshold %.2f%s\n",
+                drift_cfg.check_interval_seconds, drift_cfg.probes,
+                drift_cfg.threshold,
+                drift_cfg.baseline_path.empty() ? ""
+                                                : ", persisted baseline");
+  }
+
   if (shed_watermark > 0) {
     server_cfg.shed_hook = [&service, shed_watermark] {
       return service.async_queue_depth() >= shed_watermark;
@@ -454,6 +475,8 @@ int cmd_serve(const support::Cli& cli, serve::SelectionService& service,
 int cmd_fsck(const support::Cli& cli) {
   namespace fs = std::filesystem;
   const std::string dir = cli.get_string("atlas-dir", "");
+  const bool repair = cli.get_bool("repair", false);
+  cli.reject_unknown_flags();
   if (dir.empty()) {
     std::fprintf(stderr, "fsck: --atlas-dir is required\n");
     return 1;
@@ -463,7 +486,6 @@ int cmd_fsck(const support::Cli& cli) {
     std::fprintf(stderr, "fsck: %s is not a directory\n", dir.c_str());
     return 1;
   }
-  const bool repair = cli.get_bool("repair", false);
 
   std::vector<fs::path> entries;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -542,25 +564,45 @@ int cmd_fsck(const support::Cli& cli) {
 }
 
 int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
-                 model::MachineModel&) {
+                 model::MachineModel&, const Start& start) {
   const sim::TraceSpec spec = cli.has("trace")
                                   ? sim::load_trace(cli.get_string("trace", ""))
                                   : sim::default_trace();
   if (cli.get_bool("print-trace", false)) {
+    start();
     std::printf("%s", spec.to_string().c_str());
     return 0;
   }
 
   const std::uint64_t seed = cli.get_seed("seed", 1);
-  sim::TraceGenerator generator(spec, seed);
-  const std::vector<sim::Request> requests = generator.generate();
-
   sim::ReplayConfig replay_cfg;
   replay_cfg.connections =
       static_cast<std::size_t>(cli.get_int("connections", 1));
   replay_cfg.warm = cli.get_bool("warm", false);
   replay_cfg.pace = cli.get_double("pace", 0.0);
   replay_cfg.stage_breakdown = cli.get_bool("stage-breakdown", false);
+  // The loopback server of an --http replay.
+  const bool http = cli.get_bool("http", false);
+  net::SelectionRoutesConfig routes_cfg;
+  net::ServerConfig server_cfg;
+  if (http) {
+    routes_cfg.worker_threads =
+        static_cast<std::size_t>(cli.get_int("http-threads", 2));
+    routes_cfg.deadline_ms = cli.get_double("deadline-ms", 0.0);
+    server_cfg.bind_address = "127.0.0.1";
+    server_cfg.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
+    server_cfg.loops = static_cast<std::size_t>(cli.get_int("loops", 1));
+    server_cfg.max_in_flight =
+        static_cast<std::size_t>(cli.get_int("max-in-flight", 0));
+    server_cfg.idle_timeout_s = cli.get_double("idle-timeout-s", 0.0);
+  }
+  const bool write_json = cli.has("json");
+  const std::string json_path = cli.get_string("json", "");
+  const double max_p99_ms = cli.get_double("max-p99-ms", 0.0);
+  start();
+
+  sim::TraceGenerator generator(spec, seed);
+  const std::vector<sim::Request> requests = generator.generate();
 
   std::printf("%s", spec.to_string().c_str());
   std::printf("seed %llu -> %zu requests\n",
@@ -568,7 +610,7 @@ int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
   std::fflush(stdout);
 
   sim::SimReport report;
-  if (cli.get_bool("http", false)) {
+  if (http) {
     // Loopback replay through the full HTTP tier: the service owner warms
     // directly (replay_http cannot), then a background thread runs the
     // server on an ephemeral port while this thread drives the clients.
@@ -577,18 +619,7 @@ int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
         service.warm(std::span<const serve::Query>(req.queries));
       }
     }
-    net::SelectionRoutesConfig routes_cfg;
-    routes_cfg.worker_threads =
-        static_cast<std::size_t>(cli.get_int("http-threads", 2));
-    routes_cfg.deadline_ms = cli.get_double("deadline-ms", 0.0);
     net::SelectionRoutes routes(service, routes_cfg);
-    net::ServerConfig server_cfg;
-    server_cfg.bind_address = "127.0.0.1";
-    server_cfg.port = static_cast<std::uint16_t>(cli.get_int("port", 0));
-    server_cfg.loops = static_cast<std::size_t>(cli.get_int("loops", 1));
-    server_cfg.max_in_flight =
-        static_cast<std::size_t>(cli.get_int("max-in-flight", 0));
-    server_cfg.idle_timeout_s = cli.get_double("idle-timeout-s", 0.0);
     net::Server server(routes.router(), server_cfg);
     routes.attach_server(&server);
     std::thread loop([&server] { server.run(); });
@@ -610,18 +641,16 @@ int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
   std::printf("source mix:\n%s", report.source_mix().c_str());
   print_stats(service);
 
-  if (cli.has("json")) {
-    const std::string path = cli.get_string("json", "");
-    std::ofstream out(path);
+  if (write_json) {
+    std::ofstream out(json_path);
     if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
     out << report.to_json();
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", json_path.c_str());
   }
 
-  const double max_p99_ms = cli.get_double("max-p99-ms", 0.0);
   if (max_p99_ms > 0.0) {
     for (const sim::PhaseStats& p : report.phases) {
       if (p.p99_us > max_p99_ms * 1000.0) {
@@ -660,14 +689,11 @@ int cmd_simulate(const support::Cli& cli, serve::SelectionService& service,
 }
 
 int cmd_profile(const support::Cli& cli, serve::SelectionService& service,
-                model::MachineModel&) {
+                model::MachineModel&, const Start& start) {
   const sim::TraceSpec spec = cli.has("trace")
                                   ? sim::load_trace(cli.get_string("trace", ""))
                                   : sim::default_trace();
   const std::uint64_t seed = cli.get_seed("seed", 1);
-  sim::TraceGenerator generator(spec, seed);
-  const std::vector<sim::Request> requests = generator.generate();
-
   // Full sampling: every request carries spans (and, when the hardware
   // allows, PMU deltas), into a ring big enough that the replay does not
   // overwrite itself. configure() drops prior tracer state, so the totals
@@ -677,11 +703,16 @@ int cmd_profile(const support::Cli& cli, serve::SelectionService& service,
   tc.sample_every =
       static_cast<std::uint32_t>(cli.get_int("sample", 1));
   tc.ring_capacity = 1 << 15;
-  obs::tracer().configure(tc);
-
   sim::ReplayConfig replay_cfg;
   replay_cfg.warm = cli.get_bool("warm", false);
   replay_cfg.stage_breakdown = true;
+  const bool write_json = cli.has("json");
+  const std::string json_path = cli.get_string("json", "");
+  start();
+
+  sim::TraceGenerator generator(spec, seed);
+  const std::vector<sim::Request> requests = generator.generate();
+  obs::tracer().configure(tc);
 
   std::printf("pmu: %s\n", obs::pmu_status().c_str());
   std::printf("seed %llu -> %zu requests, 1-in-%u sampled\n",
@@ -737,21 +768,20 @@ int cmd_profile(const support::Cli& cli, serve::SelectionService& service,
   std::printf("\n%s", report.to_string().c_str());
   print_stats(service);
 
-  if (cli.has("json")) {
-    const std::string path = cli.get_string("json", "");
-    std::ofstream out(path);
+  if (write_json) {
+    std::ofstream out(json_path);
     if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
     out << report.to_json();
-    std::printf("wrote %s\n", path.c_str());
+    std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;
 }
 
 using Command = int (*)(const support::Cli&, serve::SelectionService&,
-                        model::MachineModel&);
+                        model::MachineModel&, const Start&);
 
 /// Every subcommand that runs against a service; fsck runs without one.
 constexpr std::pair<std::string_view, Command> kCommands[] = {
@@ -800,14 +830,17 @@ int main(int argc, char** argv) {
 
   const std::string atlas_dir = cli.get_string("atlas-dir", "");
   std::unique_ptr<store::AtlasStore> atlas_store;
-  if (!atlas_dir.empty()) {
-    atlas_store = std::make_unique<store::AtlasStore>(atlas_dir);
-    const std::size_t adopted = service.warm_from_store(*atlas_store);
-    std::printf("atlas store %s: %zu slices adopted\n", atlas_dir.c_str(),
-                adopted);
-  }
+  const Start start = [&] {
+    cli.reject_unknown_flags();
+    if (!atlas_dir.empty()) {
+      atlas_store = std::make_unique<store::AtlasStore>(atlas_dir);
+      const std::size_t adopted = service.warm_from_store(*atlas_store);
+      std::printf("atlas store %s: %zu slices adopted\n", atlas_dir.c_str(),
+                  adopted);
+    }
+  };
 
-  const int rc = command(cli, service, *machine);
+  const int rc = command(cli, service, *machine, start);
   if (atlas_store != nullptr && rc == 0) {
     const std::size_t written = service.checkpoint(*atlas_store);
     std::printf("checkpointed %zu slices to %s\n", written, atlas_dir.c_str());

@@ -10,6 +10,14 @@ namespace {
 
 constexpr std::string_view kStepSeparator = "; ";
 
+SizeSource rows_of(int external) {
+  return {static_cast<std::uint16_t>(4 * external)};
+}
+
+SizeSource cols_of(int external) {
+  return {static_cast<std::uint16_t>(4 * external + SizeSource::kCols)};
+}
+
 }  // namespace
 
 Algorithm::Algorithm(std::string name) : name_(std::move(name)) {}
@@ -38,6 +46,8 @@ std::string Algorithm::temp_name(const std::string& hint) {
 int Algorithm::add_external(la::index_t rows, la::index_t cols,
                             std::string name) {
   LAMB_CHECK(steps_.empty(), "externals must be added before any step");
+  LAMB_CHECK(num_externals_ < SizeSource::kMaxExternals,
+             "too many externals");
   ++num_externals_;
   return add_operand(rows, cols, /*external=*/true, /*lower_only=*/false,
                      std::move(name));
@@ -78,20 +88,77 @@ KernelCall Algorithm::derive_call(KernelKind kind,
   return {};
 }
 
+std::array<SizeSource, 2> Algorithm::shape_sources(int id) const {
+  if (id < num_externals_) {
+    return {rows_of(id), cols_of(id)};
+  }
+  // Step i made operand num_externals_ + i, an m x n matrix.
+  const Step& producer = steps_[static_cast<std::size_t>(id - num_externals_)];
+  return {producer.sizes[0], producer.sizes[1]};
+}
+
+void Algorithm::fill_shape_table(Step& step) const {
+  // [0] rows, [1] cols, as derive_call() reads them.
+  const std::array<SizeSource, 2> a = shape_sources(step.inputs[0]);
+  // A pair of one size with itself holds at every shape (a tricopy's SYRK
+  // input is square, A * A' has equal inner sizes), so it is not kept.
+  std::size_t pairs = 0;
+  const auto require_equal = [&](SizeSource lhs, SizeSource rhs) {
+    if (lhs != rhs) {
+      step.equal_sizes[pairs++] = {lhs, rhs};
+    }
+  };
+  switch (step.call.kind) {
+    case KernelKind::kGemm: {
+      const std::array<SizeSource, 2> b = shape_sources(step.inputs[1]);
+      const SizeSource inner = a[step.call.trans_a ? 0 : 1];
+      step.sizes = {a[step.call.trans_a ? 1 : 0], b[step.call.trans_b ? 0 : 1],
+                    inner};
+      require_equal(inner, b[step.call.trans_b ? 1 : 0]);
+      return;
+    }
+    case KernelKind::kSyrk:
+      step.sizes = {a[0], a[0], a[1]};
+      return;
+    case KernelKind::kTriCopy:
+      step.sizes = {a[0], a[0], SizeSource{}};
+      require_equal(a[0], a[1]);
+      return;
+    case KernelKind::kSymm: {
+      const std::array<SizeSource, 2> b = shape_sources(step.inputs[1]);
+      step.sizes = {a[0], b[1], a[0]};
+      require_equal(a[0], a[1]);
+      require_equal(b[0], a[0]);
+      return;
+    }
+  }
+}
+
+la::index_t Algorithm::size_of(SizeSource source) const {
+  // The constant 0 reads external 0, which every algorithm with a step has.
+  const Operand& external = operands_[source.code >> 2U];
+  const la::index_t size =
+      (source.code & SizeSource::kCols) != 0 ? external.cols : external.rows;
+  return (source.code & SizeSource::kZero) != 0 ? 0 : size;
+}
+
 int Algorithm::append_step(KernelKind kind, std::array<int, 2> inputs,
                            bool trans_a, bool trans_b, std::string name) {
-  const KernelCall call = derive_call(kind, inputs, trans_a, trans_b);
+  Step step;
+  step.call = derive_call(kind, inputs, trans_a, trans_b);
+  step.inputs = inputs;
+  fill_shape_table(step);
   // Every kind's output is m x n (SYRK and tricopy store m in n).
-  const int out = add_operand(call.m, call.n, false,
-                              /*lower_only=*/kind == KernelKind::kSyrk,
-                              temp_name(name));
-  steps_.push_back(Step{call, inputs, out});
+  step.output = add_operand(step.call.m, step.call.n, false,
+                            /*lower_only=*/kind == KernelKind::kSyrk,
+                            temp_name(name));
+  steps_.push_back(step);
   if (steps_.size() > 1) {
     signature_state_ = support::fnv1a64(kStepSeparator, signature_state_);
   }
   signature_state_ = support::fnv1a64(step_text(steps_.back()),
                                       signature_state_);
-  return out;
+  return step.output;
 }
 
 int Algorithm::add_gemm(int a, int b, bool trans_a, bool trans_b,
@@ -125,11 +192,22 @@ void Algorithm::rebind(std::span<const Shape> external_shapes) {
     operands_[i].rows = s.rows;
     operands_[i].cols = s.cols;
   }
-  // Steps only consume operands produced before them, so one forward pass
-  // sees every input already re-shaped.
-  for (Step& step : steps_) {
-    step.call = derive_call(step.call.kind, step.inputs, step.call.trans_a,
-                            step.call.trans_b);
+  // Every source names an external, which has its new shape now.
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    Step& step = steps_[i];
+    for (const auto& [lhs, rhs] : step.equal_sizes) {
+      if (lhs == rhs) {
+        break;  // the pairs kept come first
+      }
+      LAMB_CHECK(size_of(lhs) == size_of(rhs),
+                 support::strf("rebind: step %zu (%s) does not conform at "
+                               "the new shapes: %s",
+                               i + 1, to_string(step.call.kind).data(),
+                               step_text(step).c_str()));
+    }
+    step.call.m = size_of(step.sizes[0]);
+    step.call.n = size_of(step.sizes[1]);
+    step.call.k = size_of(step.sizes[2]);
     Operand& out = operands_[static_cast<std::size_t>(step.output)];
     out.rows = step.call.m;
     out.cols = step.call.n;

@@ -7,8 +7,15 @@
 // The builder API (add_gemm/add_syrk/...) derives the call shapes from the
 // operand shapes and validates conformance, so an Algorithm is correct by
 // construction and can be executed generically (model/executor.hpp).
-// rebind() re-derives every shape from new external shapes by the same
-// rules, so one built algorithm serves every instance of its expression.
+//
+// One built algorithm serves every instance of its expression: rebind()
+// gives the externals new shapes. Every size of a step is a size of an
+// external (a temporary's sizes are the sizes of the step that made it), so
+// the builder records, per step, which external's rows or cols each of the
+// call's m, n and k copies, and which pairs of them its conformance rules
+// compare. rebind() checks those pairs and copies the sizes by index; the
+// rules that depend on no size (lower-only inputs) held when the step was
+// built and hold at every shape.
 #pragma once
 
 #include <array>
@@ -37,12 +44,35 @@ struct Shape {
   la::index_t cols = 0;
 };
 
+/// A size that rebind() copies: the rows or the cols of an external
+/// operand, or the constant 0 (a tricopy's k).
+struct SizeSource {
+  static constexpr std::uint16_t kCols = 2;
+  static constexpr std::uint16_t kZero = 1;
+  /// External ids a source can name.
+  static constexpr int kMaxExternals = 1 << 14;
+
+  /// 4 * external id, plus kCols for its cols; kZero alone for the
+  /// constant 0.
+  std::uint16_t code = kZero;
+
+  friend bool operator==(SizeSource, SizeSource) = default;
+};
+
 struct Step {
   KernelCall call;
   /// Operand ids consumed; a one-input kernel (SYRK, tricopy) leaves the
   /// second at -1. Held inline, so copying a step allocates nothing.
   std::array<int, 2> inputs = {-1, -1};
   int output = -1;  ///< operand id produced
+  /// The step's shape table, filled by the builder: the sources of call.m,
+  /// call.n and call.k (the output operand is m x n), ...
+  std::array<SizeSource, 3> sizes;
+  /// ... and the pairs of sizes its conformance rules require equal:
+  /// GEMM's inner sizes; the rows and cols of a tricopy's input or of
+  /// SYMM's A; SYMM's B rows and A rows. Only pairs of two different
+  /// sources are kept, first; a pair of two constant zeros fills the rest.
+  std::array<std::array<SizeSource, 2>, 2> equal_sizes;
 };
 
 class Algorithm {
@@ -68,10 +98,11 @@ class Algorithm {
   /// Append C := a_sym * b where a_sym is symmetric (lower triangle read).
   int add_symm(int a_sym, int b, std::string name = {});
 
-  /// Give external i the shape `external_shapes[i]` and re-derive every
-  /// temporary's shape and every KernelCall from them, with the builder's
-  /// shape rules and conformance checks (CheckError when the new shapes do
-  /// not conform). Names, structure and signature_hash() do not change.
+  /// Give external i the shape `external_shapes[i]`, and every temporary
+  /// and every KernelCall the sizes that the shape table copies from them.
+  /// Throws CheckError, naming the step and its kind, when the new shapes
+  /// break a conformance rule. Names, structure and signature_hash() do not
+  /// change, and nothing is allocated.
   void rebind(std::span<const Shape> external_shapes);
 
   const std::vector<Operand>& operands() const { return operands_; }
@@ -96,10 +127,16 @@ class Algorithm {
                   bool lower_only, std::string name);
   const Operand& operand(int id) const;
   std::string temp_name(const std::string& hint);
-  /// The call a step of `kind` makes on `inputs`: the shape rules and
-  /// conformance checks shared by the add_* builders and rebind().
+  /// The call a step of `kind` makes on `inputs`, with the builder's shape
+  /// rules and conformance checks.
   KernelCall derive_call(KernelKind kind, const std::array<int, 2>& inputs,
                          bool trans_a, bool trans_b) const;
+  /// The sources of operand `id`'s rows and cols.
+  std::array<SizeSource, 2> shape_sources(int id) const;
+  /// Fills `step`'s shape table by derive_call()'s rules.
+  void fill_shape_table(Step& step) const;
+  /// The size `source` names, at the externals' current shapes.
+  la::index_t size_of(SizeSource source) const;
   /// Appends the step and its output operand, and feeds its rendering to
   /// the signature hash.
   int append_step(KernelKind kind, std::array<int, 2> inputs, bool trans_a,

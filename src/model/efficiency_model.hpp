@@ -64,8 +64,9 @@ struct EfficiencyParams {
   SyrkEfficiencyParams syrk;
   SymmEfficiencyParams symm;
 
-  /// Defaults calibrated to reproduce the qualitative structure of the
-  /// paper's Figures 1, 8 and 11 (see DESIGN.md).
+  /// Defaults tuned by eye to the qualitative shape of the paper's Figures
+  /// 1, 8 and 11. Fitting them to the paper's numbers is an open item of
+  /// ROADMAP.md ("Close the gap to the paper's numbers").
   static EfficiencyParams xeon_like() { return {}; }
 
   /// A machine whose kernels all run at the same flat efficiency. On such a

@@ -13,7 +13,9 @@
 //   avx512  eight steps per vector: the hash chain, the ten draws and the
 //           median network lane-wise, with the reference's IEEE operations
 //           in the reference's order, so every factor has the same bits
-//           (AVX-512F+DQ; compiled on x86-64)
+//           (AVX-512F+DQ; compiled on x86-64). The hash chains of all the
+//           batch's groups of eight run side by side, link by link, so their
+//           multiply latencies overlap; then each group is drawn and sorted.
 //
 // The tier follows LAMB_KERNEL: "scalar" and "avx2" select scalar noise;
 // "avx512" and "auto" select the vector tier where the CPU has AVX-512DQ.

@@ -11,6 +11,13 @@
 // off: fused into an FMA, a draw's multiply and add round once instead of
 // twice, and some factors move in the last bit.
 //
+// The hash chain of a step's measurement stream is five dependent links of
+// two multiplies each, so one group's chain is a wait. The kernel therefore
+// runs the chains of every group in the batch side by side, link by link,
+// and only then draws, sorts and stores each group: up to eight independent
+// chains overlap their multiply latency. (A batch of one group has nothing
+// to overlap.)
+//
 // A group of fewer than eight steps is masked: its loads read, and its
 // store writes, only the lanes below n.
 #include <immintrin.h>
@@ -64,15 +71,10 @@ __m512i hash_combine_mixed(__m512i seed, __m512i seed_term,
       _mm512_xor_si512(seed, _mm512_add_epi64(mixed_value, seed_term)));
 }
 
-/// The factors of lanes [j, j + 8) of `batch`, masked to `lanes`.
-void noise_group(const NoiseBatch& batch, std::size_t j, __mmask8 lanes,
-                 double jitter, double* factors) {
-  __m512i stream = _mm512_maskz_loadu_epi64(lanes, &batch.context[j]);
-  for (const auto& link : batch.links) {
-    const __m512i value = _mm512_maskz_loadu_epi64(lanes, &link[j]);
-    stream = hash_combine_mixed(stream, hash_seed_term(stream), mix64(value));
-  }
-
+/// Eight steps' factors from their measurement streams: the ten draws and
+/// the median network, lane-wise. Stores the lanes in `lanes` to `factors`.
+void draw_group(__m512i stream, __mmask8 lanes, double jitter,
+                double* factors) {
   const __m512i seed_term = hash_seed_term(stream);
   const __m512d one = _mm512_set1_pd(1.0);
   const __m512d amplitude = _mm512_set1_pd(jitter);
@@ -104,16 +106,32 @@ void noise_group(const NoiseBatch& batch, std::size_t j, __mmask8 lanes,
   });
   const __m512d median = _mm512_mul_pd(
       _mm512_set1_pd(0.5), _mm512_add_pd(draws[4], draws[5]));
-  _mm512_mask_storeu_pd(factors + j, lanes, median);
+  _mm512_mask_storeu_pd(factors, lanes, median);
 }
 
 void avx512_noise(const NoiseBatch& batch, std::size_t n, double jitter,
                   double* factors) {
-  for (std::size_t j = 0; j < n; j += 8) {
-    const std::size_t rest = n - j;
-    const __mmask8 lanes =
-        rest >= 8 ? kAllLanes : static_cast<__mmask8>((1u << rest) - 1u);
-    noise_group(batch, j, lanes, jitter, factors);
+  constexpr std::size_t kGroups = kNoiseBatch / 8;
+  const std::size_t groups = (n + 7) / 8;
+  const std::size_t full = n / 8;
+  const auto tail = static_cast<__mmask8>((1u << (n % 8)) - 1u);
+  const auto lanes = [full, tail](std::size_t g) {
+    return g < full ? kAllLanes : tail;
+  };
+  // Link by link, every group's chain advances side by side (see above).
+  __m512i streams[kGroups] = {};
+  for (std::size_t g = 0; g < groups; ++g) {
+    streams[g] = _mm512_maskz_loadu_epi64(lanes(g), &batch.context[8 * g]);
+  }
+  for (const auto& link : batch.links) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      const __m512i value = _mm512_maskz_loadu_epi64(lanes(g), &link[8 * g]);
+      streams[g] = hash_combine_mixed(streams[g], hash_seed_term(streams[g]),
+                                      mix64(value));
+    }
+  }
+  for (std::size_t g = 0; g < groups; ++g) {
+    draw_group(streams[g], lanes(g), jitter, factors + 8 * g);
   }
 }
 

@@ -35,38 +35,38 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool Cli::has(const std::string& name) const {
-  return flags_.count(name) > 0;
+  return find(name) != nullptr;
 }
 
 std::string Cli::get_string(const std::string& name,
                             const std::string& default_value) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? default_value : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 long long Cli::get_int(const std::string& name, long long default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return default_value;
-  }
-  return std::stoll(it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : std::stoll(*value);
 }
 
 double Cli::get_double(const std::string& name, double default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return default_value;
-  }
-  return std::stod(it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : std::stod(*value);
 }
 
 bool Cli::get_bool(const std::string& name, bool default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
+  const std::string* value = find(name);
+  if (value == nullptr) {
     return default_value;
   }
-  const std::string& v = it->second;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes" || v == "on") {
     return true;
   }
@@ -79,11 +79,24 @@ bool Cli::get_bool(const std::string& name, bool default_value) const {
 
 std::uint64_t Cli::get_seed(const std::string& name,
                             std::uint64_t default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
-    return default_value;
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : std::stoull(*value);
+}
+
+void Cli::reject_unknown_flags() const {
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) > 0) {
+      continue;
+    }
+    std::string known;
+    for (const std::string& r : read_) {
+      known += (known.empty() ? "--" : ", --") + r;
+    }
+    throw std::invalid_argument(
+        program_ + ": unknown flag --" + name + "; " +
+        (known.empty() ? "it takes no flags here"
+                       : "the flags it reads here are " + known));
   }
-  return std::stoull(it->second);
 }
 
 }  // namespace lamb::support

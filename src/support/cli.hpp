@@ -1,9 +1,15 @@
 // Tiny command-line flag parser shared by the bench and example binaries.
 // Supports --name=value, --name value, and boolean --name / --no-name.
+//
+// Flags are strict: the getters and has() record each name they read, and
+// a main calls reject_unknown_flags() after the last getter of the path it
+// takes. A misspelt flag, or one that path never reads, then stops the
+// program before it runs a configuration nobody asked for.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +29,10 @@ class Cli {
   std::uint64_t get_seed(const std::string& name,
                          std::uint64_t default_value) const;
 
+  /// Throws std::invalid_argument naming the first given flag that no
+  /// getter or has() has read, and listing the flags that were read.
+  void reject_unknown_flags() const;
+
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -30,9 +40,14 @@ class Cli {
   const std::string& program() const { return program_; }
 
  private:
+  /// Records `name` as read and returns its value, or nullptr when absent.
+  const std::string* find(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  /// Every name a getter or has() was asked for.
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace lamb::support

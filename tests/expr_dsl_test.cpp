@@ -337,6 +337,129 @@ TEST(Algorithm, RebindRejectsNonConformingShapes) {
   EXPECT_THROW(algs[0].rebind(too_few), support::CheckError);
 }
 
+/// Sizes d0, d1, ... of a hand-built algorithm.
+using Dims = std::vector<la::index_t>;
+
+/// Hand-built algorithms over the dims: between them every kind, both GEMM
+/// transposes, SYRK -> tricopy -> GEMM and SYMM on a SYRK output.
+model::Algorithm hand_built(int recipe, const Dims& d) {
+  model::Algorithm alg("recipe" + std::to_string(recipe));
+  switch (recipe) {
+    case 0: {  // X := full(syrk(A)) * B^T, then Y := X^T * A
+      const int a = alg.add_external(d[0], d[1], "A");
+      const int b = alg.add_external(d[2], d[0], "B");
+      const int m = alg.add_syrk(a);
+      const int mf = alg.add_tricopy(m);
+      const int x = alg.add_gemm(mf, b, false, true, "X");
+      alg.add_gemm(x, a, true, false, "Y");
+      break;
+    }
+    case 1: {  // X := symm(syrk(A) * B), then Y := X * C
+      const int a = alg.add_external(d[0], d[1], "A");
+      const int b = alg.add_external(d[0], d[2], "B");
+      const int c = alg.add_external(d[2], d[3], "C");
+      const int x = alg.add_symm(alg.add_syrk(a), b, "X");
+      alg.add_gemm(x, c, false, false, "Y");
+      break;
+    }
+    case 2: {  // M1 := A^T * B^T; M2 := M1 * C^T; X := D^T * M2
+      const int a = alg.add_external(d[1], d[0], "A");
+      const int b = alg.add_external(d[2], d[1], "B");
+      const int c = alg.add_external(d[3], d[2], "C");
+      const int dd = alg.add_external(d[0], d[4], "D");
+      const int m1 = alg.add_gemm(a, b, true, true);
+      const int m2 = alg.add_gemm(m1, c, false, true);
+      alg.add_gemm(dd, m2, true, false, "X");
+      break;
+    }
+    case 3: {  // X := symm(S * B) with an external symmetric S; Y := A * X
+      const int s = alg.add_external(d[0], d[0], "S");
+      const int b = alg.add_external(d[0], d[1], "B");
+      const int a = alg.add_external(d[2], d[0], "A");
+      alg.add_gemm(a, alg.add_symm(s, b), false, false, "Y");
+      break;
+    }
+  }
+  return alg;
+}
+
+constexpr int kRecipes = 4;
+constexpr std::size_t kRecipeDims = 5;
+
+std::vector<model::Shape> external_shapes(const model::Algorithm& alg) {
+  std::vector<model::Shape> shapes;
+  for (int i = 0; i < alg.num_externals(); ++i) {
+    const model::Operand& o = alg.operands()[static_cast<std::size_t>(i)];
+    shapes.push_back({o.rows, o.cols});
+  }
+  return shapes;
+}
+
+TEST(Algorithm, RebindEqualsAFreshBuild) {
+  support::Rng rng(31);
+  std::vector<Dims> instances = {Dims(kRecipeDims, 1), Dims(kRecipeDims, 7),
+                                 {1, 9, 1, 9, 1}, {2, 3, 4, 5, 6}};
+  for (int i = 0; i < 40; ++i) {
+    Dims d(kRecipeDims);
+    for (auto& x : d) {
+      // Small sizes, so that many instances hold equal ones.
+      x = rng.uniform_int(1, i < 20 ? 4 : 300);
+    }
+    instances.push_back(d);
+  }
+  for (int recipe = 0; recipe < kRecipes; ++recipe) {
+    model::Algorithm alg = hand_built(recipe, {11, 12, 13, 14, 15});
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const model::Algorithm fresh = hand_built(recipe, instances[i]);
+      alg.rebind(external_shapes(fresh));
+      expect_same_algorithm(alg, fresh,
+                            "recipe " + std::to_string(recipe) +
+                                " instance " + std::to_string(i));
+    }
+  }
+}
+
+/// rebind() to `shapes` throws a CheckError that names `step` ("step N
+/// (kind)"); a conforming rebind afterwards still equals a fresh build.
+void expect_rejected(int recipe, const std::vector<model::Shape>& shapes,
+                     const std::string& step) {
+  model::Algorithm alg = hand_built(recipe, {2, 3, 4, 5, 6});
+  try {
+    alg.rebind(shapes);
+    ADD_FAILURE() << "recipe " << recipe << ": non-conforming shapes bound";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(step), std::string::npos)
+        << e.what();
+  }
+  const model::Algorithm fresh = hand_built(recipe, {7, 8, 9, 10, 11});
+  alg.rebind(external_shapes(fresh));
+  expect_same_algorithm(alg, fresh, "after a rejected rebind");
+}
+
+TEST(Algorithm, RebindRejectsEachBrokenRuleAlone) {
+  // GEMM inner sizes: recipe 2's A^T * B^T needs A rows == B cols.
+  expect_rejected(2, {{3, 2}, {4, 5}, {5, 4}, {2, 6}}, "step 1 (gemm)");
+  // ... and M1 * C^T needs B rows == C cols.
+  expect_rejected(2, {{3, 2}, {4, 3}, {5, 9}, {2, 6}}, "step 2 (gemm)");
+  // SYMM's A must be square: S is 3 x 4; B's rows match S's rows.
+  expect_rejected(3, {{3, 4}, {3, 5}, {6, 3}}, "step 1 (symm)");
+  // SYMM's B rows must match A's: S is 3 x 3, B has 4 rows.
+  expect_rejected(3, {{3, 3}, {4, 5}, {6, 3}}, "step 1 (symm)");
+  // SYMM on a SYRK output: B's rows must match A's rows.
+  expect_rejected(1, {{3, 2}, {4, 5}, {5, 6}}, "step 2 (symm)");
+  // A tricopy reads a SYRK output, square at every shape: its one rule
+  // compares a size with itself, so the table keeps no pair for it (the
+  // first slot holds two constant zeros), and only the builder can break
+  // it.
+  const model::Algorithm alg = hand_built(0, {2, 3, 4, 5, 6});
+  const model::Step& tricopy = alg.steps()[1];
+  ASSERT_EQ(tricopy.call.kind, KernelKind::kTriCopy);
+  EXPECT_EQ(tricopy.equal_sizes[0][0], tricopy.equal_sizes[0][1]);
+  model::Algorithm builder("t");
+  EXPECT_THROW(builder.add_tricopy(builder.add_external(3, 4, "A")),
+               support::CheckError);
+}
+
 TEST(DslFamily, FactorsConformingOnlyAtSomeInstancesRejected) {
   // A(d0 x d1) * B(d2 x d0) conforms only where d1 == d2.
   const ExprPtr a = Expr::operand("A", 0, 1);

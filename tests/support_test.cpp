@@ -13,6 +13,7 @@
 #include <fstream>
 #include <list>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -604,6 +605,59 @@ TEST(Cli, DoubleAndSeed) {
   Cli cli(3, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("threshold", 0.0), 0.25);
   EXPECT_EQ(cli.get_seed("seed", 0), 77u);
+}
+
+TEST(Cli, EveryGivenFlagReadPassesTheStrictCheck) {
+  const char* argv[] = {"prog", "pos",     "--a=1",    "--b", "2",
+                        "--c",  "--no-d",  "--e=0.5", "--f=9", "--g=x"};
+  const Cli cli(10, argv);
+  EXPECT_EQ(cli.get_int("a", 0), 1);
+  EXPECT_EQ(cli.get_string("b", ""), "2");
+  EXPECT_TRUE(cli.get_bool("c", false));
+  EXPECT_FALSE(cli.get_bool("d", true));
+  EXPECT_DOUBLE_EQ(cli.get_double("e", 0.0), 0.5);
+  EXPECT_EQ(cli.get_seed("f", 0), 9u);
+  EXPECT_TRUE(cli.has("g"));  // has() counts as a read
+  // Reading an absent flag is fine; positional arguments are not flags.
+  EXPECT_EQ(cli.get_int("absent", 4), 4);
+  EXPECT_NO_THROW(cli.reject_unknown_flags());
+
+  const char* none[] = {"prog", "pos"};
+  EXPECT_NO_THROW(Cli(2, none).reject_unknown_flags());
+}
+
+TEST(Cli, StrictCheckNamesAnUnreadFlagAndListsTheReadOnes) {
+  const char* argv[] = {"prog", "--anomlies=3", "--seed=2"};
+  const Cli cli(3, argv);
+  EXPECT_EQ(cli.get_int("anomalies", 100), 100);  // the misspelling is unseen
+  EXPECT_EQ(cli.get_seed("seed", 1), 2u);
+  try {
+    cli.reject_unknown_flags();
+    FAIL() << "an unread flag passed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--anomlies"), std::string::npos) << what;
+    EXPECT_NE(what.find("--anomalies, --seed"), std::string::npos) << what;
+  }
+
+  // A flag that the path taken never reads fails too, even when another
+  // path would read it.
+  const char* unread[] = {"prog", "--repetitions=3"};
+  const Cli quiet(2, unread);
+  EXPECT_FALSE(quiet.get_bool("real", false));
+  EXPECT_THROW(quiet.reject_unknown_flags(), std::invalid_argument);
+  EXPECT_EQ(quiet.get_int("repetitions", 5), 3);
+  EXPECT_NO_THROW(quiet.reject_unknown_flags());
+
+  // A main that reads nothing says so.
+  const char* stray[] = {"prog", "--x"};
+  try {
+    Cli(2, stray).reject_unknown_flags();
+    FAIL() << "an unread flag passed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("takes no flags"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Endian, RoundTripsAndLaysOutLittleEndian) {
