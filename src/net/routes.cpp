@@ -1,10 +1,12 @@
 #include "net/routes.hpp"
 
+#include <array>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <future>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "blas/microkernel.hpp"
@@ -101,6 +103,36 @@ Response csv_response(std::string body) {
   r.body = std::move(body);
   return r;
 }
+
+/// The per-stage PMU counter families, in /metrics order.
+struct PmuFamily {
+  const char* name;
+  const char* help;
+  std::uint64_t obs::PmuStageTotals::*total;
+};
+constexpr PmuFamily kPmuFamilies[] = {
+    {"lamb_pmu_samples_total", "Sampled spans with PMU attribution, by stage.",
+     &obs::PmuStageTotals::samples},
+    {"lamb_pmu_cycles_total",
+     "CPU cycles attributed to sampled spans, by stage.",
+     &obs::PmuStageTotals::cycles},
+    {"lamb_pmu_instructions_total",
+     "Instructions retired in sampled spans, by stage.",
+     &obs::PmuStageTotals::instructions},
+    {"lamb_pmu_llc_loads_total",
+     "Last-level-cache read accesses in sampled spans, by stage.",
+     &obs::PmuStageTotals::llc_loads},
+    {"lamb_pmu_llc_misses_total",
+     "Last-level-cache read misses in sampled spans, by stage.",
+     &obs::PmuStageTotals::llc_misses},
+    {"lamb_pmu_stalled_backend_total",
+     "Backend-stalled cycles in sampled spans, by stage.",
+     &obs::PmuStageTotals::stalled_backend},
+    {"lamb_pmu_flops_total",
+     "Declared floating-point operations of PMU-attributed spans, by stage "
+     "(2mnk per gemm).",
+     &obs::PmuStageTotals::flops},
+};
 
 }  // namespace
 
@@ -435,386 +467,249 @@ Response SelectionRoutes::debug_sample_rate_response(const Request& request) {
 
 Response SelectionRoutes::metrics_response() const {
   const serve::ServiceStats s = service_.stats();
-  // The exposition contract (every family announces # HELP and # TYPE
-  // before its first series; counters integral, gauges fractional) lives
-  // in support::MetricsWriter and is pinned by scripts/metrics_lint.sh.
+  // Whole-server aggregate: every reactor's counters merged into one
+  // snapshot (histograms merge exactly — bucket-wise integer adds).
+  const HttpStatsSnapshot http =
+      server_ != nullptr ? server_->stats() : HttpStatsSnapshot{};
+  // Each call below declares the family it emits (support/metrics.hpp).
+  // scripts/metrics_lint.sh checks the exposition, and net_test pins the
+  // families' order and kinds.
   support::MetricsWriter w(8192);
 
-  w.family("lamb_selection_answers_total", "counter",
-           "Answers by source.");
-  w.counter("lamb_selection_answers_total", "{source=\"cache\"}",
-            s.cache_answers);
-  w.counter("lamb_selection_answers_total", "{source=\"atlas\"}",
-            s.atlas_answers);
-  w.counter("lamb_selection_answers_total", "{source=\"measured\"}",
-            s.measured_queries);
-  w.counter("lamb_selection_answers_total", "{source=\"fallback\"}",
-            s.degraded_answers);
+  auto answers =
+      w.counter_family("lamb_selection_answers_total", "Answers by source.");
+  answers.add("{source=\"cache\"}", s.cache_answers);
+  answers.add("{source=\"atlas\"}", s.atlas_answers);
+  answers.add("{source=\"measured\"}", s.measured_queries);
+  answers.add("{source=\"fallback\"}", s.degraded_answers);
 
-  w.family("lamb_selection_cache_hits_total", "counter",
-           "Recommendation-cache hits.");
-  w.counter("lamb_selection_cache_hits_total", s.cache_hits);
-  w.family("lamb_selection_cache_misses_total", "counter",
-           "Recommendation-cache misses.");
-  w.counter("lamb_selection_cache_misses_total", s.cache_misses);
-  w.family("lamb_selection_cache_hit_ratio", "gauge",
-           "Cache hits over lookups since start.");
+  w.counter("lamb_selection_cache_hits_total", "Recommendation-cache hits.",
+            s.cache_hits);
+  w.counter("lamb_selection_cache_misses_total",
+            "Recommendation-cache misses.", s.cache_misses);
   const std::uint64_t lookups = s.cache_hits + s.cache_misses;
   w.gauge("lamb_selection_cache_hit_ratio",
+          "Cache hits over lookups since start.",
           lookups == 0 ? 0.0
                        : static_cast<double>(s.cache_hits) /
                              static_cast<double>(lookups));
 
-  w.family("lamb_selection_atlases_built_total", "counter",
-           "Region atlases built.");
-  w.counter("lamb_selection_atlases_built_total", s.atlases_built);
-  w.family("lamb_selection_atlases_loaded_total", "counter",
-           "Region atlases loaded from disk.");
-  w.counter("lamb_selection_atlases_loaded_total", s.atlases_loaded);
-  w.family("lamb_selection_atlases_skipped_total", "counter",
-           "Atlas files skipped at warm-up: older format version (rebuilt "
-           "on first query), or corrupt and quarantine failed.");
-  w.counter("lamb_selection_atlases_skipped_total", s.atlases_skipped);
-  w.family("lamb_selection_atlases_quarantined_total", "counter",
-           "Corrupt atlas files renamed aside (*.corrupt) at warm-up.");
+  w.counter("lamb_selection_atlases_built_total", "Region atlases built.",
+            s.atlases_built);
+  w.counter("lamb_selection_atlases_loaded_total",
+            "Region atlases loaded from disk.", s.atlases_loaded);
+  w.counter("lamb_selection_atlases_skipped_total",
+            "Atlas files skipped at warm-up: older format version (rebuilt "
+            "on first query), or corrupt and quarantine failed.",
+            s.atlases_skipped);
   w.counter("lamb_selection_atlases_quarantined_total",
+            "Corrupt atlas files renamed aside (*.corrupt) at warm-up.",
             s.atlases_quarantined);
-  w.family("lamb_selection_atlas_samples_total", "counter",
-           "Measurements taken while building atlases.");
   w.counter("lamb_selection_atlas_samples_total",
-            static_cast<std::uint64_t>(s.atlas_samples < 0
-                                           ? 0
-                                           : s.atlas_samples));
-  w.family("lamb_selection_batch_calls_total", "counter",
-           "query_batch() calls.");
-  w.counter("lamb_selection_batch_calls_total", s.batch_calls);
-  w.family("lamb_selection_batch_queries_total", "counter",
-           "Queries carried by batch calls.");
-  w.counter("lamb_selection_batch_queries_total", s.batch_queries);
-  w.family("lamb_selection_async_calls_total", "counter",
-           "query_async() calls.");
-  w.counter("lamb_selection_async_calls_total", s.async_calls);
-
-  w.family("lamb_selection_refresh_rounds_total", "counter",
-           "Atlas refresh rounds.");
-  w.counter("lamb_selection_refresh_rounds_total", s.refresh_rounds);
-  w.family("lamb_selection_slices_refreshed_total", "counter",
-           "Slices rebuilt by refresh rounds.");
-  w.counter("lamb_selection_slices_refreshed_total", s.slices_refreshed);
-
-  // These three are gauges (they go up AND down) and are emitted as such —
-  // they used to ride the counter helper, which a typed writer forbids.
-  w.family("lamb_selection_atlas_count", "gauge",
-           "Resident region atlases.");
-  w.gauge("lamb_selection_atlas_count",
+            "Measurements taken while building atlases.",
+            static_cast<std::uint64_t>(
+                s.atlas_samples < 0 ? 0 : s.atlas_samples));
+  w.counter("lamb_selection_batch_calls_total", "query_batch() calls.",
+            s.batch_calls);
+  w.counter("lamb_selection_batch_queries_total",
+            "Queries carried by batch calls.", s.batch_queries);
+  w.counter("lamb_selection_async_calls_total", "query_async() calls.",
+            s.async_calls);
+  w.counter("lamb_selection_refresh_rounds_total", "Atlas refresh rounds.",
+            s.refresh_rounds);
+  w.counter("lamb_selection_slices_refreshed_total",
+            "Slices rebuilt by refresh rounds.", s.slices_refreshed);
+  w.gauge("lamb_selection_atlas_count", "Resident region atlases.",
           static_cast<double>(service_.atlas_count()));
-  w.family("lamb_selection_cache_size", "gauge",
-           "Entries in the recommendation cache.");
-  w.gauge("lamb_selection_cache_size",
+  w.gauge("lamb_selection_cache_size", "Entries in the recommendation cache.",
           static_cast<double>(service_.cache_size()));
 
   // Robustness families: how much of the load is riding the degraded path,
   // what was shed, which slices the circuit breaker is holding open, and
   // what the fault registry has actually injected. All present even at
   // zero, so dashboards and the chaos smoke can assert on them by name.
-  w.family("lamb_answers_degraded_total", "counter",
-           "Answers served from the flop-minimal fallback instead of an "
-           "atlas (build failed, breaker open, queue shed or deadline).");
-  w.counter("lamb_answers_degraded_total", s.degraded_answers);
+  w.counter("lamb_answers_degraded_total",
+            "Answers served from the flop-minimal fallback instead of an "
+            "atlas (build failed, breaker open, queue shed or deadline).",
+            s.degraded_answers);
+  auto shed = w.counter_family(
+      "lamb_shed_total",
+      "Requests shed instead of served, by reason: admission = 503 before "
+      "parse, build_queue = fallback instead of a queued build, deadline = "
+      "504 past the query deadline.");
+  shed.add("{reason=\"admission\"}", http.requests_shed);
+  shed.add("{reason=\"build_queue\"}", s.builds_shed);
+  shed.add("{reason=\"deadline\"}",
+           deadline_hits_.load(std::memory_order_relaxed));
 
-  std::uint64_t admission_shed = 0;
-  if (server_ != nullptr) {
-    for (std::size_t i = 0; i < server_->loops(); ++i) {
-      admission_shed += server_->loop_stats(i).requests_shed.load(
-          std::memory_order_relaxed);
-    }
-  }
-  w.family("lamb_shed_total", "counter",
-           "Requests shed instead of served, by reason: admission = 503 "
-           "before parse, build_queue = fallback instead of a queued "
-           "build, deadline = 504 past the query deadline.");
-  w.counter("lamb_shed_total", "{reason=\"admission\"}", admission_shed);
-  w.counter("lamb_shed_total", "{reason=\"build_queue\"}", s.builds_shed);
-  w.counter("lamb_shed_total", "{reason=\"deadline\"}",
-            deadline_hits_.load(std::memory_order_relaxed));
-
-  w.family("lamb_breaker_opens_total", "counter",
-           "Circuit-breaker open transitions across all slices.");
-  w.counter("lamb_breaker_opens_total", s.breaker_opens);
+  w.counter("lamb_breaker_opens_total",
+            "Circuit-breaker open transitions across all slices.",
+            s.breaker_opens);
   const auto breakers = service_.breaker_states();
   if (!breakers.empty()) {
-    w.family("lamb_breaker_state", "gauge",
-             "Per-slice breaker state: 1 open, 0.5 half-open probe, 0 "
-             "failing but closed. Healthy slices carry no series.");
+    auto state = w.gauge_family(
+        "lamb_breaker_state",
+        "Per-slice breaker state: 1 open, 0.5 half-open probe, 0 failing "
+        "but closed. Healthy slices carry no series.");
     for (const auto& b : breakers) {
-      w.gauge("lamb_breaker_state",
-              support::strf("{slice=\"%s\"}", b.slice.c_str()).c_str(),
-              b.state);
+      state.add(support::strf("{slice=\"%s\"}", b.slice.c_str()), b.state);
     }
   }
 
-  w.family("lamb_fault_injected_total", "counter",
-           "Faults fired by the LAMB_FAULT registry, by site (all zero "
-           "when injection is disarmed).");
+  auto faults = w.counter_family(
+      "lamb_fault_injected_total",
+      "Faults fired by the LAMB_FAULT registry, by site (all zero when "
+      "injection is disarmed).");
   for (std::size_t i = 0; i < support::kFaultSiteCount; ++i) {
     const auto site = static_cast<support::FaultSite>(i);
-    w.counter("lamb_fault_injected_total",
-              support::strf("{site=\"%s\"}",
-                            std::string(support::fault_site_name(site))
-                                .c_str())
-                  .c_str(),
-              support::fault_injected(site));
+    faults.add("{site=\"" + std::string(support::fault_site_name(site)) + "\"}",
+               support::fault_injected(site));
   }
 
-  w.family("lamb_uptime_seconds", "gauge",
-           "Seconds since the serving process started.");
-  w.gauge("lamb_uptime_seconds",
+  w.gauge("lamb_uptime_seconds", "Seconds since the serving process started.",
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start_)
               .count());
-  w.family("lamb_build_info", "gauge",
-           "Constant 1, labeled with version and kernel tier.");
-  w.gauge("lamb_build_info",
-          support::strf("{version=\"%s\",kernel_tier=\"%s\"}",
-                        LAMB_GIT_DESCRIBE, blas::active_microkernel().name)
-              .c_str(),
-          1.0);
+  w.gauge_family("lamb_build_info",
+                 "Constant 1, labeled with version and kernel tier.")
+      .add(support::strf("{version=\"%s\",kernel_tier=\"%s\"}",
+                         LAMB_GIT_DESCRIBE, blas::active_microkernel().name),
+           1.0);
 
   if (drift_ != nullptr) {
     const serve::DriftStats d = drift_->stats();
-    w.family("lamb_drift_checks_total", "counter",
-             "Drift probe rounds run.");
-    w.counter("lamb_drift_checks_total", d.checks);
-    w.family("lamb_drift_probe_measurements_total", "counter",
-             "Individual drift probe measurements.");
-    w.counter("lamb_drift_probe_measurements_total", d.probe_measurements);
-    w.family("lamb_drift_detected_total", "counter",
-             "Drift detections.");
-    w.counter("lamb_drift_detected_total", d.drift_detected);
-    w.family("lamb_drift_refreshes_total", "counter",
-             "Refresh rounds triggered by drift.");
-    w.counter("lamb_drift_refreshes_total", d.refresh_rounds);
-    w.family("lamb_drift_slices_refreshed_total", "counter",
-             "Slices rebuilt after drift.");
-    w.counter("lamb_drift_slices_refreshed_total", d.slices_refreshed);
-    w.family("lamb_drift_check_failures_total", "counter",
-             "Drift check rounds that threw; the monitor survives and "
-             "backs off its interval until probes succeed again.");
-    w.counter("lamb_drift_check_failures_total", d.check_failures);
-    w.family("lamb_drift_probe_cycles_total", "counter",
-             "CPU cycles spent inside drift probe measurements "
-             "(PMU-attributed; 0 when counters are unavailable).");
-    w.counter("lamb_drift_probe_cycles_total", d.probe_cycles);
-    w.family("lamb_drift_probe_instructions_total", "counter",
-             "Instructions retired inside drift probe measurements.");
-    w.counter("lamb_drift_probe_instructions_total", d.probe_instructions);
-    w.family("lamb_drift_refresh_cycles_total", "counter",
-             "CPU cycles spent on drift-triggered refresh rounds.");
-    w.counter("lamb_drift_refresh_cycles_total", d.refresh_cycles);
-    w.family("lamb_drift_score", "gauge",
-             "Latest drift score.");
-    w.gauge("lamb_drift_score", d.last_score);
-    w.family("lamb_drift_last_refresh_age_seconds", "gauge",
-             "Seconds since the last drift refresh.");
+    w.counter("lamb_drift_checks_total", "Drift probe rounds run.", d.checks);
+    w.counter("lamb_drift_probe_measurements_total",
+              "Individual drift probe measurements.", d.probe_measurements);
+    w.counter("lamb_drift_detected_total", "Drift detections.",
+              d.drift_detected);
+    w.counter("lamb_drift_refreshes_total",
+              "Refresh rounds triggered by drift.", d.refresh_rounds);
+    w.counter("lamb_drift_slices_refreshed_total",
+              "Slices rebuilt after drift.", d.slices_refreshed);
+    w.counter("lamb_drift_check_failures_total",
+              "Drift check rounds that threw; the monitor survives and backs "
+              "off its interval until probes succeed again.",
+              d.check_failures);
+    w.counter("lamb_drift_probe_cycles_total",
+              "CPU cycles spent inside drift probe measurements "
+              "(PMU-attributed; 0 when counters are unavailable).",
+              d.probe_cycles);
+    w.counter("lamb_drift_probe_instructions_total",
+              "Instructions retired inside drift probe measurements.",
+              d.probe_instructions);
+    w.counter("lamb_drift_refresh_cycles_total",
+              "CPU cycles spent on drift-triggered refresh rounds.",
+              d.refresh_cycles);
+    w.gauge("lamb_drift_score", "Latest drift score.", d.last_score);
     w.gauge("lamb_drift_last_refresh_age_seconds",
+            "Seconds since the last drift refresh.",
             d.last_refresh_age_seconds);
   }
 
   if (server_ != nullptr) {
-    // Whole-server aggregate: every reactor's counters merged into one
-    // snapshot (histograms merge exactly — bucket-wise integer adds).
-    const HttpStatsSnapshot h = server_->stats();
-    w.family("lamb_http_connections_accepted_total", "counter",
-             "Connections accepted.");
-    w.counter("lamb_http_connections_accepted_total",
-              h.connections_accepted);
-    w.family("lamb_http_connections_rejected_total", "counter",
-             "Connections refused (over max_connections or fd exhaustion).");
-    w.counter("lamb_http_connections_rejected_total",
-              h.connections_rejected);
-    w.family("lamb_http_requests_total", "counter",
-             "HTTP requests dispatched.");
-    w.counter("lamb_http_requests_total", h.requests_total);
-    w.family("lamb_http_responses_total", "counter",
-             "HTTP responses by status class.");
-    w.counter("lamb_http_responses_total", "{class=\"2xx\"}",
-              h.responses_2xx);
-    w.counter("lamb_http_responses_total", "{class=\"4xx\"}",
-              h.responses_4xx);
-    w.counter("lamb_http_responses_total", "{class=\"5xx\"}",
-              h.responses_5xx);
-    w.counter("lamb_http_responses_total", "{class=\"other\"}",
-              h.responses_other);
-    w.family("lamb_http_parse_errors_total", "counter",
-             "Malformed requests answered 4xx.");
-    w.counter("lamb_http_parse_errors_total", h.parse_errors);
-    w.family("lamb_http_requests_shed_total", "counter",
-             "Requests answered the prebuilt admission 503 before parse.");
-    w.counter("lamb_http_requests_shed_total", h.requests_shed);
-    w.family("lamb_http_idle_reaped_total", "counter",
-             "Connections closed by the idle reaper.");
-    w.counter("lamb_http_idle_reaped_total", h.idle_reaped);
-    w.family("lamb_http_accept_faults_total", "counter",
-             "Accepted connections dropped by net.accept fault injection.");
-    w.counter("lamb_http_accept_faults_total", h.accept_faults);
-    w.family("lamb_http_write_faults_total", "counter",
-             "Connections torn down by net.write fault injection.");
-    w.counter("lamb_http_write_faults_total", h.write_faults);
-    w.family("lamb_http_bytes_read_total", "counter",
-             "Bytes read from clients.");
-    w.counter("lamb_http_bytes_read_total", h.bytes_read);
-    w.family("lamb_http_bytes_written_total", "counter",
-             "Bytes written to clients.");
-    w.counter("lamb_http_bytes_written_total", h.bytes_written);
-
-    w.family("lamb_http_connections_active", "gauge",
-             "Currently open client connections.");
-    w.gauge("lamb_http_connections_active",
-            static_cast<double>(h.connections_active));
-    w.family("lamb_http_requests_in_flight", "gauge",
-             "Requests dispatched to a handler, response not yet queued.");
-    w.gauge("lamb_http_requests_in_flight",
-            static_cast<double>(h.requests_in_flight));
-
-    w.family("lamb_http_request_duration_seconds", "histogram",
-             "Dispatch-to-response-queued seconds.");
-    w.histogram("lamb_http_request_duration_seconds", "",
-                h.request_latency);
+    std::optional<support::MetricsWriter::CounterFamily> family;
+    for (const auto& field : HttpStatsSnapshot::kFields) {
+      const std::uint64_t value = http.*field.count;
+      if (field.gauge) {
+        w.gauge(field.name, field.help, static_cast<double>(value));
+        continue;
+      }
+      if (field.name != nullptr) {
+        family = w.counter_family(field.name, field.help);
+      }
+      family->add(field.labels, value);
+    }
+    w.histogram_family("lamb_http_request_duration_seconds",
+                       "Dispatch-to-response-queued seconds.")
+        .add("", http.request_latency);
 
     // Per-reactor series, one per event loop. lamb_net_loops is the
     // cardinality anchor: scripts/metrics_lint.sh asserts every
     // lamb_net_loop_* family carries exactly this many loop="i" series.
     const std::size_t loops = server_->loops();
-    w.family("lamb_net_loops", "gauge",
-             "Configured event loops (reactors).");
-    w.gauge("lamb_net_loops", static_cast<double>(loops));
+    w.gauge("lamb_net_loops", "Configured event loops (reactors).",
+            static_cast<double>(loops));
     const auto loop_label = [](std::size_t i) {
       return support::strf("{loop=\"%zu\"}", i);
     };
-    w.family("lamb_net_loop_connections", "gauge",
-             "Open connections owned by each event loop.");
+    auto connections =
+        w.gauge_family("lamb_net_loop_connections",
+                       "Open connections owned by each event loop.");
     for (std::size_t i = 0; i < loops; ++i) {
-      w.gauge("lamb_net_loop_connections", loop_label(i).c_str(),
-              static_cast<double>(
-                  server_->loop_stats(i).connections_active.load(
-                      std::memory_order_relaxed)));
+      connections.add(loop_label(i),
+                      static_cast<double>(
+                          server_->loop_stats(i).connections_active.load(
+                              std::memory_order_relaxed)));
     }
-    w.family("lamb_net_loop_requests_total", "counter",
-             "Requests dispatched by each event loop.");
+    auto requests = w.counter_family("lamb_net_loop_requests_total",
+                                     "Requests dispatched by each event loop.");
     for (std::size_t i = 0; i < loops; ++i) {
-      w.counter("lamb_net_loop_requests_total", loop_label(i).c_str(),
-                server_->loop_stats(i).requests_total.load(
-                    std::memory_order_relaxed));
+      requests.add(loop_label(i), server_->loop_stats(i).requests_total.load(
+                                      std::memory_order_relaxed));
     }
-    w.family("lamb_net_loop_epoll_wakeups_total", "counter",
-             "epoll_wait returns on each event loop.");
+    auto wakeups = w.counter_family("lamb_net_loop_epoll_wakeups_total",
+                                    "epoll_wait returns on each event loop.");
     for (std::size_t i = 0; i < loops; ++i) {
-      w.counter("lamb_net_loop_epoll_wakeups_total", loop_label(i).c_str(),
-                server_->loop_stats(i).epoll_wakeups.load(
-                    std::memory_order_relaxed));
+      wakeups.add(loop_label(i), server_->loop_stats(i).epoll_wakeups.load(
+                                     std::memory_order_relaxed));
     }
   }
 
-  {
-    obs::Tracer& tr = obs::tracer();
-    const auto stages = tr.stage_snapshots();
-    w.family("lamb_stage_seconds", "histogram",
-             "Per-stage serving latency, seconds (always-on tier; empty "
-             "until tracing is enabled).");
-    for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-      const std::string label =
-          "stage=\"" +
-          std::string(obs::to_string(static_cast<obs::Stage>(i))) + "\"";
-      w.histogram("lamb_stage_seconds", label, stages[i]);
+  obs::Tracer& tr = obs::tracer();
+  std::array<std::string, obs::kStageCount> stage_labels;
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    stage_labels[i] = "{stage=\"" +
+                      std::string(obs::to_string(static_cast<obs::Stage>(i))) +
+                      "\"}";
+  }
+  const auto stages = tr.stage_snapshots();
+  auto stage_seconds = w.histogram_family(
+      "lamb_stage_seconds",
+      "Per-stage serving latency, seconds (always-on tier; empty until "
+      "tracing is enabled).");
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    stage_seconds.add(stage_labels[i], stages[i]);
+  }
+
+  const obs::TracerCounters tc = tr.counters();
+  w.counter("lamb_trace_requests_total", "Traces begun.", tc.requests);
+  w.counter("lamb_trace_sampled_total", "Traces with detailed span capture.",
+            tc.sampled);
+  w.counter("lamb_trace_spans_total",
+            "Spans pushed into the per-thread rings (pre-overwrite).",
+            tc.spans);
+  w.counter("lamb_trace_slow_total", "Slow-log admissions.", tc.slow);
+  w.gauge("lamb_trace_enabled", "1 when tracing is enabled.",
+          tr.enabled() ? 1.0 : 0.0);
+  w.gauge("lamb_trace_sample_every",
+          "Detailed capture rate: 1-in-N requests (0 = off).",
+          static_cast<double>(tr.sample_every()));
+
+  // PMU families. The availability gauge ALWAYS appears; every other
+  // lamb_pmu_* family appears only when counters are live — the lint pins
+  // that consistency, and profile_smoke.sh drives the LAMB_PMU=off scrape
+  // against it.
+  const bool pmu = obs::pmu_available();
+  w.gauge("lamb_pmu_available",
+          "1 when hardware performance counters are live (perf_event); 0 "
+          "when disabled or unavailable.",
+          pmu ? 1.0 : 0.0);
+  if (pmu) {
+    const auto totals = tr.pmu_stage_totals();
+    for (const PmuFamily& pmu_family : kPmuFamilies) {
+      auto family = w.counter_family(pmu_family.name, pmu_family.help);
+      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+        family.add(stage_labels[i], totals[i].*pmu_family.total);
+      }
     }
-
-    const obs::TracerCounters tc = tr.counters();
-    w.family("lamb_trace_requests_total", "counter", "Traces begun.");
-    w.counter("lamb_trace_requests_total", tc.requests);
-    w.family("lamb_trace_sampled_total", "counter",
-             "Traces with detailed span capture.");
-    w.counter("lamb_trace_sampled_total", tc.sampled);
-    w.family("lamb_trace_spans_total", "counter",
-             "Spans pushed into the per-thread rings (pre-overwrite).");
-    w.counter("lamb_trace_spans_total", tc.spans);
-    w.family("lamb_trace_slow_total", "counter", "Slow-log admissions.");
-    w.counter("lamb_trace_slow_total", tc.slow);
-    w.family("lamb_trace_enabled", "gauge", "1 when tracing is enabled.");
-    w.gauge("lamb_trace_enabled", tr.enabled() ? 1.0 : 0.0);
-    w.family("lamb_trace_sample_every", "gauge",
-             "Detailed capture rate: 1-in-N requests (0 = off).");
-    w.gauge("lamb_trace_sample_every",
-            static_cast<double>(tr.sample_every()));
-
-    // PMU families. The availability gauge ALWAYS appears; every other
-    // lamb_pmu_* family appears only when counters are live — the lint
-    // pins that consistency, and profile_smoke.sh drives the LAMB_PMU=off
-    // scrape against it.
-    const bool pmu = obs::pmu_available();
-    w.family("lamb_pmu_available", "gauge",
-             "1 when hardware performance counters are live (perf_event); "
-             "0 when disabled or unavailable.");
-    w.gauge("lamb_pmu_available", pmu ? 1.0 : 0.0);
-    if (pmu) {
-      const auto totals = tr.pmu_stage_totals();
-      const auto ipc = tr.pmu_ipc_snapshots();
-      const auto stage_label = [](std::size_t i) {
-        return "{stage=\"" +
-               std::string(obs::to_string(static_cast<obs::Stage>(i))) +
-               "\"}";
-      };
-      w.family("lamb_pmu_samples_total", "counter",
-               "Sampled spans with PMU attribution, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_samples_total", stage_label(i).c_str(),
-                  totals[i].samples);
-      }
-      w.family("lamb_pmu_cycles_total", "counter",
-               "CPU cycles attributed to sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_cycles_total", stage_label(i).c_str(),
-                  totals[i].cycles);
-      }
-      w.family("lamb_pmu_instructions_total", "counter",
-               "Instructions retired in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_instructions_total", stage_label(i).c_str(),
-                  totals[i].instructions);
-      }
-      w.family("lamb_pmu_llc_loads_total", "counter",
-               "Last-level-cache read accesses in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_llc_loads_total", stage_label(i).c_str(),
-                  totals[i].llc_loads);
-      }
-      w.family("lamb_pmu_llc_misses_total", "counter",
-               "Last-level-cache read misses in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_llc_misses_total", stage_label(i).c_str(),
-                  totals[i].llc_misses);
-      }
-      w.family("lamb_pmu_stalled_backend_total", "counter",
-               "Backend-stalled cycles in sampled spans, by stage.");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_stalled_backend_total", stage_label(i).c_str(),
-                  totals[i].stalled_backend);
-      }
-      w.family("lamb_pmu_flops_total", "counter",
-               "Declared floating-point operations of PMU-attributed "
-               "spans, by stage (2mnk per gemm).");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        w.counter("lamb_pmu_flops_total", stage_label(i).c_str(),
-                  totals[i].flops);
-      }
-      w.family("lamb_pmu_ipc", "histogram",
-               "Distribution of per-span IPC, by stage (bucket bounds are "
-               "the shared 1-2-5 grid, read unitless).");
-      for (std::size_t i = 0; i < obs::kStageCount; ++i) {
-        const std::string label =
-            "stage=\"" +
-            std::string(obs::to_string(static_cast<obs::Stage>(i))) + "\"";
-        w.histogram("lamb_pmu_ipc", label, ipc[i]);
-      }
+    const auto ipc = tr.pmu_ipc_snapshots();
+    auto ipc_family = w.histogram_family(
+        "lamb_pmu_ipc",
+        "Distribution of per-span IPC, by stage (bucket bounds are the "
+        "shared 1-2-5 grid, read unitless).");
+    for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+      ipc_family.add(stage_labels[i], ipc[i]);
     }
   }
 

@@ -99,55 +99,91 @@ struct ServerConfig {
   double idle_timeout_s = 0.0;
 };
 
-/// Monotonic front-end counters for ONE reactor, all updated with relaxed
-/// atomics by the owning loop; read them live from any thread. The /metrics
-/// route renders the per-loop series from these and the aggregate from
-/// Server::stats().
-struct HttpStats {
-  std::atomic<std::uint64_t> connections_accepted{0};
-  std::atomic<std::uint64_t> connections_rejected{0};  ///< over the cap
-  std::atomic<std::uint64_t> requests_total{0};
-  std::atomic<std::uint64_t> responses_2xx{0};
-  std::atomic<std::uint64_t> responses_4xx{0};
-  std::atomic<std::uint64_t> responses_5xx{0};
-  std::atomic<std::uint64_t> responses_other{0};
-  std::atomic<std::uint64_t> parse_errors{0};
-  std::atomic<std::uint64_t> bytes_read{0};
-  std::atomic<std::uint64_t> bytes_written{0};
-  std::atomic<std::uint64_t> epoll_wakeups{0};  ///< epoll_wait returns
-  std::atomic<std::uint64_t> requests_shed{0};  ///< 503s from admission control
-  std::atomic<std::uint64_t> idle_reaped{0};    ///< connections closed idle
-  std::atomic<std::uint64_t> accept_faults{0};  ///< net.accept injections
-  std::atomic<std::uint64_t> write_faults{0};   ///< net.write injections
+/// The front-end counts as one field list, instantiated for the live
+/// per-reactor atomics (HttpStats) and for their plain scrape-time sum
+/// (HttpStatsSnapshot).
+template <typename Count>
+struct HttpCounts {
+  Count connections_accepted{};
+  Count connections_rejected{};  ///< over the cap
+  Count requests_total{};
+  Count responses_2xx{};
+  Count responses_4xx{};
+  Count responses_5xx{};
+  Count responses_other{};
+  Count parse_errors{};
+  Count requests_shed{};  ///< 503s from admission control
+  Count idle_reaped{};    ///< connections closed idle
+  Count accept_faults{};  ///< net.accept injections
+  Count write_faults{};   ///< net.write injections
+  Count bytes_read{};
+  Count bytes_written{};
   // Live gauges, not monotonic: open connections, and requests dispatched
   // to a handler whose completion has not reached the owning loop yet.
-  std::atomic<std::uint64_t> connections_active{0};
-  std::atomic<std::uint64_t> requests_in_flight{0};
+  Count connections_active{};
+  Count requests_in_flight{};
+
+  /// One row per count, in /metrics order: the lamb_http_* family it
+  /// feeds, that family's help text, the series' labels, and whether the
+  /// family is a gauge. A row without a name is one more series of the
+  /// family above it.
+  struct Field {
+    Count HttpCounts::*count;
+    const char* name;
+    const char* help;
+    const char* labels = "";
+    bool gauge = false;
+  };
+  static constexpr Field kFields[] = {
+      {&HttpCounts::connections_accepted,
+       "lamb_http_connections_accepted_total", "Connections accepted."},
+      {&HttpCounts::connections_rejected,
+       "lamb_http_connections_rejected_total",
+       "Connections refused (over max_connections or fd exhaustion)."},
+      {&HttpCounts::requests_total, "lamb_http_requests_total",
+       "HTTP requests dispatched."},
+      {&HttpCounts::responses_2xx, "lamb_http_responses_total",
+       "HTTP responses by status class.", "{class=\"2xx\"}"},
+      {&HttpCounts::responses_4xx, nullptr, nullptr, "{class=\"4xx\"}"},
+      {&HttpCounts::responses_5xx, nullptr, nullptr, "{class=\"5xx\"}"},
+      {&HttpCounts::responses_other, nullptr, nullptr, "{class=\"other\"}"},
+      {&HttpCounts::parse_errors, "lamb_http_parse_errors_total",
+       "Malformed requests answered 4xx."},
+      {&HttpCounts::requests_shed, "lamb_http_requests_shed_total",
+       "Requests answered the prebuilt admission 503 before parse."},
+      {&HttpCounts::idle_reaped, "lamb_http_idle_reaped_total",
+       "Connections closed by the idle reaper."},
+      {&HttpCounts::accept_faults, "lamb_http_accept_faults_total",
+       "Accepted connections dropped by net.accept fault injection."},
+      {&HttpCounts::write_faults, "lamb_http_write_faults_total",
+       "Connections torn down by net.write fault injection."},
+      {&HttpCounts::bytes_read, "lamb_http_bytes_read_total",
+       "Bytes read from clients."},
+      {&HttpCounts::bytes_written, "lamb_http_bytes_written_total",
+       "Bytes written to clients."},
+      {&HttpCounts::connections_active, "lamb_http_connections_active",
+       "Currently open client connections.", "", true},
+      {&HttpCounts::requests_in_flight, "lamb_http_requests_in_flight",
+       "Requests dispatched to a handler, response not yet queued.", "",
+       true},
+  };
+};
+
+/// Front-end counters for ONE reactor, all updated with relaxed atomics by
+/// the owning loop; read them live from any thread. The /metrics route
+/// renders the per-loop series from these and the aggregate from
+/// Server::stats().
+struct HttpStats : HttpCounts<std::atomic<std::uint64_t>> {
+  /// epoll_wait returns; exported per loop only.
+  std::atomic<std::uint64_t> epoll_wakeups{0};
   /// Dispatch-to-response-queued seconds per request.
   support::LatencyHistogram request_latency;
 };
 
 /// Plain-value aggregate of one or more HttpStats, merged at scrape time.
-/// Server::stats() returns the whole-server sum; callers that used to read
-/// `stats().requests_total.load()` now read `stats().requests_total`.
-struct HttpStatsSnapshot {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;
-  std::uint64_t requests_total = 0;
-  std::uint64_t responses_2xx = 0;
-  std::uint64_t responses_4xx = 0;
-  std::uint64_t responses_5xx = 0;
-  std::uint64_t responses_other = 0;
-  std::uint64_t parse_errors = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
+/// Server::stats() returns the whole-server sum.
+struct HttpStatsSnapshot : HttpCounts<std::uint64_t> {
   std::uint64_t epoll_wakeups = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t idle_reaped = 0;
-  std::uint64_t accept_faults = 0;
-  std::uint64_t write_faults = 0;
-  std::uint64_t connections_active = 0;
-  std::uint64_t requests_in_flight = 0;
   support::LatencyHistogram::Snapshot request_latency;
 
   /// Accumulate one reactor's live counters into this snapshot.

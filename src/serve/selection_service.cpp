@@ -968,8 +968,7 @@ std::size_t SelectionService::refresh_slices() {
   // the new atlases, and one that read it before — and may still store its
   // replaced-atlas answer after the clear below — is keyed under the old
   // generation, which no later lookup asks for. The clear frees their slots
-  // (and resets the LRU hit/miss pair; the monotonic per-source counters
-  // are unaffected).
+  // and keeps the hit and miss totals.
   generation_.fetch_add(1, std::memory_order_release);
   cache_.clear();
   slices_refreshed_.fetch_add(ids.size());

@@ -167,18 +167,18 @@ struct ServiceConfig {
   std::size_t max_build_queue = 0;
 };
 
+/// Every count is a lifetime total that never falls, which is what a
+/// scrape-based exporter (the HTTP /metrics endpoint) needs.
 struct ServiceStats {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  std::uint64_t cache_hits = 0;    ///< LRU hits, across refresh_slices() too
+  std::uint64_t cache_misses = 0;  ///< LRU misses, likewise
   std::uint64_t atlases_built = 0;
   std::uint64_t atlases_loaded = 0;     ///< warmed from a store
   std::uint64_t atlases_skipped = 0;    ///< stale or unquarantinable
                                         ///< store files skipped
   std::uint64_t measured_queries = 0;   ///< answers classified directly
   long long atlas_samples = 0;          ///< classifications spent building
-  // Monotonic per-source answer counters and per-entry-point call counts.
-  // Unlike the LRU's hit/miss pair these are never reset by clear(), which
-  // is what a scrape-based exporter (the HTTP /metrics endpoint) needs.
+  // Per-source answer counters and per-entry-point call counts.
   std::uint64_t cache_answers = 0;  ///< answers served from the LRU
   std::uint64_t atlas_answers = 0;  ///< answers served from an atlas slice
   std::uint64_t batch_calls = 0;    ///< query_batch() invocations

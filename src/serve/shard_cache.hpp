@@ -88,14 +88,18 @@ class ShardedLruCache {
     return total;
   }
 
+  /// Hits and misses since construction: clear() does not lower them.
   std::uint64_t hits() const { return sum(&Shard::hits); }
   std::uint64_t misses() const { return sum(&Shard::misses); }
 
-  /// Drops every entry and resets the hit/miss counters (mirrors
-  /// support::LruCache::clear(), which the per-shard call performs).
+  /// Drops every entry. Each shard banks the counts its
+  /// support::LruCache::clear() resets, under the same hold, so a
+  /// concurrent hits() or misses() never reads a lower total.
   void clear() {
     for (const auto& shard : shards_) {
       const std::lock_guard<std::mutex> lock(shard->mutex);
+      shard->cleared_hits += shard->cache.hits();
+      shard->cleared_misses += shard->cache.misses();
       shard->cache.clear();
     }
   }
@@ -103,11 +107,13 @@ class ShardedLruCache {
  private:
   struct Shard {
     explicit Shard(std::size_t capacity) : cache(capacity) {}
-    std::uint64_t hits() const { return cache.hits(); }
-    std::uint64_t misses() const { return cache.misses(); }
+    std::uint64_t hits() const { return cleared_hits + cache.hits(); }
+    std::uint64_t misses() const { return cleared_misses + cache.misses(); }
 
     mutable std::mutex mutex;
     support::LruCache<Key, Value, Hash> cache;
+    std::uint64_t cleared_hits = 0;    ///< banked by clear()
+    std::uint64_t cleared_misses = 0;  ///< banked by clear()
   };
 
   Shard& shard_for(std::size_t hash) { return *shards_[hash & mask_]; }

@@ -1,7 +1,8 @@
 #include "support/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace lamb::support {
 
@@ -41,6 +42,22 @@ const std::string* Cli::find(const std::string& name) const {
   return it == flags_.end() ? nullptr : &it->second;
 }
 
+template <typename T>
+T Cli::number(const std::string& name, T default_value,
+              const char* what) const {
+  const std::string* value = find(name);
+  if (value == nullptr) {
+    return default_value;
+  }
+  T parsed{};
+  const char* end = value->data() + value->size();
+  const auto [stop, ec] = std::from_chars(value->data(), end, parsed);
+  if (ec != std::errc() || stop != end) {
+    fail("flag --" + name + " expects " + what + ", got '" + *value + "'");
+  }
+  return parsed;
+}
+
 bool Cli::has(const std::string& name) const {
   return find(name) != nullptr;
 }
@@ -52,13 +69,11 @@ std::string Cli::get_string(const std::string& name,
 }
 
 long long Cli::get_int(const std::string& name, long long default_value) const {
-  const std::string* value = find(name);
-  return value == nullptr ? default_value : std::stoll(*value);
+  return number(name, default_value, "an integer");
 }
 
 double Cli::get_double(const std::string& name, double default_value) const {
-  const std::string* value = find(name);
-  return value == nullptr ? default_value : std::stod(*value);
+  return number(name, default_value, "a number");
 }
 
 bool Cli::get_bool(const std::string& name, bool default_value) const {
@@ -73,14 +88,12 @@ bool Cli::get_bool(const std::string& name, bool default_value) const {
   if (v == "false" || v == "0" || v == "no" || v == "off") {
     return false;
   }
-  throw std::invalid_argument("flag --" + name + " expects a boolean, got " +
-                              v);
+  fail("flag --" + name + " expects a boolean, got '" + v + "'");
 }
 
 std::uint64_t Cli::get_seed(const std::string& name,
                             std::uint64_t default_value) const {
-  const std::string* value = find(name);
-  return value == nullptr ? default_value : std::stoull(*value);
+  return number(name, default_value, "an unsigned integer");
 }
 
 void Cli::reject_unknown_flags() const {
@@ -92,11 +105,15 @@ void Cli::reject_unknown_flags() const {
     for (const std::string& r : read_) {
       known += (known.empty() ? "--" : ", --") + r;
     }
-    throw std::invalid_argument(
-        program_ + ": unknown flag --" + name + "; " +
-        (known.empty() ? "it takes no flags here"
-                       : "the flags it reads here are " + known));
+    fail("unknown flag --" + name + "; " +
+         (known.empty() ? "it takes no flags here"
+                        : "the flags it reads here are " + known));
   }
+}
+
+void Cli::fail(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+  std::exit(2);
 }
 
 }  // namespace lamb::support

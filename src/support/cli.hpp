@@ -4,7 +4,10 @@
 // Flags are strict: the getters and has() record each name they read, and
 // a main calls reject_unknown_flags() after the last getter of the path it
 // takes. A misspelt flag, or one that path never reads, then stops the
-// program before it runs a configuration nobody asked for.
+// program before it runs a configuration nobody asked for. A value must
+// parse whole: --seed=7abc and --seed=-1 are errors, not 7 and 2^64 - 1.
+// Every such error prints one line naming the flag and exits with status
+// 2, as getopt tools do.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +32,8 @@ class Cli {
   std::uint64_t get_seed(const std::string& name,
                          std::uint64_t default_value) const;
 
-  /// Throws std::invalid_argument naming the first given flag that no
-  /// getter or has() has read, and listing the flags that were read.
+  /// Exits 2 naming the first given flag that no getter or has() has
+  /// read, and listing the flags that were read.
   void reject_unknown_flags() const;
 
   /// Positional (non-flag) arguments in order.
@@ -42,6 +45,12 @@ class Cli {
  private:
   /// Records `name` as read and returns its value, or nullptr when absent.
   const std::string* find(const std::string& name) const;
+  /// The flag's whole value as a T (`what` names the type in the error),
+  /// or `default_value` when the flag is absent.
+  template <typename T>
+  T number(const std::string& name, T default_value, const char* what) const;
+  /// Prints "<program>: <message>" to stderr and exits 2.
+  [[noreturn]] void fail(const std::string& message) const;
 
   std::string program_;
   std::map<std::string, std::string> flags_;

@@ -92,10 +92,10 @@ class LruCache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Drops every entry and resets the hit/miss counters — a cleared cache
-  /// reports a fresh hit rate instead of one skewed by its previous life
-  /// (serve/'s cache-hit-rate reporting depends on this). The arrays keep
-  /// their memory for the entries that refill them.
+  /// Drops every entry and resets the hit/miss counters, so a cleared
+  /// cache counts afresh (serve::ShardedLruCache banks them first and keeps
+  /// lifetime totals). The arrays keep their memory for the entries that
+  /// refill them.
   void clear() {
     slots_.clear();
     std::fill(index_.begin(), index_.end(), Bucket{});

@@ -1,15 +1,22 @@
 // Prometheus text-exposition writer (the format scripts/metrics_lint.sh
 // pins): every family announces # HELP and # TYPE before its first series,
 // counters are integral, gauges may be fractional, histograms emit the
-// cumulative _bucket/_sum/_count triple. Extracted from the hand-rolled
-// snprintf block in net/routes.cpp so every emitter (serving stats, PMU
-// families, future subsystems) shares one implementation — and so the
-// kind declared by family() is enforced: emitting a gauge through a
-// counter helper is the class of bug this replaces.
+// cumulative _bucket/_sum/_count triple.
+//
+// The call that emits a family also declares it, so each family is named
+// once. counter(name, help, value) and gauge(name, help, value) write a
+// family of one unlabelled series. counter_family, gauge_family and
+// histogram_family(name, help) declare a labelled family and return a
+// handle; its add(labels, value) writes one series, where labels reads
+// "{key=\"value\",...}" or "" for none. The kind is in the types: a counter
+// takes only std::uint64_t, a gauge only double and a histogram only a
+// LatencyHistogram::Snapshot, so a series of the wrong kind does not
+// compile.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/histogram.hpp"
 
@@ -17,44 +24,74 @@ namespace lamb::support {
 
 class MetricsWriter {
  public:
+  /// A declared family; Value is its kind's value type. It keeps the
+  /// writer and the name, so both must outlive it (names are literals).
+  template <typename Value>
+  class Family {
+   public:
+    void add(std::string_view labels, Value value) {
+      writer_->series(name_, labels, value);
+    }
+    template <typename Other>
+    void add(std::string_view labels, Other value) = delete;
+
+   private:
+    friend class MetricsWriter;
+    Family(MetricsWriter& writer, std::string_view name)
+        : writer_(&writer), name_(name) {}
+
+    MetricsWriter* writer_;
+    std::string_view name_;
+  };
+  using CounterFamily = Family<std::uint64_t>;
+  using GaugeFamily = Family<double>;
+  using HistogramFamily = Family<const LatencyHistogram::Snapshot&>;
+
   explicit MetricsWriter(std::size_t reserve = 4096) { out_.reserve(reserve); }
 
-  /// Declare a family: kind is "counter", "gauge" or "histogram". Must
-  /// precede the family's first series (the lint rejects orphan series).
-  void family(const char* name, const char* kind, const char* help);
-
-  /// One counter series; labels like "{source=\"cache\"}" or "" for none.
-  /// The family must have been declared "counter" (LAMB_CHECK enforced —
-  /// scrape-path cost, never hot-path).
-  void counter(const char* name, std::uint64_t value) {
-    counter(name, "", value);
+  CounterFamily counter_family(std::string_view name, std::string_view help) {
+    declare(name, "counter", help);
+    return CounterFamily(*this, name);
   }
-  void counter(const char* name, const char* labels, std::uint64_t value);
+  /// Gauges print with %.9g: integral values exact, fractional ones compact.
+  GaugeFamily gauge_family(std::string_view name, std::string_view help) {
+    declare(name, "gauge", help);
+    return GaugeFamily(*this, name);
+  }
+  /// A series' labels lead each of its buckets' le label.
+  HistogramFamily histogram_family(std::string_view name,
+                                   std::string_view help) {
+    declare(name, "histogram", help);
+    return HistogramFamily(*this, name);
+  }
 
-  /// One gauge series (fractional allowed; integral values print exact).
-  void gauge(const char* name, double value) { gauge(name, "", value); }
-  void gauge(const char* name, const char* labels, double value);
+  void counter(std::string_view name, std::string_view help,
+               std::uint64_t value) {
+    counter_family(name, help).add("", value);
+  }
+  template <typename Other>
+  void counter(std::string_view name, std::string_view help,
+               Other value) = delete;
 
-  /// The full histogram triple from a snapshot; label ("stage=\"kernel\"",
-  /// no braces) is prefixed onto each bucket's `le`.
-  void histogram(const char* name, const std::string& label,
-                 const LatencyHistogram::Snapshot& snap);
-
-  /// A raw pre-formatted line (escape hatch for e.g. lamb_build_info's
-  /// label-only constant); must still follow its family().
-  void raw(const std::string& line) { out_ += line; }
+  void gauge(std::string_view name, std::string_view help, double value) {
+    gauge_family(name, help).add("", value);
+  }
+  template <typename Other>
+  void gauge(std::string_view name, std::string_view help,
+             Other value) = delete;
 
   std::string take() { return std::move(out_); }
 
  private:
-  void check_kind(const char* name, const char* expected) const;
+  void declare(std::string_view name, std::string_view kind,
+               std::string_view help);
+  void series(std::string_view name, std::string_view labels,
+              std::uint64_t value);
+  void series(std::string_view name, std::string_view labels, double value);
+  void series(std::string_view name, std::string_view labels,
+              const LatencyHistogram::Snapshot& snap);
 
   std::string out_;
-  /// The last declared family, for kind enforcement. One family's series
-  /// are contiguous in this format, so remembering only the latest
-  /// declaration suffices.
-  std::string last_family_;
-  std::string last_kind_;
 };
 
 }  // namespace lamb::support

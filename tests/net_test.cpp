@@ -23,9 +23,12 @@
 #include "net/client.hpp"
 #include "net/routes.hpp"
 #include "net/server.hpp"
+#include "obs/pmu.hpp"
 #include "obs/trace.hpp"
 #include "scripted.hpp"
+#include "serve/drift.hpp"
 #include "serve/selection_service.hpp"
+#include "support/fault.hpp"
 #include "support/str.hpp"
 
 namespace {
@@ -563,6 +566,172 @@ TEST(NetServe, MetricsExportServiceAndHttpCounters) {
   EXPECT_NE(m.find("# HELP lamb_stage_seconds"), std::string::npos);
   EXPECT_NE(m.find("lamb_stage_seconds_bucket{stage=\"route\""),
             std::string::npos);
+}
+
+/// A virtual PMU counter source: every read is 100 events later.
+std::uint64_t ticking_counter() {
+  static std::atomic<std::uint64_t> ticks{0};
+  return ticks.fetch_add(100, std::memory_order_relaxed);
+}
+
+/// Every /metrics family in scrape order, as its "# TYPE" line names it,
+/// when all sources are attached: service, breaker, drift, server and PMU.
+const std::vector<std::string> kMetricsFamilies = {
+    "lamb_selection_answers_total counter",
+    "lamb_selection_cache_hits_total counter",
+    "lamb_selection_cache_misses_total counter",
+    "lamb_selection_cache_hit_ratio gauge",
+    "lamb_selection_atlases_built_total counter",
+    "lamb_selection_atlases_loaded_total counter",
+    "lamb_selection_atlases_skipped_total counter",
+    "lamb_selection_atlases_quarantined_total counter",
+    "lamb_selection_atlas_samples_total counter",
+    "lamb_selection_batch_calls_total counter",
+    "lamb_selection_batch_queries_total counter",
+    "lamb_selection_async_calls_total counter",
+    "lamb_selection_refresh_rounds_total counter",
+    "lamb_selection_slices_refreshed_total counter",
+    "lamb_selection_atlas_count gauge",
+    "lamb_selection_cache_size gauge",
+    "lamb_answers_degraded_total counter",
+    "lamb_shed_total counter",
+    "lamb_breaker_opens_total counter",
+    "lamb_breaker_state gauge",
+    "lamb_fault_injected_total counter",
+    "lamb_uptime_seconds gauge",
+    "lamb_build_info gauge",
+    "lamb_drift_checks_total counter",
+    "lamb_drift_probe_measurements_total counter",
+    "lamb_drift_detected_total counter",
+    "lamb_drift_refreshes_total counter",
+    "lamb_drift_slices_refreshed_total counter",
+    "lamb_drift_check_failures_total counter",
+    "lamb_drift_probe_cycles_total counter",
+    "lamb_drift_probe_instructions_total counter",
+    "lamb_drift_refresh_cycles_total counter",
+    "lamb_drift_score gauge",
+    "lamb_drift_last_refresh_age_seconds gauge",
+    "lamb_http_connections_accepted_total counter",
+    "lamb_http_connections_rejected_total counter",
+    "lamb_http_requests_total counter",
+    "lamb_http_responses_total counter",
+    "lamb_http_parse_errors_total counter",
+    "lamb_http_requests_shed_total counter",
+    "lamb_http_idle_reaped_total counter",
+    "lamb_http_accept_faults_total counter",
+    "lamb_http_write_faults_total counter",
+    "lamb_http_bytes_read_total counter",
+    "lamb_http_bytes_written_total counter",
+    "lamb_http_connections_active gauge",
+    "lamb_http_requests_in_flight gauge",
+    "lamb_http_request_duration_seconds histogram",
+    "lamb_net_loops gauge",
+    "lamb_net_loop_connections gauge",
+    "lamb_net_loop_requests_total counter",
+    "lamb_net_loop_epoll_wakeups_total counter",
+    "lamb_stage_seconds histogram",
+    "lamb_trace_requests_total counter",
+    "lamb_trace_sampled_total counter",
+    "lamb_trace_spans_total counter",
+    "lamb_trace_slow_total counter",
+    "lamb_trace_enabled gauge",
+    "lamb_trace_sample_every gauge",
+    "lamb_pmu_available gauge",
+    "lamb_pmu_samples_total counter",
+    "lamb_pmu_cycles_total counter",
+    "lamb_pmu_instructions_total counter",
+    "lamb_pmu_llc_loads_total counter",
+    "lamb_pmu_llc_misses_total counter",
+    "lamb_pmu_stalled_backend_total counter",
+    "lamb_pmu_flops_total counter",
+    "lamb_pmu_ipc histogram",
+};
+
+TEST(NetServe, MetricsFamiliesKeepTheirOrderKindsAndDeclarations) {
+  obs::pmu_test_install_virtual(&ticking_counter);
+  std::string scrape;
+  {
+    lamb::testing::ScriptedMachine machine;
+    expr::FamilyRegistry registry = scripted_registry();
+    ServiceConfig cfg = scripted_config();
+    cfg.degrade_on_failure = true;
+    SelectionService service(machine, cfg, &registry);
+    {
+      // One failing build leaves a closed but failing breaker, so
+      // lamb_breaker_state carries a series.
+      const support::FaultScope fault("build.slice=always:limit=1");
+      EXPECT_EQ(service.query(Query{"scripted", {300}, 0, false}).source,
+                serve::Source::kFallback);
+    }
+    EXPECT_EQ(service.breaker_states().size(), 1u);
+
+    serve::DriftConfig drift_cfg;
+    drift_cfg.probes = 4;
+    drift_cfg.nodes = {32, 64};
+    serve::DriftMonitor drift(service, machine, drift_cfg);
+    drift.set_measure_hook([](const model::KernelCall&) { return 1e-3; });
+    EXPECT_FALSE(drift.check_once());
+
+    net::SelectionRoutes routes(service);
+    routes.attach_drift(&drift);
+    Server server(routes.router(), apply_test_loops({}));
+    routes.attach_server(&server);
+    std::thread loop([&server] { server.run(); });
+    {
+      Client client("127.0.0.1", server.port());
+      const auto metrics = client.request("GET", "/metrics");
+      EXPECT_EQ(metrics.status, 200);
+      scrape = metrics.body;
+    }
+    server.stop();
+    loop.join();
+  }
+  obs::pmu_test_install_virtual(nullptr);
+
+  std::vector<std::string> types;
+  std::set<std::string> helped;
+  std::map<std::string, std::string> kinds;
+  std::set<std::string> series;
+  std::set<std::string> with_series;
+  std::size_t start = 0;
+  while (start < scrape.size()) {
+    const std::size_t end = scrape.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "unterminated last line";
+    const std::string line = scrape.substr(start, end - start);
+    start = end + 1;
+    if (line.starts_with("# HELP ")) {
+      helped.insert(line.substr(7, line.find(' ', 7) - 7));
+      continue;
+    }
+    if (line.starts_with("# TYPE ")) {
+      const std::string name_kind = line.substr(7);
+      const std::string name = name_kind.substr(0, name_kind.find(' '));
+      EXPECT_EQ(helped.count(name), 1u) << "# TYPE before # HELP: " << name;
+      types.push_back(name_kind);
+      kinds[name] = name_kind.substr(name.size() + 1);
+      continue;
+    }
+    const std::string key = line.substr(0, line.rfind(' '));
+    EXPECT_TRUE(series.insert(key).second) << "series repeats: " << key;
+    std::string family = key.substr(0, key.find('{'));
+    for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+      const std::string base = family.substr(0, family.size() - suffix.size());
+      if (family.ends_with(suffix) && kinds.count(base) == 1 &&
+          kinds.at(base) == "histogram") {
+        family = base;
+        break;
+      }
+    }
+    EXPECT_EQ(kinds.count(family), 1u) << "series before its # TYPE: " << line;
+    EXPECT_EQ(helped.count(family), 1u) << "series before its # HELP: "
+                                        << line;
+    with_series.insert(family);
+  }
+  EXPECT_EQ(types, kMetricsFamilies);
+  for (const auto& [name, kind] : kinds) {
+    EXPECT_EQ(with_series.count(name), 1u) << "family without series: "
+                                           << name;
+  }
 }
 
 /// RAII tracer configuration for one test: restores the disabled default

@@ -142,7 +142,7 @@ TEST(ShardCache, CapacityRemainderIsDistributedNotDropped) {
   }
 }
 
-TEST(ShardCache, ClearResetsCountersLikeTheUnshardedCache) {
+TEST(ShardCache, ClearKeepsTheLifetimeCounts) {
   serve::ShardedLruCache<int, int, IdentityHash> cache(8, 2);
   cache.put(1, 10);
   EXPECT_TRUE(cache.get(1).has_value());
@@ -151,8 +151,10 @@ TEST(ShardCache, ClearResetsCountersLikeTheUnshardedCache) {
   EXPECT_EQ(cache.misses(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_FALSE(cache.get(1).has_value());  // counts on from there
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 // ----------------------------------------------------------- correctness
@@ -558,6 +560,38 @@ TEST(SelectionService, WarmFromStoreSkipsRecordsTheServiceCannotServe) {
                support::CheckError);
   EXPECT_EQ(service.query(good).source, Source::kAtlas);
   EXPECT_EQ(service.stats().slices_refreshed, 2u);
+}
+
+TEST(SelectionService, RefreshLowersNoCounter) {
+  // /metrics exports these as counters, so a scrape taken after a refresh
+  // must read none of them lower than one taken before it.
+  model::SimulatedMachine machine;
+  SelectionService service(machine, scripted_config());
+  const Query q{"aatb", {150, 260, 549}, 0, false};
+  service.query(q);  // miss, build
+  service.query(q);  // hit
+  const serve::ServiceStats before = service.stats();
+  ASSERT_EQ(before.cache_hits, 1u);
+  ASSERT_EQ(before.cache_misses, 1u);
+  ASSERT_EQ(service.refresh_slices(), 1u);
+  const serve::ServiceStats after = service.stats();
+  using Count = std::uint64_t serve::ServiceStats::*;
+  for (const auto& [name, count] : std::initializer_list<
+           std::pair<const char*, Count>>{
+           {"cache_hits", &serve::ServiceStats::cache_hits},
+           {"cache_misses", &serve::ServiceStats::cache_misses},
+           {"atlases_built", &serve::ServiceStats::atlases_built},
+           {"cache_answers", &serve::ServiceStats::cache_answers},
+           {"atlas_answers", &serve::ServiceStats::atlas_answers},
+           {"slices_refreshed", &serve::ServiceStats::slices_refreshed},
+           {"refresh_rounds", &serve::ServiceStats::refresh_rounds}}) {
+    EXPECT_GE(after.*count, before.*count) << name;
+  }
+  EXPECT_GE(after.atlas_samples, before.atlas_samples);
+  // The refresh emptied the cache, and the counts go on from their totals.
+  EXPECT_EQ(service.query(q).source, Source::kAtlas);
+  EXPECT_EQ(service.stats().cache_misses, 2u);
+  EXPECT_EQ(service.stats().cache_hits, 1u);
 }
 
 TEST(SelectionService, RefreshRoundsFreeTheAtlasesTheyReplace) {

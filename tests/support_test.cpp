@@ -420,28 +420,29 @@ TEST(LatencyHistogram, MergeEqualsRecordingIntoOne) {
   }
 }
 
-TEST(MetricsWriter, EmitsFamiliesThenSeries) {
+TEST(MetricsWriter, EachCallDeclaresTheFamilyItEmits) {
   lamb::support::MetricsWriter w;
-  w.family("lamb_requests_total", "counter", "Requests served.");
-  w.counter("lamb_requests_total", 42);
-  w.counter("lamb_requests_total", "{source=\"cache\"}", 7);
-  w.family("lamb_cache_size", "gauge", "Entries resident.");
-  w.gauge("lamb_cache_size", 3);
-  w.gauge("lamb_cache_size", 0.25);
-  const std::string out = w.take();
-  EXPECT_NE(out.find("# HELP lamb_requests_total Requests served.\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("# TYPE lamb_requests_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(out.find("lamb_requests_total 42\n"), std::string::npos);
-  EXPECT_NE(out.find("lamb_requests_total{source=\"cache\"} 7\n"),
-            std::string::npos);
-  // Gauges: integral values exact, fractional compact — never "3.000000".
-  EXPECT_NE(out.find("lamb_cache_size 3\n"), std::string::npos);
-  EXPECT_NE(out.find("lamb_cache_size 0.25\n"), std::string::npos);
-  // HELP/TYPE precede the family's first series.
-  EXPECT_LT(out.find("# TYPE lamb_requests_total"),
-            out.find("lamb_requests_total 42"));
+  w.counter("lamb_requests_total", "Requests served.", std::uint64_t{42});
+  auto sources = w.counter_family("lamb_answers_total", "Answers by source.");
+  sources.add("{source=\"cache\"}", std::uint64_t{7});
+  sources.add("{source=\"atlas\"}", std::uint64_t{8});
+  w.gauge("lamb_cache_size", "Entries resident.", 3.0);
+  w.gauge_family("lamb_ratio", "A ratio.").add("{kind=\"hit\"}", 0.25);
+  // HELP and TYPE lead each family, and its series follow in call order.
+  EXPECT_EQ(w.take(),
+            "# HELP lamb_requests_total Requests served.\n"
+            "# TYPE lamb_requests_total counter\n"
+            "lamb_requests_total 42\n"
+            "# HELP lamb_answers_total Answers by source.\n"
+            "# TYPE lamb_answers_total counter\n"
+            "lamb_answers_total{source=\"cache\"} 7\n"
+            "lamb_answers_total{source=\"atlas\"} 8\n"
+            "# HELP lamb_cache_size Entries resident.\n"
+            "# TYPE lamb_cache_size gauge\n"
+            "lamb_cache_size 3\n"  // integral gauges exact, never "3.000000"
+            "# HELP lamb_ratio A ratio.\n"
+            "# TYPE lamb_ratio gauge\n"
+            "lamb_ratio{kind=\"hit\"} 0.25\n");
 }
 
 TEST(MetricsWriter, HistogramEmitsCumulativeTriple) {
@@ -449,28 +450,62 @@ TEST(MetricsWriter, HistogramEmitsCumulativeTriple) {
   h.record(2e-5);  // lands in le="5e-05"
   h.record(0.3);   // lands in le="0.5"
   lamb::support::MetricsWriter w;
-  w.family("lamb_stage_seconds", "histogram", "Stage latency.");
-  w.histogram("lamb_stage_seconds", "stage=\"kernel\"", h.snapshot());
+  auto stages = w.histogram_family("lamb_stage_seconds", "Stage latency.");
+  stages.add("{stage=\"kernel\"}", h.snapshot());
+  w.histogram_family("lamb_request_seconds", "Request latency.")
+      .add("", h.snapshot());
   const std::string out = w.take();
-  EXPECT_NE(out.find("lamb_stage_seconds_bucket{stage=\"kernel\",le="),
+  EXPECT_NE(out.find("# TYPE lamb_stage_seconds histogram\n"),
             std::string::npos);
-  EXPECT_NE(out.find("le=\"+Inf\"} 2\n"), std::string::npos);
-  EXPECT_NE(out.find("lamb_stage_seconds_sum{stage=\"kernel\"}"),
+  EXPECT_NE(out.find("lamb_stage_seconds_bucket{stage=\"kernel\",le=\"2e-05\"}"
+                     " 1\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("lamb_stage_seconds_bucket{stage=\"kernel\",le=\"+Inf\"}"
+                     " 2\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("lamb_stage_seconds_sum{stage=\"kernel\"} 0.300020000\n"),
             std::string::npos);
   EXPECT_NE(out.find("lamb_stage_seconds_count{stage=\"kernel\"} 2\n"),
             std::string::npos);
+  // Without labels, le is the buckets' only label.
+  EXPECT_NE(out.find("lamb_request_seconds_bucket{le=\"0.5\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("lamb_request_seconds_sum 0.300020000\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("lamb_request_seconds_count 2\n"), std::string::npos);
 }
 
-TEST(MetricsWriter, KindMismatchIsRejected) {
-  // The bug class this type replaces: a gauge emitted through the counter
-  // path (or any series under the wrong — or no — family declaration).
-  lamb::support::MetricsWriter w;
-  w.family("lamb_cache_size", "gauge", "Entries resident.");
-  EXPECT_THROW(w.counter("lamb_cache_size", 3), CheckError);
-  lamb::support::MetricsWriter w2;
-  w2.family("lamb_requests_total", "counter", "Requests.");
-  EXPECT_THROW(w2.gauge("lamb_requests_total", 1.0), CheckError);
-  EXPECT_THROW(w2.counter("lamb_other_total", 1), CheckError);
+template <typename Family, typename Value>
+constexpr bool kAdds = requires(Family family, Value value) {
+  family.add("", value);
+};
+template <typename Value>
+constexpr bool kCounts = requires(lamb::support::MetricsWriter w, Value v) {
+  w.counter("lamb_x_total", "help", v);
+};
+template <typename Value>
+constexpr bool kGauges = requires(lamb::support::MetricsWriter w, Value v) {
+  w.gauge("lamb_x", "help", v);
+};
+
+TEST(MetricsWriter, ASeriesOfTheWrongKindDoesNotCompile) {
+  using lamb::support::MetricsWriter;
+  using Snapshot = lamb::support::LatencyHistogram::Snapshot;
+  // Counters are integral: no double, and no other integer type that
+  // could carry a sign or a narrower width unnoticed.
+  static_assert(kCounts<std::uint64_t> && !kCounts<double> && !kCounts<int>);
+  static_assert(kAdds<MetricsWriter::CounterFamily, std::uint64_t>);
+  static_assert(!kAdds<MetricsWriter::CounterFamily, double>);
+  static_assert(!kAdds<MetricsWriter::CounterFamily, Snapshot>);
+  // Gauges take a double, so a count becomes one only by an explicit cast.
+  static_assert(kGauges<double> && !kGauges<std::uint64_t>);
+  static_assert(kAdds<MetricsWriter::GaugeFamily, double>);
+  static_assert(!kAdds<MetricsWriter::GaugeFamily, std::uint64_t>);
+  static_assert(!kAdds<MetricsWriter::GaugeFamily, Snapshot>);
+  // A histogram series is a whole snapshot.
+  static_assert(kAdds<MetricsWriter::HistogramFamily, Snapshot>);
+  static_assert(!kAdds<MetricsWriter::HistogramFamily, double>);
+  static_assert(!kAdds<MetricsWriter::HistogramFamily, std::uint64_t>);
 }
 
 TEST(LatencyHistogram, MergingEmptyChangesNothing) {
@@ -620,10 +655,10 @@ TEST(Cli, EveryGivenFlagReadPassesTheStrictCheck) {
   EXPECT_TRUE(cli.has("g"));  // has() counts as a read
   // Reading an absent flag is fine; positional arguments are not flags.
   EXPECT_EQ(cli.get_int("absent", 4), 4);
-  EXPECT_NO_THROW(cli.reject_unknown_flags());
+  cli.reject_unknown_flags();  // an unread flag would exit 2 here
 
   const char* none[] = {"prog", "pos"};
-  EXPECT_NO_THROW(Cli(2, none).reject_unknown_flags());
+  Cli(2, none).reject_unknown_flags();
 }
 
 TEST(Cli, StrictCheckNamesAnUnreadFlagAndListsTheReadOnes) {
@@ -631,33 +666,52 @@ TEST(Cli, StrictCheckNamesAnUnreadFlagAndListsTheReadOnes) {
   const Cli cli(3, argv);
   EXPECT_EQ(cli.get_int("anomalies", 100), 100);  // the misspelling is unseen
   EXPECT_EQ(cli.get_seed("seed", 1), 2u);
-  try {
-    cli.reject_unknown_flags();
-    FAIL() << "an unread flag passed";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--anomlies"), std::string::npos) << what;
-    EXPECT_NE(what.find("--anomalies, --seed"), std::string::npos) << what;
-  }
+  EXPECT_EXIT(cli.reject_unknown_flags(), ::testing::ExitedWithCode(2),
+              "^prog: unknown flag --anomlies; the flags it reads here are "
+              "--anomalies, --seed\n$");
 
   // A flag that the path taken never reads fails too, even when another
   // path would read it.
   const char* unread[] = {"prog", "--repetitions=3"};
   const Cli quiet(2, unread);
   EXPECT_FALSE(quiet.get_bool("real", false));
-  EXPECT_THROW(quiet.reject_unknown_flags(), std::invalid_argument);
+  EXPECT_EXIT(quiet.reject_unknown_flags(), ::testing::ExitedWithCode(2),
+              "unknown flag --repetitions");
   EXPECT_EQ(quiet.get_int("repetitions", 5), 3);
-  EXPECT_NO_THROW(quiet.reject_unknown_flags());
+  quiet.reject_unknown_flags();  // returns: every flag is read now
 
   // A main that reads nothing says so.
   const char* stray[] = {"prog", "--x"};
-  try {
-    Cli(2, stray).reject_unknown_flags();
-    FAIL() << "an unread flag passed";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("takes no flags"), std::string::npos)
-        << e.what();
-  }
+  EXPECT_EXIT(Cli(2, stray).reject_unknown_flags(),
+              ::testing::ExitedWithCode(2), "takes no flags");
+}
+
+TEST(Cli, AValueMustParseWhole) {
+  const char* argv[] = {"prog",           "--seed=7abc",  "--hi=400x",
+                        "--threshold=.5%", "--real=maybe", "--threads=",
+                        "--lo=99999999999999999999"};
+  const Cli cli(7, argv);
+  // Each error is one line naming the flag and the whole value, exit 2.
+  EXPECT_EXIT(cli.get_seed("seed", 1), ::testing::ExitedWithCode(2),
+              "^prog: flag --seed expects an unsigned integer, got '7abc'\n$");
+  EXPECT_EXIT(cli.get_int("hi", 1), ::testing::ExitedWithCode(2),
+              "flag --hi expects an integer, got '400x'");
+  EXPECT_EXIT(cli.get_double("threshold", 0.1), ::testing::ExitedWithCode(2),
+              "flag --threshold expects a number, got '.5%'");
+  EXPECT_EXIT(cli.get_bool("real", false), ::testing::ExitedWithCode(2),
+              "flag --real expects a boolean, got 'maybe'");
+  EXPECT_EXIT(cli.get_int("threads", 0), ::testing::ExitedWithCode(2),
+              "flag --threads expects an integer, got ''");
+  EXPECT_EXIT(cli.get_int("lo", 20), ::testing::ExitedWithCode(2),
+              "flag --lo expects an integer, got '99999999999999999999'");
+}
+
+TEST(Cli, ANegativeSeedIsAnErrorNotAWrap) {
+  const char* argv[] = {"prog", "--seed=-1", "--offset=-1"};
+  const Cli cli(3, argv);
+  EXPECT_EXIT(cli.get_seed("seed", 1), ::testing::ExitedWithCode(2),
+              "flag --seed expects an unsigned integer, got '-1'");
+  EXPECT_EQ(cli.get_int("offset", 0), -1);  // signed flags keep their sign
 }
 
 TEST(Endian, RoundTripsAndLaysOutLittleEndian) {
